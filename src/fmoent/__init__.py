@@ -22,6 +22,7 @@ from .entanglement import (
     w_state,
     w_state_exciton_rho,
     w_state_reservoir_rho,
+    w_mixture_entanglement,
     x_state_register,
     x_state_rho,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "enumerate_bipartitions",
     "normalized_negativity",
     "global_entanglement",
+    "w_mixture_entanglement",
     "w_state",
     "ghz_state",
     "w_state_exciton_rho",

@@ -4,6 +4,12 @@ Scans evaluate one observable over a grid of up to two swept axes and write
 RFC-4180-style CSV (header row first, 12 significant digits, '\\n' line
 endings).  Identical inputs produce byte-identical output.
 
+Each observable is one array kernel in ``_OBSERVABLE_TABLE``.  A scan
+evaluates its kernel over the flattened grid in blocks of ``_BLOCK_ROWS``
+rows.  Every parameter, swept or fixed, reaches the kernel as an array with
+one element per row, so a point's value never depends on which parameters
+were swept or on how the grid was blocked.
+
 Subcommands: ``scan`` (general observable scans), ``table`` (the exciton
 energy/amplitude table) and ``check`` (closed-form amplitude against the
 numerical integrator, printing the maximum error).
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,13 +28,10 @@ import numpy as np
 
 from . import __version__
 from .entanglement import (
-    WStateParams,
     XStateParams,
-    global_entanglement,
     meyer_wallach_closed,
     meyer_wallach_numeric,
-    w_state_exciton_rho,
-    w_state_reservoir_rho,
+    w_mixture_entanglement,
     x_state_register,
 )
 from .fidelity import f_ghz_split, f_ghz_teleport, f_w_split, f_w_teleport
@@ -77,34 +81,6 @@ _AXIS_LABELS = {
     "n": "n",
 }
 
-_VALUE_COLUMNS = {
-    "delta_p": ["delta_p"],
-    "u_amplitude": ["u_re", "u_im", "u_abs2"],
-    "e_exciton": ["e_exciton"],
-    "e_reservoir": ["e_reservoir"],
-    "q_closed": ["q"],
-    "q_numeric": ["q"],
-    "f_ghz_tele": ["p_damp", "fidelity"],
-    "f_w_tele": ["p_damp", "fidelity"],
-    "f_ghz_split": ["p_damp", "fidelity"],
-    "f_w_split": ["p_damp", "fidelity"],
-}
-
-# parameters each observable consumes (beyond what is swept)
-_NEEDED = {
-    "delta_p": ("gamma0", "half_width", "delta", "t"),
-    "u_amplitude": ("gamma0", "half_width", "delta", "t"),
-    "e_exciton": ("gamma0", "half_width", "delta", "t", "n"),
-    "e_reservoir": ("gamma0", "half_width", "delta", "t", "n"),
-    "q_closed": ("gamma0", "half_width", "delta", "t", "b"),
-    "q_numeric": ("gamma0", "half_width", "delta", "t", "b"),
-    "f_ghz_tele": ("gamma0", "half_width", "delta", "t", "n"),
-    "f_ghz_split": ("gamma0", "half_width", "delta", "t", "n"),
-    "f_w_tele": ("gamma0", "half_width", "delta", "t"),
-    "f_w_split": ("gamma0", "half_width", "delta", "t"),
-    "exciton_table": (),
-}
-
 _DEFAULTS = {"delta": 0.0, "n": 4.0}
 
 _CONFIG_KEYS = (
@@ -123,6 +99,11 @@ _CONFIG_KEYS = (
 )
 
 _NUMERIC_KEYS = ("gamma0", "half_width", "delta", "a", "b", "n", "t")
+
+# Largest grid a scan may request, checked before anything is allocated.
+MAX_GRID_ROWS = 10**7
+# Rows per kernel evaluation and per CSV write: bounds the temporaries.
+_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -164,8 +145,10 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """CSV header and a float64 array with one row per grid point."""
+
     header: list[str]
-    rows: list[list[float]]
+    rows: np.ndarray
 
 
 def _parse_axis(key: str, text: str) -> AxisSpec:
@@ -180,6 +163,8 @@ def _parse_axis(key: str, text: str) -> AxisSpec:
         stop = float(parts[2])
     except ValueError:
         raise ConfigError(f"{key}: min/max must be numbers in {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"{key}: min/max must be finite in {text!r}")
     try:
         steps = int(parts[3])
     except ValueError:
@@ -226,6 +211,8 @@ def build_scan_spec(mapping: dict[str, str]) -> ScanSpec:
             axes.append(_parse_axis(key, mapping[key]))
     if len(axes) == 2 and axes[0].name == axes[1].name:
         raise ConfigError(f"axis2: duplicates axis1 ({axes[0].name!r})")
+    if "dataset" in mapping and observable != "exciton_table":
+        raise ConfigError(f"dataset: only exciton_table reads a dataset, not {observable!r}")
     fixed: dict[str, float] = {}
     for key in _NUMERIC_KEYS:
         if key in mapping:
@@ -233,6 +220,8 @@ def build_scan_spec(mapping: dict[str, str]) -> ScanSpec:
                 fixed[key] = float(mapping[key])
             except ValueError:
                 raise ConfigError(f"{key}: expected a number, got {mapping[key]!r}") from None
+            if not math.isfinite(fixed[key]):
+                raise ConfigError(f"{key}: expected a finite number, got {mapping[key]!r}")
     return ScanSpec(
         observable=observable,
         axes=tuple(axes),
@@ -246,60 +235,101 @@ def load_config(path) -> ScanSpec:
     return build_scan_spec(parse_config_file(path))
 
 
-def _resolve_ab(point: dict[str, float], b_is_swept: bool) -> tuple[float, float]:
-    b = float(point["b"])
-    if "a" in point:
-        if b_is_swept:
-            raise ValueError("a: cannot be fixed while sweeping b (a is derived as sqrt(1 - b^2))")
-        return float(point["a"]), b
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"b: must lie in [0, 1] when a is derived, got {b}")
-    return math.sqrt(1.0 - b * b), b
-
-
-def _point_reservoir(point: dict[str, float]) -> ReservoirParams:
+def _reservoir(p) -> ReservoirParams:
     return ReservoirParams.from_half_width(
-        gamma0=point["gamma0"], half_width=point["half_width"], delta=point["delta"]
+        gamma0=p["gamma0"], half_width=p["half_width"], delta=p["delta"]
     )
 
 
-def _point_parties(point: dict[str, float]) -> int:
-    n = point["n"]
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"n: must be an integer, got {n}")
-    return int(round(n))
+def _parties(n: np.ndarray) -> np.ndarray:
+    rounded = np.rint(n)
+    off = np.abs(n - rounded) > 1e-9
+    if off.any():
+        raise ValueError(f"n: must be an integer, got {n[off][0]}")
+    return rounded
 
 
-def _evaluate_point(observable: str, point: dict[str, float], b_is_swept: bool) -> list[float]:
-    res = _point_reservoir(point)
-    t = point["t"]
-    if observable == "delta_p":
-        return [float(population_difference(res, t))]
-    if observable == "u_amplitude":
-        u = amplitude(res, t)
-        return [u.real, u.imag, abs(u) ** 2]
-    if observable in ("e_exciton", "e_reservoir"):
-        n = _point_parties(point)
-        params = WStateParams(u=amplitude(res, t), n_qubits=n)
-        rho = w_state_exciton_rho(params) if observable == "e_exciton" else w_state_reservoir_rho(params)
-        return [global_entanglement(rho, n)]
-    if observable in ("q_closed", "q_numeric"):
-        a, b = _resolve_ab(point, b_is_swept)
-        u = amplitude(res, t)
-        if observable == "q_closed":
-            return [meyer_wallach_closed(a, b, u)]
-        psi = x_state_register(XStateParams(a=a, b=b, u1=u, u2=u))
-        return [meyer_wallach_numeric(psi)]
-    p = damping(res, t)
-    if observable == "f_ghz_tele":
-        return [p, f_ghz_teleport(p, _point_parties(point))]
-    if observable == "f_ghz_split":
-        return [p, f_ghz_split(p, _point_parties(point))]
-    if observable == "f_w_tele":
-        return [p, f_w_teleport(p)]
-    if observable == "f_w_split":
-        return [p, f_w_split(p)]
-    raise ValueError(f"observable: unknown value {observable!r}")
+def _ab(p):
+    """(a, b): a fixed a as given, else a = sqrt(1 - b^2) for b in [0, 1]."""
+    b = p["b"]
+    if "a" in p:
+        return p["a"], b
+    inside = (b >= 0.0) & (b <= 1.0)
+    if not inside.all():
+        raise ValueError(f"b: must lie in [0, 1] when a is derived, got {b[~inside][0]}")
+    return np.sqrt(1.0 - b * b), b
+
+
+def _u(p):
+    return amplitude(_reservoir(p), p["t"])
+
+
+def _survival(p):
+    return np.minimum(1.0, np.abs(_u(p)) ** 2)
+
+
+def _u_amplitude(p):
+    u = _u(p)
+    return u.real, u.imag, np.abs(u) ** 2
+
+
+def _q_numeric(p):
+    a, b = _ab(p)
+    u = _u(p)
+    return (meyer_wallach_numeric(x_state_register(XStateParams(a=a, b=b, u1=u, u2=u))),)
+
+
+def _with_damping(p, fidelity):
+    damp = damping(_reservoir(p), p["t"])
+    return damp, fidelity(damp)
+
+
+@dataclass(frozen=True)
+class _Observable:
+    """Value columns, consumed parameters and the array kernel of one observable.
+
+    The kernel maps parameter name -> array over the block's rows to one
+    array per value column.
+    """
+
+    columns: tuple[str, ...]
+    needs: tuple[str, ...]
+    kernel: Callable[[dict], tuple]
+
+
+_RES = ("gamma0", "half_width", "delta", "t")
+_FID = ("p_damp", "fidelity")
+
+# The kernels look every library function up by name when they run, so a
+# wrapper set on this module's attributes (a profiler's, say) sees each call.
+_OBSERVABLE_TABLE = {
+    "delta_p": _Observable(
+        ("delta_p",), _RES, lambda p: (population_difference(_reservoir(p), p["t"]),)
+    ),
+    "u_amplitude": _Observable(("u_re", "u_im", "u_abs2"), _RES, _u_amplitude),
+    "e_exciton": _Observable(
+        ("e_exciton",), _RES + ("n",),
+        lambda p: (w_mixture_entanglement(_survival(p), _parties(p["n"])),),
+    ),
+    "e_reservoir": _Observable(
+        ("e_reservoir",), _RES + ("n",),
+        lambda p: (w_mixture_entanglement(1.0 - _survival(p), _parties(p["n"])),),
+    ),
+    "q_closed": _Observable(
+        ("q",), _RES + ("b",), lambda p: (meyer_wallach_closed(*_ab(p), _u(p)),)
+    ),
+    "q_numeric": _Observable(("q",), _RES + ("b",), _q_numeric),
+    "f_ghz_tele": _Observable(
+        _FID, _RES + ("n",),
+        lambda p: _with_damping(p, lambda d: f_ghz_teleport(d, _parties(p["n"]))),
+    ),
+    "f_w_tele": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_teleport(d))),
+    "f_ghz_split": _Observable(
+        _FID, _RES + ("n",),
+        lambda p: _with_damping(p, lambda d: f_ghz_split(d, _parties(p["n"]))),
+    ),
+    "f_w_split": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_split(d))),
+}
 
 
 def _resolve_dataset(name_or_path: str):
@@ -317,11 +347,7 @@ def _resolve_dataset(name_or_path: str):
 def _exciton_table_result(spec: ScanSpec) -> ScanResult:
     table = exciton_table(build_hamiltonian(_resolve_dataset(spec.dataset)))
     header = ["energy_cm1"] + [f"bchl{i}" for i in range(1, 8)]
-    rows = [
-        [float(table.energies[k])] + [float(v) for v in table.amplitudes[:, k]]
-        for k in range(len(table.energies))
-    ]
-    return ScanResult(header=header, rows=rows)
+    return ScanResult(header=header, rows=np.column_stack([table.energies, table.amplitudes.T]))
 
 
 def run_scan(spec: ScanSpec) -> ScanResult:
@@ -332,6 +358,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         if spec.axes:
             raise ValueError("axis1: exciton_table takes no axes")
         return _exciton_table_result(spec)
+    observable = _OBSERVABLE_TABLE[spec.observable]
 
     if len(spec.axes) > 2:
         raise ValueError("axes: at most two axes may be swept")
@@ -342,62 +369,61 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         if name in spec.fixed:
             raise ValueError(f"{name}: given both as an axis and a fixed value")
 
-    needed = _NEEDED[spec.observable]
-    for name in needed:
-        if name not in axis_names and name not in spec.fixed and name not in _DEFAULTS:
-            raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
-
     base: dict[str, float] = {}
-    for name in needed:
+    for name in observable.needs:
+        if name in axis_names:
+            continue
         if name in spec.fixed:
             base[name] = spec.fixed[name]
-        elif name not in axis_names:
+        elif name in _DEFAULTS:
             base[name] = _DEFAULTS[name]
-    if "a" in spec.fixed:
+        else:
+            raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
+    if "b" in observable.needs and "a" in spec.fixed:
+        if "b" in axis_names:
+            raise ValueError("a: cannot be fixed while sweeping b (a is derived as sqrt(1 - b^2))")
         base["a"] = spec.fixed["a"]
 
+    shape = tuple(axis.steps for axis in spec.axes)
+    total = math.prod(shape)
+    if total > MAX_GRID_ROWS:
+        raise ConfigError(
+            f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}"
+        )
     grids = [axis.values() for axis in spec.axes]
-    b_is_swept = "b" in axis_names
 
-    header = [_AXIS_LABELS[name] for name in axis_names] + _VALUE_COLUMNS[spec.observable]
-    rows: list[list[float]] = []
-    if not spec.axes:
-        rows.append(_evaluate_point(spec.observable, base, b_is_swept))
-        return ScanResult(header=header, rows=rows)
-
-    if len(spec.axes) == 1:
-        for v0 in grids[0]:
-            point = dict(base)
-            point[axis_names[0]] = float(v0)
-            rows.append([float(v0)] + _evaluate_point(spec.observable, point, b_is_swept))
-    else:
-        for v0 in grids[0]:
-            for v1 in grids[1]:
-                point = dict(base)
-                point[axis_names[0]] = float(v0)
-                point[axis_names[1]] = float(v1)
-                rows.append(
-                    [float(v0), float(v1)]
-                    + _evaluate_point(spec.observable, point, b_is_swept)
-                )
+    header = [_AXIS_LABELS[name] for name in axis_names] + list(observable.columns)
+    rows = np.empty((total, len(header)))
+    for lo in range(0, total, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, total)
+        point = {name: np.full(hi - lo, value) for name, value in base.items()}
+        # flattened meshgrid in C order: the first axis varies slowest
+        indices = np.unravel_index(np.arange(lo, hi), shape) if shape else ()
+        for j, (name, grid, index) in enumerate(zip(axis_names, grids, indices)):
+            point[name] = rows[lo:hi, j] = grid[index]
+        for j, column in enumerate(observable.kernel(point), start=len(axis_names)):
+            rows[lo:hi, j] = column
     return ScanResult(header=header, rows=rows)
-
-
-def _format_csv(result: ScanResult) -> str:
-    lines = [",".join(result.header)]
-    for row in result.rows:
-        lines.append(",".join(format(value, ".12g") for value in row))
-    return "\n".join(lines) + "\n"
 
 
 def emit_csv(result: ScanResult, destination=None) -> None:
     """Write a scan result as CSV to a path, or stdout when destination is
     None or '-'."""
-    text = _format_csv(result)
     if destination is None or destination == "-":
-        sys.stdout.write(text)
+        _write_csv(result, sys.stdout)
     else:
-        Path(destination).write_text(text)
+        with open(destination, "w") as handle:
+            _write_csv(result, handle)
+
+
+def _write_csv(result: ScanResult, out) -> None:
+    # "%.12g" % v gives the same bytes as format(v, ".12g"); one template per
+    # chunk formats a whole block of rows in a single call
+    out.write(",".join(result.header) + "\n")
+    line = ",".join(["%.12g"] * result.rows.shape[1]) + "\n"
+    for lo in range(0, len(result.rows), _BLOCK_ROWS):
+        chunk = result.rows[lo : lo + _BLOCK_ROWS]
+        out.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _merge_flags(args: argparse.Namespace) -> dict[str, str]:

@@ -4,7 +4,7 @@ Two families of quantifiers:
 
 * A global measure built from the normalized negativity, averaged over all
   nonequivalent bipartitions of an N-qubit density matrix (2**(N-1) - 1
-  cuts in total).
+  cuts in total), with a closed form for the decaying W mixture.
 * The Meyer-Wallach measure of a pure multiqubit state, both evaluated
   numerically from single-qubit purities and as a closed form for the
   evolving two-exciton superposition state.
@@ -32,6 +32,7 @@ __all__ = [
     "enumerate_bipartitions",
     "normalized_negativity",
     "global_entanglement",
+    "w_mixture_entanglement",
     "w_state",
     "ghz_state",
     "w_state_exciton_rho",
@@ -135,6 +136,40 @@ def global_entanglement(rho, n_qubits: int) -> float:
     return sum(size_means) / len(size_means)
 
 
+def w_mixture_entanglement(s, n_qubits):
+    """Closed form of :func:`global_entanglement` for s|W><W| + (1-s)|0..0><0..0|.
+
+    The mixture is permutation symmetric, so every m|N-m cut reduces to a
+    two-qubit problem whose partial transpose has the single negative
+    eigenvalue ``((1-s) - sqrt((1-s)^2 + 4 s^2 c)) / 2`` with
+    ``c = m (N-m) / N^2`` (Vidal & Werner, PRA 65, 032314 (2002)).  It is
+    evaluated in the cancellation-free form ``2 s^2 c / (sqrt(...) + (1-s))``,
+    scaled by ``2 / (2^m - 1)`` and averaged over m = 1 .. floor(N/2) exactly
+    as :func:`global_entanglement` averages.  ``s`` in [0, 1] and the integer
+    ``n_qubits`` in 2..12 broadcast against each other; the reservoir side of
+    a decaying W register is the same mixture with s -> 1 - s.
+    """
+    s = np.asarray(s, dtype=float)
+    n_in = np.asarray(n_qubits, dtype=float)
+    n = np.rint(n_in)
+    bad = (n != n_in) | (n < 2) | (n > 12)
+    if bad.any():
+        raise ValueError(f"n_qubits must be integers in 2..12, got {n_in[bad].flat[0]:g}")
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError("s must lie in [0, 1]")
+    q = 1.0 - s
+    half = n // 2
+    total = np.zeros(np.broadcast_shapes(s.shape, n.shape))
+    for m in range(1, int(half.max()) + 1):
+        has_cut = m <= half
+        # registers without an m-cut get a placeholder c > 0, then weight 0
+        c = np.where(has_cut, m * (n - m), 1.0) / (n * n)
+        cut = 2.0 * s * s * c / (np.sqrt(q * q + 4.0 * s * s * c) + q)
+        total += np.where(has_cut, 2.0 / (2.0**m - 1.0) * cut, 0.0)
+    value = total / half
+    return value if value.ndim else float(value)
+
+
 def w_state(n_qubits: int) -> np.ndarray:
     """Single-excitation symmetric state over ``n_qubits`` qubits."""
     n = int(n_qubits)
@@ -208,7 +243,8 @@ class XStateParams:
 
     ``a`` and ``b`` are real with a^2 + b^2 = 1; the emitted amplitudes
     v_i = sqrt(1 - |u_i|^2) are taken real and non-negative (no computed
-    observable depends on their phase).
+    observable depends on their phase).  Fields may be broadcastable arrays,
+    one state per element, for :func:`x_state_register`.
     """
 
     a: float
@@ -217,15 +253,16 @@ class XStateParams:
     u2: complex
 
     def __post_init__(self):
-        if abs(self.a**2 + self.b**2 - 1.0) > 1e-12:
+        if np.any(np.abs(self.a**2 + self.b**2 - 1.0) > 1e-12):
             raise ValueError("a^2 + b^2 must equal 1")
         for label, u in (("u1", self.u1), ("u2", self.u2)):
-            if abs(u) > 1.0 + _AMP_SLACK:
-                raise ValueError(f"|{label}| must not exceed 1, got {abs(u):.6g}")
+            modulus = np.max(np.abs(u))
+            if modulus > 1.0 + _AMP_SLACK:
+                raise ValueError(f"|{label}| must not exceed 1, got {modulus:.6g}")
 
-    def emitted(self) -> tuple[float, float]:
-        v1 = math.sqrt(max(0.0, 1.0 - abs(self.u1) ** 2))
-        v2 = math.sqrt(max(0.0, 1.0 - abs(self.u2) ** 2))
+    def emitted(self):
+        v1 = np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.u1) ** 2))
+        v2 = np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.u2) ** 2))
         return v1, v2
 
 
@@ -257,55 +294,71 @@ def x_state_register(params: XStateParams) -> np.ndarray:
     """Four-qubit purification (e1, e2, r1, r2) of the X-form state.
 
     Each excited component sheds amplitude into its own reservoir qubit;
-    tracing out qubits 2 and 3 recovers :func:`x_state_rho`.
+    tracing out qubits 2 and 3 recovers :func:`x_state_rho`.  Array-valued
+    params give one register per element along the leading axes.
     """
     v1, v2 = params.emitted()
     a, b, u1, u2 = params.a, params.b, params.u1, params.u2
-    psi = np.zeros(16, dtype=complex)
-    psi[0b0000] = a
-    psi[0b1100] = b * u1 * u2
-    psi[0b1001] = b * u1 * v2
-    psi[0b0110] = b * v1 * u2
-    psi[0b0011] = b * v1 * v2
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, u1, u2)))
+    psi = np.zeros(shape + (16,), dtype=complex)
+    psi[..., 0b0000] = a
+    psi[..., 0b1100] = b * u1 * u2
+    psi[..., 0b1001] = b * u1 * v2
+    psi[..., 0b0110] = b * v1 * u2
+    psi[..., 0b0011] = b * v1 * v2
     return psi
 
 
 def _require_normalized_state(psi) -> tuple[np.ndarray, int]:
-    psi = np.asarray(psi, dtype=complex).ravel()
-    n = int(round(math.log2(psi.size)))
-    if 2**n != psi.size:
-        raise ValueError(f"state length {psi.size} is not a power of two")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized (norm {norm:.12g})")
+    psi = np.atleast_1d(np.asarray(psi, dtype=complex))
+    length = psi.shape[-1]
+    n = int(round(math.log2(length))) if length else 0
+    if n < 1 or 2**n != length:
+        raise ValueError(f"state length {length} is not a power of two >= 2")
+    norm = np.linalg.norm(psi, axis=-1)
+    worst = float(np.max(np.abs(norm - 1.0)))
+    if not worst <= 1e-9:
+        raise ValueError(f"state is not normalized (norm off by {worst:.3g})")
     return psi, n
 
 
-def meyer_wallach_numeric(psi) -> float:
+def meyer_wallach_numeric(psi):
     """Meyer-Wallach measure of a normalized pure state.
 
     Averages 2*(1 - Tr rho_k^2) over every single-qubit reduced state;
-    0 for product states, 1 when every qubit is maximally mixed.
+    0 for product states, 1 when every qubit is maximally mixed.  ``psi``
+    may carry leading batch axes (shape ``(..., 2**n)``); the result then
+    has the batch shape, one value per state.  Each rho_k is built from the
+    state vector reshaped to put qubit k first, so no 2^n x 2^n matrix is
+    formed.
     """
     psi, n = _require_normalized_state(psi)
-    rho = np.outer(psi, psi.conj())
+    batch = psi.shape[:-1]
+    tensor = psi.reshape(batch + (2,) * n)
     total = 0.0
     for k in range(n):
-        rho_k = qlin.partial_trace(rho, n, {k})
-        purity = float(np.trace(rho_k @ rho_k).real)
-        total += 2.0 * (1.0 - purity)
-    return total / n
+        split = np.moveaxis(tensor, len(batch) + k, len(batch)).reshape(batch + (2, -1))
+        up, down = split[..., 0, :], split[..., 1, :]
+        r00 = np.sum(np.abs(up) ** 2, axis=-1)
+        r11 = np.sum(np.abs(down) ** 2, axis=-1)
+        r01 = np.sum(up * down.conj(), axis=-1)
+        purity = r00**2 + r11**2 + 2.0 * np.abs(r01) ** 2
+        total = total + 2.0 * (1.0 - purity)
+    value = total / n
+    return value if batch else float(value)
 
 
-def meyer_wallach_closed(a: float, b: float, u: complex) -> float:
+def meyer_wallach_closed(a, b, u):
     """Closed-form Meyer-Wallach value 2 a^2 b^2 + 4 b^2 |u|^2 (1 - |u|^2).
 
     This is the published closed form for the two-exciton superposition with
     both qubits sharing the amplitude ``u``; it agrees with the register
     evaluation of :func:`meyer_wallach_numeric` when b = 1 (the plotted
-    case), and is used as the default for figure reproduction.
+    case), and is used as the default for figure reproduction.  Arguments
+    broadcast; all-scalar arguments give a float.
     """
-    if abs(a**2 + b**2 - 1.0) > 1e-12:
+    if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
         raise ValueError("a^2 + b^2 must equal 1")
-    survival = min(1.0, abs(u) ** 2)
-    return 2.0 * a**2 * b**2 + 4.0 * b**2 * survival * (1.0 - survival)
+    survival = np.minimum(1.0, np.abs(u) ** 2)
+    value = 2.0 * a**2 * b**2 + 4.0 * b**2 * survival * (1.0 - survival)
+    return value if np.ndim(value) else float(value)

@@ -52,7 +52,7 @@ DEFAULT_UNITS = UnitSystem()
 
 @dataclass(frozen=True)
 class ReservoirParams:
-    """Lorentzian reservoir triple (cm^-1).
+    """Lorentzian reservoir triple (cm^-1), scalars or broadcastable arrays.
 
     ``gamma0`` sets the exciton relaxation scale (relaxation time 1/gamma0),
     ``delta_omega`` is the full width at half maximum (reservoir correlation
@@ -68,10 +68,13 @@ class ReservoirParams:
     omega0: float = 12210.0
 
     def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if not self.delta_omega > 0:
-            raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
+        for name in ("gamma0", "delta_omega", "delta"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            finite = np.isfinite(value)
+            if not finite.all():
+                raise ValueError(f"{name} must be finite, got {value[~finite].flat[0]}")
+            if name != "delta" and not (value > 0).all():
+                raise ValueError(f"{name} must be positive, got {value[value <= 0].flat[0]}")
 
     @classmethod
     def from_half_width(
@@ -99,30 +102,47 @@ def spectral_density(params: ReservoirParams, omega):
     return out if out.ndim else float(out)
 
 
-def _decay_rates(params: ReservoirParams, units: UnitSystem) -> tuple[complex, complex]:
-    """Return (B, xi) in rad/ps for the closed-form amplitude."""
+def _decay_rates(params: ReservoirParams, units: UnitSystem):
+    """Return (B, xi) in rad/ps for the closed-form amplitude.
+
+    Scalar parameters give Python complex numbers; array parameters give
+    complex arrays of their broadcast shape.
+    """
     k = units.angular_conversion
     b = (params.delta_omega / 2.0 - 1j * params.delta) * k
-    xi = np.sqrt(complex(b * b - (params.gamma0 * k) * (params.delta_omega * k)))
-    return b, complex(xi)
+    disc = b * b - (params.gamma0 * k) * (params.delta_omega * k)
+    if np.ndim(disc):
+        return b, np.sqrt(disc)
+    return b, complex(np.sqrt(complex(disc)))
+
+
+def _select(rate, mask):
+    """The masked entries of a per-point rate; a scalar rate applies to all."""
+    return rate[mask] if np.ndim(rate) else rate
 
 
 def amplitude(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
     """Survival amplitude u(t) of the excited qubit state; u(0) = 1, |u| <= 1.
 
-    ``t`` is in picoseconds (scalar or array, must be >= 0).  The evaluation
+    ``t`` is in picoseconds (scalar or array, must be >= 0) and broadcasts
+    against array-valued ``params``; the result has the broadcast shape,
+    or is a Python complex when everything is scalar.  The evaluation
     is piecewise for numerical robustness: a series expansion around
     ``xi*t = 0`` (removable singularity), the hyperbolic closed form at
     moderate arguments, and a split-exponential form when cosh would
     overflow (both exponents then have non-positive real part).
     """
     t_in = np.asarray(t, dtype=float)
-    if np.any(t_in < 0.0):
+    if not np.all(t_in >= 0.0):
         raise ValueError("t must be non-negative")
-    scalar = t_in.ndim == 0
-    tt = np.atleast_1d(t_in)
-
     b, xi = _decay_rates(params, units)
+    # xi depends on every parameter, so its shape is theirs broadcast
+    shape = np.broadcast_shapes(t_in.shape, np.shape(xi))
+    tt = np.broadcast_to(t_in, shape).ravel()
+    if np.ndim(xi):
+        b = np.broadcast_to(b, shape).ravel()
+        xi = np.broadcast_to(xi, shape).ravel()
+
     x = xi * tt / 2.0
     small = np.abs(x) < 5e-7
     big = ~small & (x.real > 350.0)
@@ -130,24 +150,22 @@ def amplitude(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
 
     u = np.empty(tt.shape, dtype=complex)
     if small.any():
-        ts = tt[small]
-        xs = x[small]
+        ts, xs, bs, xis = tt[small], x[small], _select(b, small), _select(xi, small)
         # cosh(x) ~ 1 + x^2/2, sinh(x)/xi ~ t/2 + xi^2 t^3/48
-        u[small] = np.exp(-b * ts / 2.0) * (
-            1.0 + xs * xs / 2.0 + b * (ts / 2.0 + xi * xi * ts**3 / 48.0)
+        u[small] = np.exp(-bs * ts / 2.0) * (
+            1.0 + xs * xs / 2.0 + bs * (ts / 2.0 + xis * xis * ts**3 / 48.0)
         )
     if mid.any():
-        tm = tt[mid]
-        xm = x[mid]
-        u[mid] = np.exp(-b * tm / 2.0) * (np.cosh(xm) + (b / xi) * np.sinh(xm))
+        tm, xm, bm = tt[mid], x[mid], _select(b, mid)
+        u[mid] = np.exp(-bm * tm / 2.0) * (np.cosh(xm) + (bm / _select(xi, mid)) * np.sinh(xm))
     if big.any():
-        tb = tt[big]
-        ratio = b / xi
+        tb, bb, xib = tt[big], _select(b, big), _select(xi, big)
+        ratio = bb / xib
         u[big] = 0.5 * (
-            (1.0 + ratio) * np.exp((xi - b) * tb / 2.0)
-            + (1.0 - ratio) * np.exp(-(xi + b) * tb / 2.0)
+            (1.0 + ratio) * np.exp((xib - bb) * tb / 2.0)
+            + (1.0 - ratio) * np.exp(-(xib + bb) * tb / 2.0)
         )
-    return complex(u[0]) if scalar else u
+    return complex(u[0]) if not shape else u.reshape(shape)
 
 
 def amplitude_ode_oracle(
@@ -233,5 +251,5 @@ def population_difference(params: ReservoirParams, t, units: UnitSystem = DEFAUL
 def damping(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
     """Channel damping parameter p = 1 - |u(t)|^2, clipped to [0, 1]."""
     u = amplitude(params, t, units)
-    p = 1.0 - np.abs(u) ** 2
-    return np.clip(p, 0.0, 1.0) if np.ndim(p) else min(1.0, max(0.0, float(p)))
+    p = np.clip(1.0 - np.abs(u) ** 2, 0.0, 1.0)
+    return p if np.ndim(p) else float(p)

@@ -1,7 +1,12 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from fmoent import cli
+from fmoent import entanglement as ent
+from fmoent import fidelity as fid
 from fmoent.cli import (
     AxisSpec,
     ConfigError,
@@ -12,6 +17,36 @@ from fmoent.cli import (
     run_scan,
 )
 from fmoent.fmo import build_hamiltonian, dataset, exciton_table
+from fmoent.reservoir import ReservoirParams, amplitude, damping, population_difference
+
+SCAN_OBSERVABLES = [name for name in cli.OBSERVABLES if name != "exciton_table"]
+
+
+def scalar_route(observable, point):
+    """One grid point through the library's scalar functions, one call each."""
+    res = ReservoirParams.from_half_width(point["gamma0"], point["half_width"], point["delta"])
+    t, n = point["t"], int(point["n"])
+    if observable == "delta_p":
+        return [population_difference(res, t)]
+    u = amplitude(res, t)
+    if observable == "u_amplitude":
+        return [u.real, u.imag, abs(u) ** 2]
+    if observable in ("e_exciton", "e_reservoir"):
+        params = ent.WStateParams(u=u, n_qubits=n)
+        build = ent.w_state_exciton_rho if observable == "e_exciton" else ent.w_state_reservoir_rho
+        return [ent.global_entanglement(build(params), n)]
+    if observable in ("q_closed", "q_numeric"):
+        b = point["b"]
+        a = math.sqrt(1.0 - b * b)
+        if observable == "q_closed":
+            return [ent.meyer_wallach_closed(a, b, u)]
+        return [ent.meyer_wallach_numeric(ent.x_state_register(ent.XStateParams(a, b, u, u)))]
+    p = damping(res, t)
+    if observable in ("f_ghz_tele", "f_ghz_split"):
+        formula = fid.f_ghz_teleport if observable == "f_ghz_tele" else fid.f_ghz_split
+        return [p, formula(p, n)]
+    formula = fid.f_w_teleport if observable == "f_w_tele" else fid.f_w_split
+    return [p, formula(p)]
 
 
 def write_config(tmp_path, text):
@@ -102,7 +137,8 @@ class TestRunScan:
         )
         result = run_scan(spec)
         assert result.header == ["delta_p"]
-        assert result.rows == [[1.0]]
+        assert result.rows.dtype == np.float64
+        assert result.rows.tolist() == [[1.0]]
 
     def test_row_count_is_grid_product(self):
         spec = ScanSpec(
@@ -218,21 +254,93 @@ class TestRunScan:
     def test_grid_points_are_independent(self):
         # each row must equal the same point evaluated on its own (pure
         # kernels: any evaluation order or partitioning gives the same grid)
+        fixed = {"half_width": 40.0, "delta": 15.0, "b": 0.6, "n": 4.0}
+        for observable in SCAN_OBSERVABLES:
+            spec = ScanSpec(
+                observable=observable,
+                axes=(AxisSpec("t", 0.0, 0.5, 4), AxisSpec("gamma0", 100.0, 900.0, 3)),
+                fixed=dict(fixed),
+            )
+            result = run_scan(spec)
+            for row in result.rows:
+                t_value, gamma_value = row[0], row[1]
+                single = run_scan(
+                    ScanSpec(
+                        observable=observable,
+                        fixed={**fixed, "t": t_value, "gamma0": gamma_value},
+                    )
+                )
+                assert single.rows[0].tolist() == row[2:].tolist(), observable
+
+    def test_blocks_do_not_change_rows(self, monkeypatch):
         spec = ScanSpec(
-            observable="f_w_split",
-            axes=(AxisSpec("t", 0.0, 0.5, 4), AxisSpec("gamma0", 100.0, 900.0, 3)),
+            observable="u_amplitude",
+            axes=(AxisSpec("delta", -50.0, 50.0, 7), AxisSpec("t", 0.0, 0.8, 9)),
+            fixed={"gamma0": 900.0, "half_width": 30.0},
+        )
+        whole = run_scan(spec).rows
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+        assert np.array_equal(run_scan(spec).rows, whole)
+
+    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    def test_rows_match_scalar_library_route(self, observable):
+        # the array kernels against one scalar library call per point; the
+        # array arithmetic may round differently in the last bits, so the
+        # bound is a few hundred ulps of an O(1) value (e_* use the dense
+        # 2^N route as the oracle)
+        axes = (AxisSpec("gamma0", 200.0, 1800.0, 3), AxisSpec("t", 0.0, 0.9, 7))
+        if observable in ("q_closed", "q_numeric"):
+            axes = (AxisSpec("b", 0.0, 1.0, 4), AxisSpec("t", 0.0, 0.9, 7))
+        elif observable in ("e_exciton", "e_reservoir", "f_ghz_tele", "f_ghz_split"):
+            axes = (AxisSpec("n", 2.0, 5.0, 4), AxisSpec("t", 0.0, 0.9, 7))
+        fixed = {"gamma0": 1300.0, "half_width": 35.0, "delta": 25.0, "b": 0.7, "n": 4.0}
+        names = [axis.name for axis in axes]
+        fixed = {k: v for k, v in fixed.items() if k not in names}
+        result = run_scan(ScanSpec(observable=observable, axes=axes, fixed=fixed))
+        assert len(result.rows) == math.prod(axis.steps for axis in axes)
+        for row in result.rows:
+            point = {**fixed, **dict(zip(names, row[:2]))}
+            np.testing.assert_allclose(
+                row[2:], scalar_route(observable, point), rtol=0, atol=1e-13, err_msg=observable
+            )
+
+    def test_e_exciton_twelve_qubits(self, capsys):
+        argv = ["scan", "--observable", "e_exciton", "--axis1", "t:0:1:51",
+                "--gamma0", "1000", "--half-width", "40", "--n", "12"]
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        elapsed = time.perf_counter() - start
+        lines = capsys.readouterr().out.split("\n")[1:-1]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert len(rows) == 51
+        assert elapsed < 1.0
+        # t = 0 is the pure W12 state: each m-cut has negativity sqrt(m(N-m))/N
+        pure = np.mean([2 / (2**m - 1) * math.sqrt(m * (12 - m)) / 12 for m in range(1, 7)])
+        assert abs(rows[0][1] - pure) < 1e-12  # CSV carries 12 digits
+        assert all(0.0 <= row[1] <= 1.0 for row in rows)
+
+    def test_grid_size_bounded_before_allocation(self, capsys):
+        # 1e11 points would need 0.8 TB per column: refused, never allocated
+        argv = ["scan", "--observable", "delta_p", "--axis1", "t:0:1:100000000000",
+                "--gamma0", "10", "--half-width", "40"]
+        assert cli.main(argv) == 1
+        assert "limit" in capsys.readouterr().err
+        single = build_scan_spec(
+            {"observable": "delta_p", "axis1": "t:0:1:100000000000",
+             "gamma0": "10", "half_width": "40"}
+        )
+        with pytest.raises(ConfigError, match="limit"):
+            run_scan(single)
+        product = ScanSpec(
+            observable="delta_p",
+            axes=(
+                AxisSpec("t", 0.0, 1.0, 10**4),
+                AxisSpec("gamma0", 1.0, 2.0, cli.MAX_GRID_ROWS // 10**4 + 1),
+            ),
             fixed={"half_width": 40.0},
         )
-        result = run_scan(spec)
-        for row in result.rows:
-            t_value, gamma_value = row[0], row[1]
-            single = run_scan(
-                ScanSpec(
-                    observable="f_w_split",
-                    fixed={"half_width": 40.0, "t": t_value, "gamma0": gamma_value},
-                )
-            )
-            assert single.rows[0] == row[2:]
+        with pytest.raises(ConfigError, match="limit"):
+            run_scan(product)
 
 
 class TestCsvEmission:
@@ -390,6 +498,41 @@ class TestMainEntrypoint:
     def test_bad_dataset_fails_cleanly(self, capsys):
         assert cli.main(["table", "--dataset", "tepidum"]) == 1
         assert "dataset" in capsys.readouterr().err
+
+    def test_dataset_only_for_exciton_table(self, capsys):
+        argv = ["scan", "--observable", "delta_p", "--gamma0", "10", "--half-width", "40",
+                "--t", "0"]
+        assert cli.main(argv + ["--dataset", "nonexistent"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dataset" in captured.err
+        assert cli.main(["scan", "--observable", "exciton_table", "--dataset", "wend"]) == 0
+        scanned = capsys.readouterr().out
+        assert cli.main(["table", "--dataset", "wend"]) == 0
+        assert scanned == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--gamma0", "inf", "--t", "0.1"], "gamma0"),
+            (["--gamma0", "1000", "--half-width", "nan", "--t", "0.1"], "half_width"),
+            (["--gamma0", "1000", "--t", "nan"], "t"),
+            (["--gamma0", "1000", "--axis1", "t:0:nan:3"], "axis1"),
+            (["--gamma0", "1000", "--axis1", "t:-inf:1:3"], "axis1"),
+        ],
+    )
+    def test_non_finite_numbers_refused(self, flags, key, capsys):
+        argv = ["scan", "--observable", "f_w_tele", "--half-width", "40", *flags]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fmoent: {key}:")
+
+    def test_out_of_range_qubit_count_refused(self, capsys):
+        argv = ["scan", "--observable", "e_exciton", "--t", "0.1", "--gamma0", "1000",
+                "--half-width", "40", "--n", "13"]
+        assert cli.main(argv) == 1
+        assert "2..12" in capsys.readouterr().err
 
     def test_delta_axis_sweep(self):
         spec = ScanSpec(

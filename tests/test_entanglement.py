@@ -185,6 +185,40 @@ class TestWStateDecay:
             ent.WStateParams(u=1.2)
 
 
+class TestWMixtureClosedForm:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_dense_route(self, n):
+        for s in (0.0, 0.3, 0.7, 1.0):
+            rho = ent.w_state_exciton_rho(ent.WStateParams(math.sqrt(s), n))
+            dense = ent.global_entanglement(rho, n)
+            assert abs(ent.w_mixture_entanglement(s, n) - dense) < 1e-12
+        # the reservoir side is the same mixture with s -> 1 - s
+        rho = ent.w_state_reservoir_rho(ent.WStateParams(math.sqrt(0.3), n))
+        dense = ent.global_entanglement(rho, n)
+        assert abs(ent.w_mixture_entanglement(0.7, n) - dense) < 1e-12
+
+    def test_pure_w4_anchor(self):
+        assert abs(ent.w_mixture_entanglement(1.0, 4) - PURE_W4_GLOBAL) < 1e-15
+        assert ent.w_mixture_entanglement(0.0, 4) == 0.0
+
+    def test_broadcasts_over_weight_and_qubit_count(self):
+        s = np.linspace(0.0, 1.0, 9)
+        n = np.arange(2.0, 13.0)[:, None]
+        grid = ent.w_mixture_entanglement(s, n)
+        assert grid.shape == (11, 9)
+        for i, count in enumerate(range(2, 13)):
+            assert np.array_equal(grid[i], ent.w_mixture_entanglement(s, count))
+            assert grid[i, 4] == ent.w_mixture_entanglement(0.5, count)
+
+    def test_refuses_bad_inputs(self):
+        for n in (1, 13, 4.5):
+            with pytest.raises(ValueError, match="2..12"):
+                ent.w_mixture_entanglement(0.5, n)
+        for s in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="s must lie"):
+                ent.w_mixture_entanglement(s, 4)
+
+
 class TestXState:
     def test_initial_pure_state(self):
         rho = ent.x_state_rho(ent.XStateParams(a=0.6, b=0.8, u1=1.0, u2=1.0))
@@ -242,6 +276,19 @@ class TestXState:
     def test_normalization_constraint_enforced(self):
         with pytest.raises(ValueError):
             ent.XStateParams(a=0.5, b=0.5, u1=1.0, u2=1.0)
+        with pytest.raises(ValueError):
+            ent.XStateParams(a=np.array([0.6, 0.5]), b=np.array([0.8, 0.5]), u1=1.0, u2=1.0)
+
+    def test_batched_register_equals_per_state(self):
+        rng = np.random.default_rng(33)
+        b = rng.uniform(0.0, 1.0, 6)
+        u = np.array([random_unit_disc(rng) for _ in range(6)])
+        batch = ent.x_state_register(ent.XStateParams(a=np.sqrt(1 - b * b), b=b, u1=u, u2=u[::-1]))
+        assert batch.shape == (6, 16)
+        for i in range(6):
+            single = ent.XStateParams(a=math.sqrt(1 - b[i] ** 2), b=b[i], u1=u[i], u2=u[5 - i])
+            # array complex products may round differently from scalar ones
+            np.testing.assert_allclose(batch[i], ent.x_state_register(single), rtol=0, atol=1e-15)
 
 
 class TestMeyerWallach:
@@ -290,6 +337,18 @@ class TestMeyerWallach:
             expected = 2 * a * a * b * b + 4 * b**4 * survival * (1 - survival)
             params = ent.XStateParams(a=a, b=b, u1=u, u2=u)
             assert abs(ent.meyer_wallach_numeric(ent.x_state_register(params)) - expected) < 1e-12
+
+    def test_batched_equals_per_state(self):
+        rng = np.random.default_rng(44)
+        for n in (1, 2, 4, 5):
+            states = rng.normal(size=(3, 4, 2**n)) + 1j * rng.normal(size=(3, 4, 2**n))
+            states /= np.linalg.norm(states, axis=-1, keepdims=True)
+            batch = ent.meyer_wallach_numeric(states)
+            assert batch.shape == (3, 4)
+            for index in np.ndindex(3, 4):
+                assert batch[index] == ent.meyer_wallach_numeric(states[index])
+        with pytest.raises(ValueError, match="normalized"):
+            ent.meyer_wallach_numeric(np.stack([ent.ghz_state(2), np.ones(4)]))
 
     def test_emitted_phase_invariance(self):
         u = 0.5 + 0.5j

@@ -52,6 +52,20 @@ class TestParams:
         with pytest.raises(ValueError):
             ReservoirParams(gamma0=10.0, delta_omega=-1.0)
 
+    @pytest.mark.parametrize("field", ["gamma0", "delta_omega", "delta"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, field, bad):
+        values = {"gamma0": 100.0, "delta_omega": 80.0, "delta": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ReservoirParams(**values)
+        values[field] = np.array([1.0, bad])
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ReservoirParams(**values)
+
+    def test_array_fields_validated_elementwise(self):
+        with pytest.raises(ValueError, match="gamma0 must be positive, got -1.0"):
+            ReservoirParams(gamma0=np.array([5.0, -1.0]), delta_omega=80.0)
+
     def test_half_width_round_trip(self):
         params = ReservoirParams.from_half_width(100.0, 40.0, 5.0)
         assert params.delta_omega == 80.0
@@ -106,6 +120,8 @@ class TestAmplitude:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             amplitude(MARKOVIAN, -0.1)
+        with pytest.raises(ValueError):
+            amplitude(MARKOVIAN, math.nan)
 
     def test_markovian_limit_is_exponential(self):
         rate = MARKOVIAN.gamma0 * CM1_TO_RAD_PER_PS
@@ -173,6 +189,26 @@ class TestAmplitude:
         batch = amplitude(NON_MARKOVIAN, t)
         singles = np.array([amplitude(NON_MARKOVIAN, float(x)) for x in t])
         assert np.array_equal(batch, singles)
+
+    def test_parameters_broadcast_against_time(self):
+        # every branch (series at xi = 0, hyperbolic, split-exponential) and
+        # a detuned point; array arithmetic may round the last bits
+        # differently from the scalar Python arithmetic
+        gamma0 = np.array([20.0, 1000.0, 10.0, 777.0])[:, None]
+        half_width = np.array([40.0, 40.0, 4000.0, 33.0])[:, None]
+        delta = np.array([0.0, 0.0, 0.0, 21.0])[:, None]
+        t = np.array([0.0, 0.3, 1.0, 40.0])
+        params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+        grid = amplitude(params, t)
+        assert grid.shape == (4, 4)
+        for i in range(4):
+            row = ReservoirParams.from_half_width(
+                float(gamma0[i, 0]), float(half_width[i, 0]), float(delta[i, 0])
+            )
+            np.testing.assert_allclose(grid[i], amplitude(row, t), rtol=0, atol=1e-13)
+        fixed_t = amplitude(params, 0.3)
+        assert fixed_t.shape == (4, 1)
+        assert np.array_equal(fixed_t[:, 0], grid[:, 1])
 
     def test_unit_system_is_a_time_rescaling(self):
         params = ReservoirParams.from_half_width(300.0, 25.0, 40.0)
