@@ -457,14 +457,25 @@ def _run_table_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_grid(t_max: float, step: float) -> np.ndarray:
+    """The grid 0, step, ..., t_max of ``check``, refused before it is allocated."""
+    for flag, value in (("--step", step), ("--t-max", t_max)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{flag}: must be a positive finite number, got {value}")
+    # np.arange below yields ceil(points) values
+    points = (t_max + step / 2.0) / step
+    if points > MAX_GRID_ROWS:
+        raise ConfigError(
+            f"--step: the grid over [0, {t_max:g}] ps has {points:.4g} points, "
+            f"more than the limit of {MAX_GRID_ROWS}"
+        )
+    return np.arange(0.0, t_max + step / 2.0, step)
+
+
 def _run_check_command(args: argparse.Namespace) -> int:
     step = args.step
-    if not step > 0.0:
-        raise ValueError(f"step: must be positive, got {step}")
-    if not args.t_max > 0.0:
-        raise ValueError(f"t-max: must be positive, got {args.t_max}")
-    grid = np.arange(0.0, args.t_max + step / 2.0, step)
-    worst = 0.0
+    grid = _check_grid(args.t_max, step)
+    errors = []
     for gamma0 in (10.0, 1000.0):
         for half_width in (20.0, 40.0):
             for delta in (0.0, 100.0):
@@ -472,14 +483,19 @@ def _run_check_command(args: argparse.Namespace) -> int:
                 analytic = amplitude(params, grid)
                 integrated = amplitude_ode_oracle(params, grid, max_step=step)
                 err = float(np.abs(analytic - integrated).max())
-                worst = max(worst, err)
+                errors.append(err)
                 print(
                     f"gamma0={gamma0:g} half_width={half_width:g} delta={delta:g} cm^-1: "
                     f"max|u_analytic - u_ode| = {err:.3e}"
                 )
+    # np.max, unlike max(), propagates a NaN from a diverged integration
+    worst = float(np.max(errors))
     print(f"overall max error over t in [0, {args.t_max:g}] ps: {worst:.3e}")
-    if worst >= 1e-6:
-        print(f"fmoent: amplitude check failed (max error {worst:.3e} >= 1e-6)", file=sys.stderr)
+    if not worst < 1e-6:
+        print(
+            f"fmoent: amplitude check failed (max error {worst:.3e}, not below 1e-6)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -30,7 +30,7 @@ PROTOCOLS = ("ghz_teleport", "w_teleport", "ghz_split", "w_split")
 
 def _check_damping(p):
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("damping parameter p must lie in [0, 1]")
     return p
 

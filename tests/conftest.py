@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented *differently* from the library:
 partial transposes by bit arithmetic instead of axis permutation,
-eigenvalues via numpy's LAPACK bindings instead of the Jacobi solver, and
-states assembled index by index.  Agreement between the two routes is the
+eigenvalues via numpy's LAPACK bindings instead of the Jacobi solver,
+states assembled index by index, and the Runge-Kutta integration of u(t)
+stepped one scalar step at a time instead of by products of step maps.  Agreement between the two routes is the
 point of most tests.
 """
 
@@ -13,6 +14,8 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+from fmoent.reservoir import CM1_TO_RAD_PER_PS
 
 
 def pt_by_bits(rho: np.ndarray, n_qubits: int, subset) -> np.ndarray:
@@ -94,3 +97,44 @@ def decayed_pair_register(a, b, u1, u2, phase1=0.0, phase2=0.0) -> np.ndarray:
     psi[0b0110] = b * v1 * u2
     psi[0b0011] = b * v1 * v2
     return psi
+
+
+def rk4_stepwise(params, t_grid, max_step: float = 1e-4) -> np.ndarray:
+    """Classical RK4 for du/dt = -C z, dz/dt = u - B z, one scalar step at a time.
+
+    Same step rule as ``amplitude_ode_oracle``: each grid interval is cut into
+    ``max(1, ceil(span/max_step))`` equal steps, so both routes take exactly
+    the same steps and differ only in rounding.
+    """
+    k = CM1_TO_RAD_PER_PS
+    b = (params.delta_omega / 2.0 - 1j * params.delta) * k
+    c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0 + 0j
+    u = 1.0 + 0.0j
+    z = 0.0 + 0.0j
+    t_now = 0.0
+    out = np.empty(len(t_grid), dtype=complex)
+    for i, t_target in enumerate(t_grid):
+        span = float(t_target) - t_now
+        if span > 0.0:
+            n_steps = max(1, math.ceil(span / max_step))
+            h = span / n_steps
+            for _ in range(n_steps):
+                du1 = -c * z
+                dz1 = u - b * z
+                u2 = u + 0.5 * h * du1
+                z2 = z + 0.5 * h * dz1
+                du2 = -c * z2
+                dz2 = u2 - b * z2
+                u3 = u + 0.5 * h * du2
+                z3 = z + 0.5 * h * dz2
+                du3 = -c * z3
+                dz3 = u3 - b * z3
+                u4 = u + h * du3
+                z4 = z + h * dz3
+                du4 = -c * z4
+                dz4 = u4 - b * z4
+                u += h / 6.0 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+                z += h / 6.0 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
+            t_now = float(t_target)
+        out[i] = u
+    return out

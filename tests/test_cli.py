@@ -549,3 +549,35 @@ class TestMainEntrypoint:
         out = capsys.readouterr().out
         assert "max|u_analytic - u_ode|" in out
         assert "overall max error" in out
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--step", "inf"], "--step"),
+            (["--step", "nan"], "--step"),
+            (["--step", "0"], "--step"),
+            (["--t-max", "inf"], "--t-max"),
+            (["--t-max", "-1"], "--t-max"),
+            # 2e13 points would need 146 TiB: refused, never allocated
+            (["--step", "1e-13"], "--step"),
+            (["--t-max", "1e300", "--step", "1e-300"], "--step"),
+        ],
+    )
+    def test_check_grid_refused(self, flags, flag, capsys):
+        assert cli.main(["check", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fmoent: {flag}:")
+
+    def test_check_grid_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", 21)
+        assert cli._check_grid(2.0, 0.1).size == 21
+        assert np.arange(0.0, 2.0 + 0.095 / 2.0, 0.095).size == 22
+        with pytest.raises(ConfigError, match="limit of 21"):
+            cli._check_grid(2.0, 0.095)
+
+    def test_check_fails_when_the_integration_diverges(self, capsys):
+        # RK4 steps of 5 ps overflow for every set: NaN errors must not pass
+        assert cli.main(["check", "--t-max", "5000", "--step", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "max error nan" in captured.err

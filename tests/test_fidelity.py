@@ -63,6 +63,17 @@ class TestGhzSplit:
             assert np.all(nxt <= now + 1e-14)
 
 
+class TestDampingDomain:
+    @pytest.mark.parametrize("p", [np.nan, np.array([0.5, np.nan])])
+    def test_nan_damping_refused(self, p):
+        for protocol in (fid.f_w_teleport, fid.f_w_split):
+            with pytest.raises(ValueError, match="must lie in"):
+                protocol(p)
+        for protocol in (fid.f_ghz_teleport, fid.f_ghz_split):
+            with pytest.raises(ValueError, match="must lie in"):
+                protocol(p, 4)
+
+
 class TestWSplit:
     def test_boundaries(self):
         assert fid.f_w_split(0.0) == 1.0

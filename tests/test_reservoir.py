@@ -1,8 +1,10 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
+from conftest import rk4_stepwise
 from scipy.integrate import quad
 
 from fmoent import reservoir
@@ -123,6 +125,11 @@ class TestAmplitude:
         with pytest.raises(ValueError):
             amplitude(MARKOVIAN, math.nan)
 
+    @pytest.mark.parametrize("t", [math.inf, np.array([0.1, math.inf])])
+    def test_infinite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            amplitude(MARKOVIAN, t)
+
     def test_markovian_limit_is_exponential(self):
         rate = MARKOVIAN.gamma0 * CM1_TO_RAD_PER_PS
         t = np.linspace(0.0, 5.0 / rate, 400)
@@ -240,23 +247,11 @@ class TestOdeOracle:
         assert np.abs(amplitude_ode_oracle(params, grid) - 1.0).max() < 1e-6
         assert np.abs(amplitude(params, grid) - 1.0).max() < 1e-6
 
-    def test_kernel_conventions_coincide_at_zero_detuning(self):
-        params = ReservoirParams.from_half_width(500.0, 30.0, 0.0)
-        grid = np.linspace(0.0, 1.0, 51)
-        matched = amplitude_ode_oracle(params, grid, kernel="matched")
-        detuned = amplitude_ode_oracle(params, grid, kernel="detuned")
-        assert np.abs(matched - detuned).max() < 1e-12
-
-    def test_kernel_conventions_differ_off_resonance(self):
+    def test_closed_form_solves_the_kernel_off_resonance(self):
         params = ReservoirParams.from_half_width(500.0, 30.0, 100.0)
         grid = np.linspace(0.0, 1.0, 51)
-        matched = amplitude_ode_oracle(params, grid, kernel="matched")
-        detuned = amplitude_ode_oracle(params, grid, kernel="detuned")
-        assert np.abs(matched - detuned).max() > 1e-3
-        # the closed form solves the matched kernel, not the detuned one
         closed = amplitude(params, grid)
-        assert np.abs(closed - matched).max() < 1e-8
-        assert np.abs(closed - detuned).max() > 1e-3
+        assert np.abs(closed - amplitude_ode_oracle(params, grid)).max() < 1e-8
 
     def test_rejects_bad_grids_and_kernels(self):
         with pytest.raises(ValueError):
@@ -264,9 +259,62 @@ class TestOdeOracle:
         with pytest.raises(ValueError):
             amplitude_ode_oracle(MARKOVIAN, np.array([-0.1, 0.2]))
         with pytest.raises(ValueError):
-            amplitude_ode_oracle(MARKOVIAN, np.array([0.0, 0.1]), kernel="other")
-        with pytest.raises(ValueError):
             amplitude_ode_oracle(MARKOVIAN, np.array([0.0, 0.1]), max_step=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                amplitude_ode_oracle(MARKOVIAN, np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            amplitude_ode_oracle(MARKOVIAN, np.array([0.0, 1.0]), max_step=1e-300)
+        # only the kernel the closed form solves is integrated
+        with pytest.raises(TypeError):
+            amplitude_ode_oracle(MARKOVIAN, np.array([0.0, 0.1]), kernel="detuned")
+
+
+WEAK = ReservoirParams.from_half_width(10.0, 20.0, 100.0)
+STRONG = ReservoirParams.from_half_width(1000.0, 40.0, 100.0)
+
+
+class TestOracleMatchesStepwiseRk4:
+    """The step-map oracle takes the same steps as the scalar RK4 loop."""
+
+    @staticmethod
+    def assert_same(params, grid, max_step=1e-4):
+        diff = amplitude_ode_oracle(params, grid, max_step=max_step) - rk4_stepwise(
+            params, grid, max_step
+        )
+        assert np.abs(diff).max() <= 1e-12
+
+    @pytest.mark.parametrize("params", [WEAK, STRONG], ids=["weak", "strong"])
+    def test_check_grid(self, params):
+        self.assert_same(params, np.arange(0.0, 2.0 + 0.5e-4, 1e-4))
+
+    def test_irregular_grid(self):
+        rng = np.random.default_rng(20070101)
+        spans = 10.0 ** rng.uniform(-6.0, math.log10(5e-3), size=600)
+        steps = np.maximum(1, np.ceil(spans / 1e-4))
+        assert steps.min() == 1 and steps.max() == 50
+        for params in (WEAK, STRONG):
+            self.assert_same(params, np.cumsum(spans))
+
+    def test_one_point_grids_and_late_start(self):
+        assert amplitude_ode_oracle(STRONG, [0.0]).tolist() == [1.0 + 0.0j]
+        for grid in ([0.37], [0.25, 0.5, 1.0]):
+            self.assert_same(STRONG, np.array(grid))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_grid_sizes_at_a_block_edge(self, offset):
+        size = reservoir._ORACLE_BLOCK + offset
+        self.assert_same(STRONG, np.linspace(0.0, 0.5, size))
+        self.assert_same(WEAK, np.linspace(0.0, 0.5, size), max_step=3e-4)
+
+    def test_ten_million_steps_in_one_interval(self):
+        # 1e7 steps: about 30 s for the stepwise loop, 24 squarings for the step maps
+        params = ReservoirParams.from_half_width(1e-3, 40.0, 0.0)
+        start = time.perf_counter()
+        u_end = amplitude_ode_oracle(params, [0.0, 1e3])[-1]
+        assert time.perf_counter() - start < 1.0
+        assert np.isfinite(u_end)
+        assert abs(u_end - amplitude(params, 1e3)) < 1e-9
 
 
 class TestDerivedObservables:
