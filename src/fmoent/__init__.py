@@ -5,98 +5,75 @@ exciton Hamiltonian, evaluates the survival amplitude of qubits damped by a
 Lorentzian phonon reservoir, and computes multipartite entanglement measures
 and teleportation/splitting fidelities as functions of time and reservoir
 parameters.
+
+Importing the package loads none of its modules.  Each public name below is
+imported from its module on first access (``fmoent.amplitude``,
+``from fmoent import amplitude``), so a process pays only for the modules it
+uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .entanglement import (
-    BipartitionSet,
-    WStateParams,
-    XStateParams,
-    enumerate_bipartitions,
-    ghz_state,
-    global_entanglement,
-    meyer_wallach_closed,
-    meyer_wallach_numeric,
-    normalized_negativity,
-    w_state,
-    w_state_exciton_rho,
-    w_state_reservoir_rho,
-    w_mixture_entanglement,
-    x_state_register,
-    x_state_rho,
-)
-from .fidelity import (
-    FidelityCurve,
-    f_ghz_split,
-    f_ghz_teleport,
-    f_w_split,
-    f_w_teleport,
-    fidelity_vs_time,
-)
-from .fmo import (
-    ExcitonTable,
-    SiteDataset,
-    build_hamiltonian,
-    builtin_datasets,
-    dataset,
-    exciton_table,
-    load_site_energies,
-)
-from .qlin import hermitian_eigen, kron, partial_trace, partial_transpose
-from .reservoir import (
-    CM1_TO_RAD_PER_PS,
-    DEFAULT_UNITS,
-    ReservoirParams,
-    UnitSystem,
-    amplitude,
-    amplitude_ode_oracle,
-    damping,
-    population_difference,
-    spectral_density,
-)
+# 2*pi*c * (1 ps) with c = 0.0299792458 cm/ps, fixed to 11 significant digits.
+CM1_TO_RAD_PER_PS = 0.18836515673
 
-__all__ = [
-    "__version__",
-    "kron",
-    "partial_trace",
-    "partial_transpose",
-    "hermitian_eigen",
-    "SiteDataset",
-    "ExcitonTable",
-    "builtin_datasets",
-    "dataset",
-    "load_site_energies",
-    "build_hamiltonian",
-    "exciton_table",
-    "CM1_TO_RAD_PER_PS",
-    "UnitSystem",
-    "DEFAULT_UNITS",
-    "ReservoirParams",
-    "spectral_density",
-    "amplitude",
-    "amplitude_ode_oracle",
-    "population_difference",
-    "damping",
-    "BipartitionSet",
-    "WStateParams",
-    "XStateParams",
-    "enumerate_bipartitions",
-    "normalized_negativity",
-    "global_entanglement",
-    "w_mixture_entanglement",
-    "w_state",
-    "ghz_state",
-    "w_state_exciton_rho",
-    "w_state_reservoir_rho",
-    "x_state_rho",
-    "x_state_register",
-    "meyer_wallach_numeric",
-    "meyer_wallach_closed",
-    "FidelityCurve",
-    "f_ghz_teleport",
-    "f_w_teleport",
-    "f_ghz_split",
-    "f_w_split",
-    "fidelity_vs_time",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "partial_trace": "qlin",
+    "partial_transpose": "qlin",
+    "hermitian_eigen": "qlin",
+    "SiteDataset": "fmo",
+    "ExcitonTable": "fmo",
+    "builtin_datasets": "fmo",
+    "dataset": "fmo",
+    "load_site_energies": "fmo",
+    "build_hamiltonian": "fmo",
+    "exciton_table": "fmo",
+    "UnitSystem": "reservoir",
+    "DEFAULT_UNITS": "reservoir",
+    "ReservoirParams": "reservoir",
+    "amplitude": "reservoir",
+    "amplitude_ode_oracle": "reservoir",
+    "population_difference": "reservoir",
+    "damping": "reservoir",
+    "BipartitionSet": "entanglement",
+    "WStateParams": "entanglement",
+    "XStateParams": "entanglement",
+    "enumerate_bipartitions": "entanglement",
+    "normalized_negativity": "entanglement",
+    "global_entanglement": "entanglement",
+    "w_mixture_entanglement": "entanglement",
+    "w_state": "entanglement",
+    "ghz_state": "entanglement",
+    "w_state_exciton_rho": "entanglement",
+    "w_state_reservoir_rho": "entanglement",
+    "x_state_rho": "entanglement",
+    "x_state_register": "entanglement",
+    "meyer_wallach_numeric": "entanglement",
+    "meyer_wallach_closed": "entanglement",
+    "f_ghz_teleport": "fidelity",
+    "f_w_teleport": "fidelity",
+    "f_ghz_split": "fidelity",
+    "f_w_split": "fidelity",
+}
+
+# Submodules, imported on attribute access (``fmoent.reservoir``) too.
+_MODULES = ("qlin", "fmo", "reservoir", "entanglement", "fidelity", "cli")
+
+__all__ = ["__version__", "CM1_TO_RAD_PER_PS", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULES})

@@ -18,6 +18,7 @@ numerical integrator, printing the maximum error).
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from collections.abc import Callable
@@ -26,24 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .entanglement import (
-    XStateParams,
-    meyer_wallach_closed,
-    meyer_wallach_numeric,
-    w_mixture_entanglement,
-    x_state_register,
-)
-from .fidelity import f_ghz_split, f_ghz_teleport, f_w_split, f_w_teleport
-from .fmo import build_hamiltonian, dataset, exciton_table, load_site_energies
-from .reservoir import (
-    CM1_TO_RAD_PER_PS,
-    ReservoirParams,
-    amplitude,
-    amplitude_ode_oracle,
-    damping,
-    population_difference,
-)
+from . import CM1_TO_RAD_PER_PS, __version__
 
 __all__ = [
     "ConfigError",
@@ -104,6 +88,46 @@ _NUMERIC_KEYS = ("gamma0", "half_width", "delta", "a", "b", "n", "t")
 MAX_GRID_ROWS = 10**7
 # Rows per kernel evaluation and per CSV write: bounds the temporaries.
 _BLOCK_ROWS = 1024
+# Points per amplitude evaluation in ``check``: bounds its temporaries; the
+# default grid (20,001 points) is one block.
+_CHECK_BLOCK = 32768
+
+
+# The library names this module calls, by the module that defines them.  A
+# subcommand imports a module the first time it needs one (``_need``), so a
+# process loads only what it runs.  The names are bound as attributes of this
+# module and the kernels look them up by name when they run, so a wrapper set
+# on an attribute (a profiler's, say) sees each call.
+_LIBRARY = {
+    "reservoir": (
+        "ReservoirParams", "amplitude", "amplitude_ode_oracle", "damping", "population_difference",
+    ),
+    "entanglement": (
+        "XStateParams", "meyer_wallach_closed", "meyer_wallach_numeric",
+        "w_mixture_entanglement", "x_state_register",
+    ),
+    "fidelity": ("f_ghz_split", "f_ghz_teleport", "f_w_split", "f_w_teleport"),
+    "fmo": ("build_hamiltonian", "dataset", "exciton_table", "load_site_energies"),
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+_loaded: set[str] = set()
+
+
+def _need(*modules: str) -> None:
+    """Import each library module on first use and bind its names here."""
+    for module in modules:
+        if module not in _loaded:
+            library = importlib.import_module(f"{__package__}.{module}")
+            globals().update({name: getattr(library, name) for name in _LIBRARY[module]})
+            _loaded.add(module)
+
+
+def __getattr__(name: str):
+    """A library name not bound yet is bound, with its module's, on first access."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(_HOME[name])
+    return globals()[name]
 
 
 class ConfigError(ValueError):
@@ -286,49 +310,52 @@ def _with_damping(p, fidelity):
 
 @dataclass(frozen=True)
 class _Observable:
-    """Value columns, consumed parameters and the array kernel of one observable.
+    """Value columns, consumed parameters, array kernel and library modules of one observable.
 
     The kernel maps parameter name -> array over the block's rows to one
-    array per value column.
+    array per value column; ``modules`` are the library modules it calls.
     """
 
     columns: tuple[str, ...]
     needs: tuple[str, ...]
     kernel: Callable[[dict], tuple]
+    modules: tuple[str, ...]
 
 
 _RES = ("gamma0", "half_width", "delta", "t")
 _FID = ("p_damp", "fidelity")
+# the library modules each kernel calls
+_R = ("reservoir",)
+_R_ENT = ("reservoir", "entanglement")
+_R_FID = ("reservoir", "fidelity")
 
-# The kernels look every library function up by name when they run, so a
-# wrapper set on this module's attributes (a profiler's, say) sees each call.
 _OBSERVABLE_TABLE = {
     "delta_p": _Observable(
-        ("delta_p",), _RES, lambda p: (population_difference(_reservoir(p), p["t"]),)
+        ("delta_p",), _RES, lambda p: (population_difference(_reservoir(p), p["t"]),), _R
     ),
-    "u_amplitude": _Observable(("u_re", "u_im", "u_abs2"), _RES, _u_amplitude),
+    "u_amplitude": _Observable(("u_re", "u_im", "u_abs2"), _RES, _u_amplitude, _R),
     "e_exciton": _Observable(
         ("e_exciton",), _RES + ("n",),
-        lambda p: (w_mixture_entanglement(_survival(p), _parties(p["n"])),),
+        lambda p: (w_mixture_entanglement(_survival(p), _parties(p["n"])),), _R_ENT,
     ),
     "e_reservoir": _Observable(
         ("e_reservoir",), _RES + ("n",),
-        lambda p: (w_mixture_entanglement(1.0 - _survival(p), _parties(p["n"])),),
+        lambda p: (w_mixture_entanglement(1.0 - _survival(p), _parties(p["n"])),), _R_ENT,
     ),
     "q_closed": _Observable(
-        ("q",), _RES + ("b",), lambda p: (meyer_wallach_closed(*_ab(p), _u(p)),)
+        ("q",), _RES + ("b",), lambda p: (meyer_wallach_closed(*_ab(p), _u(p)),), _R_ENT
     ),
-    "q_numeric": _Observable(("q",), _RES + ("b",), _q_numeric),
+    "q_numeric": _Observable(("q",), _RES + ("b",), _q_numeric, _R_ENT),
     "f_ghz_tele": _Observable(
         _FID, _RES + ("n",),
-        lambda p: _with_damping(p, lambda d: f_ghz_teleport(d, _parties(p["n"]))),
+        lambda p: _with_damping(p, lambda d: f_ghz_teleport(d, _parties(p["n"]))), _R_FID,
     ),
-    "f_w_tele": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_teleport(d))),
+    "f_w_tele": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_teleport(d)), _R_FID),
     "f_ghz_split": _Observable(
         _FID, _RES + ("n",),
-        lambda p: _with_damping(p, lambda d: f_ghz_split(d, _parties(p["n"]))),
+        lambda p: _with_damping(p, lambda d: f_ghz_split(d, _parties(p["n"]))), _R_FID,
     ),
-    "f_w_split": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_split(d))),
+    "f_w_split": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_split(d)), _R_FID),
 }
 
 
@@ -345,6 +372,7 @@ def _resolve_dataset(name_or_path: str):
 
 
 def _exciton_table_result(spec: ScanSpec) -> ScanResult:
+    _need("fmo")
     table = exciton_table(build_hamiltonian(_resolve_dataset(spec.dataset)))
     header = ["energy_cm1"] + [f"bchl{i}" for i in range(1, 8)]
     return ScanResult(header=header, rows=np.column_stack([table.energies, table.amplitudes.T]))
@@ -359,6 +387,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
             raise ValueError("axis1: exciton_table takes no axes")
         return _exciton_table_result(spec)
     observable = _OBSERVABLE_TABLE[spec.observable]
+    _need(*observable.modules)
 
     if len(spec.axes) > 2:
         raise ValueError("axes: at most two axes may be swept")
@@ -472,17 +501,26 @@ def _check_grid(t_max: float, step: float) -> np.ndarray:
     return np.arange(0.0, t_max + step / 2.0, step)
 
 
+def _max_error(params, grid: np.ndarray, integrated: np.ndarray) -> float:
+    """max |amplitude - integrated| over the grid, ``_CHECK_BLOCK`` points at a time."""
+    errors = [
+        np.abs(amplitude(params, grid[lo : lo + _CHECK_BLOCK]) - integrated[lo : lo + _CHECK_BLOCK]).max()
+        for lo in range(0, grid.size, _CHECK_BLOCK)
+    ]
+    return float(np.max(errors))
+
+
 def _run_check_command(args: argparse.Namespace) -> int:
     step = args.step
     grid = _check_grid(args.t_max, step)
+    _need("reservoir")
     errors = []
     for gamma0 in (10.0, 1000.0):
         for half_width in (20.0, 40.0):
             for delta in (0.0, 100.0):
                 params = ReservoirParams.from_half_width(gamma0, half_width, delta)
-                analytic = amplitude(params, grid)
                 integrated = amplitude_ode_oracle(params, grid, max_step=step)
-                err = float(np.abs(analytic - integrated).max())
+                err = _max_error(params, grid, integrated)
                 errors.append(err)
                 print(
                     f"gamma0={gamma0:g} half_width={half_width:g} delta={delta:g} cm^-1: "

@@ -349,13 +349,16 @@ def meyer_wallach_numeric(psi):
 
 
 def meyer_wallach_closed(a, b, u):
-    """Closed-form Meyer-Wallach value 2 a^2 b^2 + 4 b^2 |u|^2 (1 - |u|^2).
+    """Published figure form of the Meyer-Wallach value: 2 a^2 b^2 + 4 b^2 s (1 - s), s = |u|^2.
 
-    This is the published closed form for the two-exciton superposition with
-    both qubits sharing the amplitude ``u``; it agrees with the register
-    evaluation of :func:`meyer_wallach_numeric` when b = 1 (the plotted
-    case), and is used as the default for figure reproduction.  Arguments
-    broadcast; all-scalar arguments give a float.
+    This is the closed form published for the two-exciton superposition with
+    both qubits sharing the amplitude ``u``, kept for figure reproduction.
+    It departs from the register it describes when b < 1: the four-qubit
+    register of :func:`x_state_register`, which :func:`meyer_wallach_numeric`
+    evaluates, gives ``2 b^2 [s (1 - b^2 s) + (1 - s)(1 - b^2 (1 - s))]``.
+    The two agree at b = 1 (the plotted case) and differ by
+    ``4 b^2 (1 - b^2) s (1 - s)``, up to 0.25.  Arguments broadcast;
+    all-scalar arguments give a float.
     """
     if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
         raise ValueError("a^2 + b^2 must equal 1")

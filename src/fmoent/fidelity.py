@@ -9,23 +9,14 @@ reservoir damping p(t) = 1 - |u(t)|^2 turns them into time traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .reservoir import DEFAULT_UNITS, ReservoirParams, UnitSystem, damping
-
 __all__ = [
-    "PROTOCOLS",
-    "FidelityCurve",
     "f_ghz_teleport",
     "f_w_teleport",
     "f_ghz_split",
     "f_w_split",
-    "fidelity_vs_time",
 ]
-
-PROTOCOLS = ("ghz_teleport", "w_teleport", "ghz_split", "w_split")
 
 
 def _check_damping(p):
@@ -91,45 +82,3 @@ def f_w_split(p):
     p = _check_damping(p)
     value = 1.0 - p / 3.0
     return _maybe_scalar(value)
-
-
-@dataclass(frozen=True)
-class FidelityCurve:
-    """Sampled fidelity trace: time (ps), damping p and fidelity per sample."""
-
-    protocol: str
-    n_parties: int
-    t: np.ndarray
-    p_damp: np.ndarray
-    fidelity: np.ndarray
-
-    def samples(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.t.tolist(), self.p_damp.tolist(), self.fidelity.tolist()))
-
-
-def fidelity_vs_time(
-    protocol: str,
-    params: ReservoirParams,
-    n_parties: int,
-    t_grid,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> FidelityCurve:
-    """Evaluate a protocol fidelity along a time grid via p(t) = 1 - |u(t)|^2."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D array")
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("t_grid must be strictly ascending")
-    n = _check_parties(n_parties)
-    p = damping(params, t, units)
-    if protocol == "ghz_teleport":
-        fid = f_ghz_teleport(p, n)
-    elif protocol == "w_teleport":
-        fid = f_w_teleport(p)
-    elif protocol == "ghz_split":
-        fid = f_ghz_split(p, n)
-    elif protocol == "w_split":
-        fid = f_w_split(p)
-    else:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    return FidelityCurve(protocol=protocol, n_parties=n, t=t, p_damp=p, fidelity=fid)

@@ -13,12 +13,9 @@ call from any number of concurrent workers.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "kron",
     "partial_trace",
     "partial_transpose",
     "hermitian_eigen",
@@ -41,11 +38,6 @@ def _check_qubit_subset(subset, n_qubits: int) -> list[int]:
     if any(q < 0 or q >= n_qubits for q in qubits):
         raise ValueError(f"qubit indices {qubits} out of range for {n_qubits} qubits")
     return qubits
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker (tensor) product of two matrices; dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def partial_trace(rho, n_qubits: int, keep) -> np.ndarray:
@@ -84,42 +76,34 @@ def partial_transpose(rho, n_qubits: int, subset) -> np.ndarray:
     return np.ascontiguousarray(tensor.transpose(axes)).reshape(dim, dim)
 
 
-def _phase_fix(column: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude component is real > 0."""
-    k = int(np.argmax(np.abs(column)))
-    pivot = column[k]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return column
-    fixed = column * (pivot.conjugate() / mag)
-    fixed[k] = abs(fixed[k])  # clear the rounding residue on the pivot itself
+def _phase_fix(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column's global phase so its largest-magnitude component is real > 0.
+
+    Every column must be nonzero (eigenvectors are unit vectors).
+    """
+    columns = np.arange(vectors.shape[1])
+    pivot_rows = np.argmax(np.abs(vectors), axis=0)
+    pivots = vectors[pivot_rows, columns]
+    fixed = vectors * (pivots.conjugate() / np.abs(pivots))
+    # clear the rounding residue on the pivots themselves
+    fixed[pivot_rows, columns] = np.abs(fixed[pivot_rows, columns])
     return fixed
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def hermitian_eigen(m):
+    """Full eigendecomposition of a Hermitian matrix, in a fixed convention.
 
-
-def hermitian_eigen(m, *, tol: float = 1e-13, max_sweeps: int = 100):
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Deterministic by construction: sweeps visit index pairs in a fixed order,
-    eigenvalues are returned ascending, and every eigenvector is phased so
-    that its largest-magnitude component is real and positive.  Exact
-    eigenvalue ties are broken by component-wise comparison of the phased
-    eigenvectors (larger leading components first).
+    LAPACK (``numpy.linalg.eigh``) does the work; the convention makes the
+    result deterministic: eigenvalues are returned ascending, and every
+    eigenvector is phased so that its largest-magnitude component is real
+    and positive.  Exact eigenvalue ties are broken by component-wise
+    comparison of the phased eigenvectors (larger leading components first).
 
     Parameters
     ----------
     m : array_like
         Hermitian matrix (violations beyond ``1e-10`` relative to the largest
         entry are rejected).
-    tol : float
-        Convergence threshold on the off-diagonal Frobenius norm, relative to
-        the Frobenius norm of the input (floored at 1).
-    max_sweeps : int
-        Safety bound on the number of full sweeps.
 
     Returns
     -------
@@ -134,55 +118,11 @@ def hermitian_eigen(m, *, tol: float = 1e-13, max_sweeps: int = 100):
     entry_scale = max(1.0, float(np.abs(a).max()) if n else 1.0)
     if float(np.abs(a - a.conj().T).max()) > 1e-10 * entry_scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = (a + a.conj().T) / 2.0
 
-    vec = np.eye(n, dtype=complex)
-    threshold = tol * max(1.0, float(np.linalg.norm(a)))
-    skip = threshold / max(1, 2 * n)
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                alpha = a[p, p].real
-                beta = a[q, q].real
-                tau = (beta - alpha) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * phase.conjugate()
-
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sp * row_q
-                a[q, :] = spc * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - spc * col_q
-                a[:, q] = sp * col_p + c * col_q
-                # exact 2x2 result of the rotation, clearing rounding residue
-                a[p, p] = alpha - t * r
-                a[q, q] = beta + t * r
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vcol_p = vec[:, p].copy()
-                vcol_q = vec[:, q].copy()
-                vec[:, p] = c * vcol_p - spc * vcol_q
-                vec[:, q] = sp * vcol_p + c * vcol_q
-    else:
-        raise RuntimeError(f"Jacobi sweep limit ({max_sweeps}) reached without converging")
-
-    evals = np.diag(a).real.copy()
-    for k in range(n):
-        vec[:, k] = _phase_fix(vec[:, k])
+    evals, vec = np.linalg.eigh((a + a.conj().T) / 2.0)
+    vec = _phase_fix(vec)
+    if not np.any(np.diff(evals) == 0.0):
+        return evals, vec  # eigh returns them ascending; no ties to break
 
     def _tie_key(k: int):
         col = vec[:, k]

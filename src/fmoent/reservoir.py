@@ -19,25 +19,22 @@ crosses zero and revives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import CM1_TO_RAD_PER_PS
 
 __all__ = [
     "CM1_TO_RAD_PER_PS",
     "UnitSystem",
     "DEFAULT_UNITS",
     "ReservoirParams",
-    "spectral_density",
     "amplitude",
     "amplitude_ode_oracle",
     "population_difference",
     "damping",
 ]
-
-# 2*pi*c * (1 ps) with c = 0.0299792458 cm/ps, fixed to 11 significant digits.
-CM1_TO_RAD_PER_PS = 0.18836515673
 
 
 @dataclass(frozen=True)
@@ -57,15 +54,13 @@ class ReservoirParams:
     ``gamma0`` sets the exciton relaxation scale (relaxation time 1/gamma0),
     ``delta_omega`` is the full width at half maximum (reservoir correlation
     time 2/delta_omega), ``delta`` detunes the Lorentzian peak from the
-    exciton transition frequency ``omega0``.  ``omega0`` is retained for
-    documentation only; every computed observable depends on the detuning
-    alone.
+    exciton transition frequency; every computed observable depends on the
+    detuning alone, not on the transition frequency itself.
     """
 
     gamma0: float
     delta_omega: float
     delta: float = 0.0
-    omega0: float = 12210.0
 
     def __post_init__(self):
         for name in ("gamma0", "delta_omega", "delta"):
@@ -77,29 +72,13 @@ class ReservoirParams:
                 raise ValueError(f"{name} must be positive, got {value[value <= 0].flat[0]}")
 
     @classmethod
-    def from_half_width(
-        cls, gamma0: float, half_width: float, delta: float = 0.0, omega0: float = 12210.0
-    ) -> "ReservoirParams":
+    def from_half_width(cls, gamma0: float, half_width: float, delta: float = 0.0) -> "ReservoirParams":
         """Build from the half width delta_omega/2 used on most figure axes."""
-        return cls(gamma0=gamma0, delta_omega=2.0 * half_width, delta=delta, omega0=omega0)
+        return cls(gamma0=gamma0, delta_omega=2.0 * half_width, delta=delta)
 
     @property
     def half_width(self) -> float:
         return self.delta_omega / 2.0
-
-
-def spectral_density(params: ReservoirParams, omega):
-    """Lorentzian coupling density J(omega), peaked at omega0 - delta.
-
-    The peak value is gamma0 / 2*pi and the full width at half maximum is
-    delta_omega; integrating over the whole real line gives
-    gamma0 * delta_omega / 4.
-    """
-    omega = np.asarray(omega, dtype=float)
-    half = params.delta_omega / 2.0
-    peak = params.omega0 - params.delta
-    out = (params.gamma0 / (2.0 * math.pi)) * half**2 / ((peak - omega) ** 2 + half**2)
-    return out if out.ndim else float(out)
 
 
 def _decay_rates(params: ReservoirParams, units: UnitSystem):
@@ -151,10 +130,12 @@ def amplitude(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
     u = np.empty(tt.shape, dtype=complex)
     if small.any():
         ts, xs, bs, xis = tt[small], x[small], _select(b, small), _select(xi, small)
-        # cosh(x) ~ 1 + x^2/2, sinh(x)/xi ~ t/2 + xi^2 t^3/48
-        u[small] = np.exp(-bs * ts / 2.0) * (
-            1.0 + xs * xs / 2.0 + bs * (ts / 2.0 + xis * xis * ts**3 / 48.0)
-        )
+        decay = np.exp(-bs * ts / 2.0)
+        # cosh(x) ~ 1 + x^2/2, sinh(x)/xi ~ t/2 + xi^2 t^3/48; once the decay
+        # has underflowed to 0 the cubic may overflow, and the limit is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = decay * (1.0 + xs * xs / 2.0 + bs * (ts / 2.0 + xis * xis * ts**3 / 48.0))
+        u[small] = np.where(decay == 0.0, 0.0, series)
     if mid.any():
         tm, xm, bm = tt[mid], x[mid], _select(b, mid)
         u[mid] = np.exp(-bm * tm / 2.0) * (np.cosh(xm) + (bm / _select(xi, mid)) * np.sinh(xm))

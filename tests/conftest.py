@@ -1,11 +1,13 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately implemented *differently* from the library:
-partial transposes by bit arithmetic instead of axis permutation,
-eigenvalues via numpy's LAPACK bindings instead of the Jacobi solver,
-states assembled index by index, and the Runge-Kutta integration of u(t)
-stepped one scalar step at a time instead of by products of step maps.  Agreement between the two routes is the
-point of most tests.
+partial transposes by bit arithmetic instead of axis permutation, Hermitian
+eigendecompositions by cyclic Jacobi rotations (the library's route is
+LAPACK, through ``numpy.linalg.eigh``), states assembled index by index, the
+Runge-Kutta integration of u(t) stepped one scalar step at a time instead of
+by products of step maps, and the Lorentzian spectral density whose weight
+the amplitude's memory kernel carries.  Agreement between the two routes is
+the point of most tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from fmoent.reservoir import CM1_TO_RAD_PER_PS
+from fmoent import CM1_TO_RAD_PER_PS
 
 
 def pt_by_bits(rho: np.ndarray, n_qubits: int, subset) -> np.ndarray:
@@ -138,3 +140,71 @@ def rk4_stepwise(params, t_grid, max_step: float = 1e-4) -> np.ndarray:
             t_now = float(t_target)
         out[i] = u
     return out
+
+
+def jacobi_eigen(m, tol: float = 1e-13, max_sweeps: int = 100):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Sweeps visit the index pairs in a fixed order until the off-diagonal
+    Frobenius norm falls below ``tol`` times the norm of the input (floored
+    at 1).  Column ``k`` of the eigenvectors belongs to eigenvalue ``k``;
+    phases are left as the rotations produce them.
+    """
+    a = np.array(m, dtype=complex)
+    a = (a + a.conj().T) / 2.0
+    n = a.shape[0]
+    vec = np.eye(n, dtype=complex)
+    threshold = tol * max(1.0, float(np.linalg.norm(a)))
+    skip = threshold / max(1, 2 * n)
+    for _ in range(max_sweeps):
+        if float(np.linalg.norm(a - np.diag(np.diag(a)))) <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                phase = apq / r
+                alpha = a[p, p].real
+                beta = a[q, q].real
+                tau = (beta - alpha) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                sp = s * phase
+                spc = s * phase.conjugate()
+
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - sp * row_q
+                a[q, :] = spc * row_p + c * row_q
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - spc * col_q
+                a[:, q] = sp * col_p + c * col_q
+                # exact 2x2 result of the rotation, clearing rounding residue
+                a[p, p] = alpha - t * r
+                a[q, q] = beta + t * r
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+
+                vcol_p = vec[:, p].copy()
+                vcol_q = vec[:, q].copy()
+                vec[:, p] = c * vcol_p - spc * vcol_q
+                vec[:, q] = sp * vcol_p + c * vcol_q
+    else:
+        raise RuntimeError(f"Jacobi sweep limit ({max_sweeps}) reached without converging")
+    evals = np.diag(a).real
+    order = np.argsort(evals, kind="stable")
+    return evals[order], vec[:, order]
+
+
+def lorentzian_density(omega, gamma0: float, delta_omega: float, peak: float):
+    """Lorentzian coupling density J(omega) (cm^-1): peak value gamma0 / 2 pi, full width delta_omega.
+
+    Its integral over the real line is gamma0 * delta_omega / 4, the weight
+    of the memory kernel that ``reservoir.amplitude`` solves.
+    """
+    half = delta_omega / 2.0
+    return (gamma0 / (2.0 * math.pi)) * half**2 / ((peak - omega) ** 2 + half**2)

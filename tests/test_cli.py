@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -575,6 +576,32 @@ class TestMainEntrypoint:
         assert np.arange(0.0, 2.0 + 0.095 / 2.0, 0.095).size == 22
         with pytest.raises(ConfigError, match="limit of 21"):
             cli._check_grid(2.0, 0.095)
+
+    def test_check_compares_in_blocks_of_bounded_memory(self, capsys):
+        # 100,001 points: one amplitude call over the whole grid peaked at 14.2 MiB
+        tracemalloc.start()
+        try:
+            assert cli.main(["check", "--step", "2e-5"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert "overall max error" in capsys.readouterr().out
+
+    def test_check_blocks_do_not_change_the_errors(self, monkeypatch, capsys):
+        argv = ["check", "--t-max", "0.2", "--step", "0.001"]
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_CHECK_BLOCK", 7)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_default_check_is_one_amplitude_call_per_set(self, monkeypatch, capsys):
+        points = []
+        original = cli.amplitude
+        monkeypatch.setattr(cli, "amplitude", lambda params, t: points.append(t.size) or original(params, t))
+        assert cli.main(["check"]) == 0
+        assert points == [20001] * 8
 
     def test_check_fails_when_the_integration_diverges(self, capsys):
         # RK4 steps of 5 ps overflow for every set: NaN errors must not pass

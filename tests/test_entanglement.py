@@ -338,6 +338,20 @@ class TestMeyerWallach:
             params = ent.XStateParams(a=a, b=b, u1=u, u2=u)
             assert abs(ent.meyer_wallach_numeric(ent.x_state_register(params)) - expected) < 1e-12
 
+    def test_register_form_over_a_grid(self):
+        # q_numeric's register: Q = 2b^2[s(1 - b^2 s) + (1 - s)(1 - b^2 (1 - s))], s = |u|^2
+        b, s = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
+        u = np.sqrt(s) * np.exp(0.7j)
+        params = ent.XStateParams(a=np.sqrt(1.0 - b * b), b=b, u1=u, u2=u)
+        numeric = ent.meyer_wallach_numeric(ent.x_state_register(params))
+        register = 2 * b * b * (s * (1 - b * b * s) + (1 - s) * (1 - b * b * (1 - s)))
+        assert np.abs(numeric - register).max() < 1e-12
+        # the hand value at b = 0.6, s = 0.5, where the published closed form reads 0.8208
+        u = math.sqrt(0.5)
+        hand = ent.meyer_wallach_numeric(ent.x_state_register(ent.XStateParams(0.8, 0.6, u, u)))
+        assert hand == pytest.approx(0.5904, abs=1e-12)
+        assert ent.meyer_wallach_closed(0.8, 0.6, u) == pytest.approx(0.8208, abs=1e-12)
+
     def test_batched_equals_per_state(self):
         rng = np.random.default_rng(44)
         for n in (1, 2, 4, 5):

@@ -88,21 +88,28 @@ class TestWSplit:
 
 
 class TestFidelityVsTime:
+    """Time traces f(p(t)) with p(t) = damping(params, t), as the scan observables compose them."""
+
     def test_starts_at_unity(self):
         res = ReservoirParams.from_half_width(1000.0, 40.0, 0.0)
         grid = np.linspace(0.0, 0.5, 21)
-        for protocol in fid.PROTOCOLS:
-            curve = fid.fidelity_vs_time(protocol, res, 4, grid)
-            assert curve.fidelity[0] == 1.0
-            assert curve.p_damp[0] == 0.0
-            assert curve.protocol == protocol
-            assert len(curve.samples()) == grid.size
+        p_damp = damping(res, grid)
+        assert p_damp[0] == 0.0
+        curves = (
+            fid.f_ghz_teleport(p_damp, 4),
+            fid.f_w_teleport(p_damp),
+            fid.f_ghz_split(p_damp, 4),
+            fid.f_w_split(p_damp),
+        )
+        for curve in curves:
+            assert curve.shape == grid.shape
+            assert curve[0] == 1.0
 
     def test_w_teleport_revivals_touch_classical_floor(self):
         res = ReservoirParams.from_half_width(1500.0, 40.0, 0.0)
         grid = np.linspace(0.0, 1.0, 801)
-        curve = fid.fidelity_vs_time("w_teleport", res, 4, grid)
-        assert np.all(curve.fidelity >= TWO_THIRDS - 1e-15)
+        curve = fid.f_w_teleport(damping(res, grid))
+        assert np.all(curve >= TWO_THIRDS - 1e-15)
         # at a zero of u the damping saturates and the fidelity sits exactly
         # on the classical value; locate one crossing by bisection
         lo, hi = 0.02, 0.08
@@ -116,29 +123,18 @@ class TestFidelityVsTime:
                 lo = mid
         t_zero = (lo + hi) / 2
         assert damping(res, t_zero) == 1.0
-        touch = fid.fidelity_vs_time("w_teleport", res, 4, np.array([0.0, t_zero]))
-        assert abs(touch.fidelity[-1] - TWO_THIRDS) < 1e-15
+        touch = fid.f_w_teleport(damping(res, np.array([0.0, t_zero])))
+        assert abs(touch[-1] - TWO_THIRDS) < 1e-15
 
     def test_ghz_teleport_many_parties_decays_monotonically(self):
         res = ReservoirParams.from_half_width(10.0, 40.0, 0.0)
         grid = np.linspace(0.0, 0.5, 101)
-        curve = fid.fidelity_vs_time("ghz_teleport", res, 64, grid)
-        assert np.all(np.diff(curve.fidelity) <= 1e-12)
-        assert curve.fidelity[0] == 1.0
+        curve = fid.f_ghz_teleport(damping(res, grid), 64)
+        assert np.all(np.diff(curve) <= 1e-12)
+        assert curve[0] == 1.0
 
     def test_detuning_evenness_is_inherited(self):
         grid = np.linspace(0.0, 1.0, 64)
-        plus = fid.fidelity_vs_time(
-            "ghz_split", ReservoirParams.from_half_width(800.0, 30.0, 90.0), 4, grid
-        )
-        minus = fid.fidelity_vs_time(
-            "ghz_split", ReservoirParams.from_half_width(800.0, 30.0, -90.0), 4, grid
-        )
-        assert np.abs(plus.fidelity - minus.fidelity).max() < 1e-13
-
-    def test_rejects_bad_grid_and_protocol(self):
-        res = ReservoirParams.from_half_width(10.0, 40.0, 0.0)
-        with pytest.raises(ValueError):
-            fid.fidelity_vs_time("w_teleport", res, 4, np.array([0.5, 0.1]))
-        with pytest.raises(ValueError):
-            fid.fidelity_vs_time("swap", res, 4, np.array([0.0, 0.1]))
+        plus = fid.f_ghz_split(damping(ReservoirParams.from_half_width(800.0, 30.0, 90.0), grid), 4)
+        minus = fid.f_ghz_split(damping(ReservoirParams.from_half_width(800.0, 30.0, -90.0), grid), 4)
+        assert np.abs(plus - minus).max() < 1e-13

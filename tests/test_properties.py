@@ -1,0 +1,79 @@
+"""Property tests: invariants of the library over generated inputs.
+
+Each test is derandomized (the same examples on every run) with a small
+``max_examples``, so the suite stays fast and reproducible.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fmoent import entanglement as ent
+from fmoent import fidelity as fid
+from fmoent.reservoir import ReservoirParams, amplitude
+
+from conftest import random_unit_disc
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+rates = st.floats(1.0, 5000.0)
+detunings = st.floats(-500.0, 500.0)
+times = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=20)
+weights = st.floats(0.0, 1.0)
+qubits = st.integers(2, 12)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(gamma0=rates, half_width=rates, delta=detunings, t=times)
+def test_amplitude_starts_at_one_and_stays_in_the_unit_disc(gamma0, half_width, delta, t):
+    params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+    assert amplitude(params, 0.0) == 1.0
+    u = amplitude(params, np.array(t))
+    # |u| <= 1 up to rounding, the slack the state builders allow
+    assert np.all(np.abs(u) <= 1.0 + 1e-12)
+
+
+@PROPERTY
+@given(p=weights, n=qubits)
+def test_fidelities_lie_between_their_floors_and_one(p, n):
+    # the W-type fidelities never drop below the classical 2/3; the GHZ ones
+    # reach 2/3 at p = 1 but dip below it in between (to 1/3 as n grows)
+    for value in (fid.f_w_teleport(p), fid.f_w_split(p)):
+        assert 2.0 / 3.0 - 1e-15 <= value <= 1.0
+    for value in (fid.f_ghz_teleport(p, n), fid.f_ghz_split(p, n)):
+        assert 1.0 / 3.0 - 1e-15 <= value <= 1.0
+
+
+def test_ghz_fidelities_dip_below_the_classical_value():
+    assert fid.f_ghz_teleport(0.5, 4) < 2.0 / 3.0
+    assert fid.f_ghz_split(0.5, 12) < 2.0 / 3.0
+
+
+@PROPERTY
+@given(s=weights, n=qubits)
+def test_w_mixture_entanglement_lies_in_the_unit_interval(s, n):
+    assert 0.0 <= ent.w_mixture_entanglement(s, n) <= 1.0
+
+
+@PROPERTY
+@given(s=weights, n=st.integers(2, 5))
+def test_w_mixture_entanglement_equals_the_dense_route(s, n):
+    rho = ent.w_state_exciton_rho(ent.WStateParams(u=math.sqrt(s), n_qubits=n))
+    dense = ent.global_entanglement(rho, n)
+    assert abs(ent.w_mixture_entanglement(s, n) - dense) < 1e-12
+
+
+@PROPERTY
+@given(b=weights, seed=seeds)
+def test_x_state_rho_is_a_density_matrix(b, seed):
+    rng = np.random.default_rng(seed)
+    params = ent.XStateParams(
+        a=math.sqrt(1.0 - b * b), b=b, u1=random_unit_disc(rng), u2=random_unit_disc(rng)
+    )
+    rho = ent.x_state_rho(params)
+    assert np.abs(rho - rho.conj().T).max() == 0.0
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() > -1e-12

@@ -3,36 +3,13 @@ import pytest
 
 from fmoent import qlin
 
-from conftest import pt_by_bits, random_density
+from conftest import jacobi_eigen, pt_by_bits, random_density
 
 I2 = np.eye(2, dtype=complex)
-RAISE = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
-LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
 BELL = np.zeros(4, dtype=complex)
 BELL[0] = BELL[3] = 1 / np.sqrt(2)
 BELL_RHO = np.outer(BELL, BELL.conj())
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(qlin.kron(I2, I2), np.eye(4))
-
-    def test_projector_product(self):
-        p = np.diag([1.0, 0.0])
-        assert np.array_equal(qlin.kron(p, p), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-    def test_raise_lower_hand_expanded(self):
-        # (RAISE x LOWER)[i1 i2, j1 j2] = RAISE[i1, j1] * LOWER[i2, j2];
-        # the only nonzero entry is i1=1, j1=0, i2=0, j2=1 -> row 10, col 01.
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0b10, 0b01] = 1.0
-        assert np.array_equal(qlin.kron(RAISE, LOWER), expected)
-
-    def test_dims_multiply(self):
-        a = np.ones((2, 3))
-        b = np.ones((5, 4))
-        assert qlin.kron(a, b).shape == (10, 12)
 
 
 class TestPartialTrace:
@@ -44,7 +21,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(3)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 2)
-        joint = qlin.kron(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         assert np.abs(qlin.partial_trace(joint, 2, {0}) - rho_a).max() < 1e-14
         assert np.abs(qlin.partial_trace(joint, 2, {1}) - rho_b).max() < 1e-14
 
@@ -52,7 +29,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(4)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 2)
-        joint = qlin.kron(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         both = qlin.partial_trace(joint, 2, {1, 0})
         assert np.abs(both - joint).max() < 1e-14
 
@@ -179,6 +156,18 @@ class TestHermitianEigen:
         w2, v2 = qlin.hermitian_eigen(h.copy())
         assert np.array_equal(w1, w2)
         assert np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("dim", [2, 7, 16, 33])
+    def test_matches_jacobi_oracle(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (g + g.conj().T) / 2
+        eigenvalues, vectors = qlin.hermitian_eigen(h)
+        oracle_values, oracle_vectors = jacobi_eigen(h)
+        assert np.abs(eigenvalues - oracle_values).max() < 1e-10 * np.linalg.norm(h)
+        # random spectra have no ties: each eigenvector agrees up to its phase
+        overlaps = np.abs(np.sum(vectors.conj() * oracle_vectors, axis=0))
+        assert np.abs(overlaps - 1.0).max() < 1e-10
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):

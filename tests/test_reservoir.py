@@ -1,10 +1,11 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
-from conftest import rk4_stepwise
+from conftest import lorentzian_density, rk4_stepwise
 from scipy.integrate import quad
 
 from fmoent import reservoir
@@ -17,7 +18,6 @@ from fmoent.reservoir import (
     amplitude_ode_oracle,
     damping,
     population_difference,
-    spectral_density,
 )
 
 MARKOVIAN = ReservoirParams.from_half_width(gamma0=10.0, half_width=4000.0, delta=0.0)
@@ -75,43 +75,27 @@ class TestParams:
 
 
 class TestSpectralDensity:
-    def test_peak_value(self):
-        params = ReservoirParams(gamma0=111.0, delta_omega=80.0, delta=30.0)
-        peak = params.omega0 - params.delta
-        assert spectral_density(params, peak) == pytest.approx(params.gamma0 / (2 * math.pi), rel=1e-14)
-
-    def test_half_maximum_at_full_width(self):
-        params = ReservoirParams(gamma0=50.0, delta_omega=80.0, delta=0.0)
-        peak = params.omega0
-        half = params.delta_omega / 2
-        target = params.gamma0 / (4 * math.pi)
-        assert spectral_density(params, peak + half) == pytest.approx(target, rel=1e-14)
-        assert spectral_density(params, peak - half) == pytest.approx(target, rel=1e-14)
-
-    def test_symmetric_about_shifted_peak(self):
-        params = ReservoirParams(gamma0=20.0, delta_omega=60.0, delta=100.0)
-        peak = params.omega0 - params.delta
-        offsets = np.linspace(0.0, 500.0, 64)
-        assert np.allclose(
-            spectral_density(params, peak + offsets),
-            spectral_density(params, peak - offsets),
-            rtol=0,
-            atol=1e-16,
-        )
-
     @pytest.mark.parametrize("gamma0", [111.0 / CM1_TO_RAD_PER_PS, 589.0, 42.0])
     def test_integral_by_adaptive_quadrature(self, gamma0):
+        """The amplitude's curvature at t = 0 is minus the weight of the Lorentzian density.
+
+        u'' = -C u at t = 0, with C the memory kernel at zero lag: the
+        integral of J(omega) over the real line, converted to (rad/ps)^2.
+        """
         params = ReservoirParams(gamma0=gamma0, delta_omega=80.0, delta=0.0)
-        profile = lambda w: spectral_density(params, w)
-        peak = params.omega0 - params.delta
+        peak = 12210.0  # the transition frequency; the weight does not depend on it
+        profile = lambda w: lorentzian_density(w, gamma0, params.delta_omega, peak)
         lo, hi = peak - 50 * params.delta_omega, peak + 50 * params.delta_omega
         total = (
             quad(profile, -np.inf, lo)[0]
             + quad(profile, lo, hi, points=[peak])[0]
             + quad(profile, hi, np.inf)[0]
         )
-        expected = params.gamma0 * params.delta_omega / 4
-        assert total == pytest.approx(expected, rel=1e-8)
+        # 2 (1 - u(h)) / h^2 = C - C B h / 3 + O(h^2); Richardson removes the O(h) term
+        curvature = lambda h: 2.0 * (1.0 - amplitude(params, h).real) / h**2
+        h = 2e-5
+        kernel_weight = 2.0 * curvature(h) - curvature(2.0 * h)
+        assert kernel_weight == pytest.approx(total * CM1_TO_RAD_PER_PS**2, rel=1e-6)
 
 
 class TestAmplitude:
@@ -190,6 +174,17 @@ class TestAmplitude:
         grid = np.linspace(0.0, 2.0, 101)
         diff = np.abs(amplitude(params, grid) - amplitude_ode_oracle(params, grid))
         assert diff.max() < 1e-9
+
+    def test_critically_damped_large_time_decays_to_zero(self):
+        # gamma0 = delta_omega / 4 (check's own set 10, 20) takes the series
+        # branch at every t, where exp(-B t / 2) underflows to 0 while the
+        # cubic in t overflows: the limit 0 comes back, with no warning
+        params = ReservoirParams.from_half_width(10.0, 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e100, 1e200, 1e300):
+                assert amplitude(params, t) == 0j
+            assert amplitude(params, np.array([0.0, 1e200])).tolist() == [1.0, 0.0]
 
     def test_scalar_and_array_evaluation_agree(self):
         t = np.linspace(0.0, 1.0, 7)

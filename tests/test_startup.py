@@ -1,0 +1,71 @@
+"""Start-up guard: each entry point loads only the fmoent modules it runs.
+
+Every case starts a fresh interpreter, runs one entry and lists the
+``fmoent.*`` modules it ended up with.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fmoent
+
+SRC = Path(fmoent.__file__).resolve().parent.parent
+
+_RUN_MAIN = """
+import contextlib, io, sys
+from fmoent import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exit:  # argparse's --version
+        code = exit.code
+assert code == 0, code
+"""
+
+_REPORT = "\nimport sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('fmoent'))))"
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _REPORT, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("fmoent").lstrip(".") or "fmoent" for name in proc.stdout.split()}
+
+
+SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", "--observable")
+
+
+@pytest.mark.parametrize(
+    "code, argv, expected",
+    [
+        ("import fmoent", (), {"fmoent"}),
+        ("import fmoent.cli", (), {"fmoent", "cli"}),
+        (_RUN_MAIN, ("--version",), {"fmoent", "cli"}),
+        (_RUN_MAIN, ("check", "--t-max", "0.01"), {"fmoent", "cli", "reservoir"}),
+        (_RUN_MAIN, ("table",), {"fmoent", "cli", "fmo", "qlin"}),
+        (_RUN_MAIN, (*SCAN, "delta_p"), {"fmoent", "cli", "reservoir"}),
+        (_RUN_MAIN, (*SCAN, "f_w_split"), {"fmoent", "cli", "reservoir", "fidelity"}),
+        # entanglement brings qlin, the linear algebra of its dense route
+        (_RUN_MAIN, (*SCAN, "e_exciton"), {"fmoent", "cli", "reservoir", "entanglement", "qlin"}),
+    ],
+    ids=["import-fmoent", "import-cli", "version", "check", "table", "scan-delta_p", "scan-f_w_split", "scan-e_exciton"],
+)
+def test_entry_loads_only_what_it_runs(code, argv, expected):
+    assert loaded_modules(code, *argv) == expected
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(fmoent)
+    for name in fmoent.__all__:
+        assert getattr(fmoent, name) is not None
+        assert name in listed
+    namespace: dict = {}
+    exec("from fmoent import *", namespace)
+    assert set(fmoent.__all__) <= set(namespace)
