@@ -8,7 +8,8 @@ Each observable is one array kernel in ``_OBSERVABLE_TABLE``.  A scan
 evaluates its kernel over the flattened grid in blocks of ``_BLOCK_ROWS``
 rows.  Every parameter, swept or fixed, reaches the kernel as an array with
 one element per row, so a point's value never depends on which parameters
-were swept or on how the grid was blocked.
+were swept or on how the grid was blocked.  The CSV is written a block at a
+time, with each axis value formatted once from the grids the result carries.
 
 Subcommands: ``scan`` (general observable scans), ``table`` (the exciton
 energy/amplitude table) and ``check`` (closed-form amplitude against the
@@ -18,6 +19,7 @@ numerical integrator, printing the maximum error).
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import math
 import sys
@@ -169,10 +171,22 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """CSV header and a float64 array with one row per grid point."""
+    """CSV header, a float64 array with one row per grid point, and the grids.
+
+    ``axes`` holds the 1-D grid of each swept axis, outer first; the leading
+    columns of ``rows`` are those axes over the flattened grid in C order.
+    A result with no axes (a scalar scan, the exciton table) has ``()``.
+    """
 
     header: list[str]
     rows: np.ndarray
+    axes: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self):
+        if len(self.axes) > 2:
+            raise ValueError(f"axes: at most 2 grids, got {len(self.axes)}")
+        if self.axes and math.prod(len(grid) for grid in self.axes) != len(self.rows):
+            raise ValueError("axes: the grids do not span the rows")
 
 
 def _parse_axis(key: str, text: str) -> AxisSpec:
@@ -432,7 +446,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
             point[name] = rows[lo:hi, j] = grid[index]
         for j, column in enumerate(observable.kernel(point), start=len(axis_names)):
             rows[lo:hi, j] = column
-    return ScanResult(header=header, rows=rows)
+    return ScanResult(header=header, rows=rows, axes=tuple(grids))
 
 
 def emit_csv(result: ScanResult, destination=None) -> None:
@@ -446,13 +460,36 @@ def emit_csv(result: ScanResult, destination=None) -> None:
 
 
 def _write_csv(result: ScanResult, out) -> None:
-    # "%.12g" % v gives the same bytes as format(v, ".12g"); one template per
-    # chunk formats a whole block of rows in a single call
+    # "%.12g" % v gives the same bytes as format(v, ".12g").  An axis value
+    # repeats down the rows, so it is formatted once into the rows' template
+    # and the one "%" call per block formats only the other columns.  With
+    # two axes each outer value leads a run of one inner sweep.  The inner
+    # (or only) axis is kept as strings while a sweep fits in a block; a
+    # longer one is formatted with the values, one block at a time.
     out.write(",".join(result.header) + "\n")
-    line = ",".join(["%.12g"] * result.rows.shape[1]) + "\n"
-    for lo in range(0, len(result.rows), _BLOCK_ROWS):
-        chunk = result.rows[lo : lo + _BLOCK_ROWS]
-        out.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+    rows, axes = result.rows, result.axes
+    outer = axes[0] if len(axes) == 2 else None
+    sweep = len(axes[-1]) if outer is not None else max(1, len(rows))
+    inner = axes[-1] if axes and sweep <= _BLOCK_ROWS else None
+    # the leading axis columns that come from strings, not from the "%" call
+    kept = (outer is not None) + (inner is not None)
+    line = ",".join(["%.12g"] * (rows.shape[1] - kept)) + "\n"
+    runs = None if inner is None else ["%.12g," % v + line for v in inner.tolist()]
+    values = rows[:, kept:]
+    # whole sweeps per block while one fits, so each outer value leads once
+    step = sweep * (_BLOCK_ROWS // sweep) or _BLOCK_ROWS
+    for lo in range(0, len(rows), step):
+        hi = min(lo + step, len(rows))
+        template = []
+        start = lo
+        while start < hi:
+            o, i = divmod(start, sweep)
+            end = min(hi, start - i + sweep)
+            lead = "" if outer is None else "%.12g," % outer[o]
+            body = [line] * (end - start) if runs is None else runs[i : i + end - start]
+            template.append(lead + lead.join(body))
+            start = end
+        out.write("".join(template) % tuple(values[lo:hi].ravel().tolist()))
 
 
 def _merge_flags(args: argparse.Namespace) -> dict[str, str]:
@@ -538,6 +575,8 @@ def _run_check_command(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once per process: building it takes about 1 ms, longer than a whole `table` call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fmoent",

@@ -5,9 +5,10 @@ partial transposes by bit arithmetic instead of axis permutation, Hermitian
 eigendecompositions by cyclic Jacobi rotations (the library's route is
 LAPACK, through ``numpy.linalg.eigh``), states assembled index by index, the
 Runge-Kutta integration of u(t) stepped one scalar step at a time instead of
-by products of step maps, and the Lorentzian spectral density whose weight
-the amplitude's memory kernel carries.  Agreement between the two routes is
-the point of most tests.
+by products of step maps, the Lorentzian spectral density whose weight
+the amplitude's memory kernel carries, and CSV written one value at a time
+instead of from block templates.  Agreement between the two routes is the
+point of most tests.
 """
 
 from __future__ import annotations
@@ -208,3 +209,14 @@ def lorentzian_density(omega, gamma0: float, delta_omega: float, peak: float):
     """
     half = delta_omega / 2.0
     return (gamma0 / (2.0 * math.pi)) * half**2 / ((peak - omega) ** 2 + half**2)
+
+
+def write_csv_reference(result, out) -> None:
+    """A scan result as CSV, one ``format(v, ".12g")`` per value, joined by commas.
+
+    The writer the library had before it formatted each axis value once; it
+    reads every column from ``result.rows`` and ignores ``result.axes``.
+    """
+    out.write(",".join(result.header) + "\n")
+    for row in result.rows.tolist():
+        out.write(",".join(format(v, ".12g") for v in row) + "\n")

@@ -1,3 +1,4 @@
+import io
 import math
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from fmoent import fidelity as fid
 from fmoent.cli import (
     AxisSpec,
     ConfigError,
+    ScanResult,
     ScanSpec,
     build_scan_spec,
     emit_csv,
@@ -19,6 +21,8 @@ from fmoent.cli import (
 )
 from fmoent.fmo import build_hamiltonian, dataset, exciton_table
 from fmoent.reservoir import ReservoirParams, amplitude, damping, population_difference
+
+from conftest import write_csv_reference
 
 SCAN_OBSERVABLES = [name for name in cli.OBSERVABLES if name != "exciton_table"]
 
@@ -397,7 +401,155 @@ class TestCsvEmission:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _csv(writer, result) -> str:
+    out = io.StringIO()
+    writer(result, out)
+    return out.getvalue()
+
+
+def assert_reference_bytes(result):
+    assert _csv(cli._write_csv, result) == _csv(write_csv_reference, result)
+
+
+def _observable_axes(observable):
+    """(outer, inner) axes an observable can sweep, with an n axis where it takes one."""
+    if observable in ("q_closed", "q_numeric"):
+        return AxisSpec("b", 0.0, 1.0, 6), AxisSpec("t", 0.0, 1.3, 17)
+    if observable in ("e_exciton", "e_reservoir", "f_ghz_tele", "f_ghz_split"):
+        return AxisSpec("n", 2.0, 9.0, 8), AxisSpec("t", 0.0, 1.3, 17)
+    return AxisSpec("gamma0", 10.0, 2000.0, 6), AxisSpec("t", 0.0, 1.3, 17)
+
+
+_FIXED = {"gamma0": 1300.0, "half_width": 35.0, "delta": 25.0, "b": 0.7, "n": 4.0, "t": 0.3}
+
+
+def _scan(observable, *axes):
+    names = {axis.name for axis in axes}
+    fixed = {k: v for k, v in _FIXED.items() if k not in names}
+    return run_scan(ScanSpec(observable=observable, axes=axes, fixed=fixed))
+
+
+class TestCsvWriterBytes:
+    """The axis-once writer against the one-value-at-a-time reference writer."""
+
+    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    def test_scalar_scan(self, observable):
+        result = _scan(observable)
+        assert result.axes == () and len(result.rows) == 1
+        assert_reference_bytes(result)
+
+    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    def test_one_axis_scans(self, observable):
+        outer, inner = _observable_axes(observable)
+        for axis in (outer, inner):
+            assert_reference_bytes(_scan(observable, axis))
+
+    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    def test_two_axis_scans(self, observable):
+        outer, inner = _observable_axes(observable)
+        assert_reference_bytes(_scan(observable, outer, inner))
+        assert_reference_bytes(_scan(observable, inner, outer))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, 16, 17])
+    def test_any_block_size(self, monkeypatch, block_rows):
+        # sweeps shorter and longer than a block, ending on and off its edge
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        for axes in [
+            (AxisSpec("delta", -50.0, 50.0, 7), AxisSpec("t", 0.0, 0.8, 9)),
+            (AxisSpec("delta", -50.0, 50.0, 9), AxisSpec("t", 0.0, 0.8, 3)),
+            (AxisSpec("t", 0.0, 0.8, 33),),
+        ]:
+            assert_reference_bytes(_scan("u_amplitude", *axes))
+        assert_reference_bytes(_scan("u_amplitude"))
+
+    def test_values_in_exponent_notation(self):
+        rng = np.random.default_rng(7)
+        outer = np.array([-1e300, -2.5e-17, -0.0, 0.0, 1e-5, 1e16, 1.5e22])
+        inner = np.array([5e-324, -1e-310, 123456789012345.0, 0.1 + 0.2, -7e-12])
+        grid = np.array(np.meshgrid(outer, inner, indexing="ij")).reshape(2, -1).T
+        values = rng.choice([-1.0, 1.0], size=(len(grid), 3)) * 10.0 ** rng.uniform(
+            -320.0, 307.0, size=(len(grid), 3)
+        )
+        result = ScanResult(["x", "y", "a", "b", "c"], np.hstack([grid, values]), (outer, inner))
+        text = _csv(cli._write_csv, result)
+        assert "e-324" in text and "e+300" in text and "-0," in text
+        assert text == _csv(write_csv_reference, result)
+        # huge and negative outer values, tiny inner ones
+        assert_reference_bytes(
+            _scan("u_amplitude", AxisSpec("delta", -1e9, 1e9, 5), AxisSpec("t", 0.0, 1e-9, 11))
+        )
+        assert_reference_bytes(
+            _scan("delta_p", AxisSpec("gamma0", 1e-6, 1e9, 4), AxisSpec("t", 0.0, 1e-12, 5))
+        )
+
+    @pytest.mark.parametrize("steps", [1023, 1024, 1025])
+    def test_inner_axes_at_the_block_edge(self, steps):
+        assert cli._BLOCK_ROWS == 1024
+        for outer in (AxisSpec("gamma0", 10.0, 2000.0, 3), AxisSpec("n", 2.0, 4.0, 3)):
+            assert_reference_bytes(_scan("f_ghz_split", outer, AxisSpec("t", 0.0, 2.0, steps)))
+        assert_reference_bytes(_scan("u_amplitude", AxisSpec("t", 0.0, 2.0, steps)))
+
+    def test_long_inner_axis(self):
+        result = _scan("u_amplitude", AxisSpec("delta", -30.0, 30.0, 2), AxisSpec("t", 0.0, 5.0, 3000))
+        assert_reference_bytes(result)
+
+    @pytest.mark.parametrize("name", ["reng", "lorenExpt", "wend"])
+    def test_exciton_table(self, name):
+        result = run_scan(ScanSpec(observable="exciton_table", dataset=name))
+        assert result.axes == () and result.rows.shape == (7, 8)
+        assert_reference_bytes(result)
+
+    def test_axes_must_span_the_rows(self):
+        with pytest.raises(ValueError, match="axes"):
+            ScanResult(["t_ps", "delta_p"], np.zeros((5, 2)), (np.arange(4.0),))
+        with pytest.raises(ValueError, match="axes: at most 2"):
+            ScanResult(["x", "y", "z", "v"], np.zeros((8, 4)), (np.arange(2.0),) * 3)
+
+    def test_writes_are_bounded_by_the_block(self):
+        # 200,000 rows of 2 columns: a whole-grid template and argument tuple
+        # would take about 15 MB; each write covers at most one block
+        result = _scan("delta_p", AxisSpec("t", 0.0, 5.0, 200_000))
+
+        class Sink:
+            rows = 0
+            most = 0
+
+            def write(self, text):
+                lines = text.count("\n")
+                self.rows += lines
+                self.most = max(self.most, lines)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            cli._write_csv(result, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.rows == 200_001 and sink.most <= cli._BLOCK_ROWS
+        assert peak < 2**20
+        sink = Sink()
+        cli._write_csv(_scan("u_amplitude", AxisSpec("delta", -30.0, 30.0, 2), AxisSpec("t", 0.0, 5.0, 3000)), sink)
+        assert sink.rows == 6001 and sink.most <= cli._BLOCK_ROWS
+
+
 class TestMainEntrypoint:
+    def test_one_parser_serves_every_call(self, capsys):
+        argv = ["scan", "--observable", "f_ghz_tele", "--axis1", "n:2:5:4", "--axis2", "t:0:1:5",
+                "--gamma0", "900", "--half-width", "30"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["scan", "--no-such-flag"])
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as version:
+            cli.main(["--version"])
+        assert version.value.code == 0
+        assert capsys.readouterr().out.startswith("fmoent ")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert cli._build_parser() is cli._build_parser()
+
     def test_version_reports_conversion_constant(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
