@@ -19,48 +19,28 @@ __version__ = "0.1.0"
 # 2*pi*c * (1 ps) with c = 0.0299792458 cm/ps, fixed to 11 significant digits.
 CM1_TO_RAD_PER_PS = 0.18836515673
 
-# Public name -> the module that defines it.
-_EXPORTS = {
-    "partial_trace": "qlin",
-    "partial_transpose": "qlin",
-    "hermitian_eigen": "qlin",
-    "SiteDataset": "fmo",
-    "ExcitonTable": "fmo",
-    "builtin_datasets": "fmo",
-    "dataset": "fmo",
-    "load_site_energies": "fmo",
-    "build_hamiltonian": "fmo",
-    "exciton_table": "fmo",
-    "UnitSystem": "reservoir",
-    "DEFAULT_UNITS": "reservoir",
-    "ReservoirParams": "reservoir",
-    "amplitude": "reservoir",
-    "amplitude_ode_oracle": "reservoir",
-    "population_difference": "reservoir",
-    "damping": "reservoir",
-    "BipartitionSet": "entanglement",
-    "WStateParams": "entanglement",
-    "XStateParams": "entanglement",
-    "enumerate_bipartitions": "entanglement",
-    "normalized_negativity": "entanglement",
-    "global_entanglement": "entanglement",
-    "w_mixture_entanglement": "entanglement",
-    "w_state": "entanglement",
-    "ghz_state": "entanglement",
-    "w_state_exciton_rho": "entanglement",
-    "w_state_reservoir_rho": "entanglement",
-    "x_state_rho": "entanglement",
-    "x_state_register": "entanglement",
-    "meyer_wallach_numeric": "entanglement",
-    "meyer_wallach_closed": "entanglement",
-    "f_ghz_teleport": "fidelity",
-    "f_w_teleport": "fidelity",
-    "f_ghz_split": "fidelity",
-    "f_w_split": "fidelity",
+# The public names of each module, and public name -> the module that defines it.
+_PUBLIC = {
+    "qlin": ("partial_trace", "partial_transpose", "hermitian_eigen"),
+    "fmo": (
+        "SiteDataset", "ExcitonTable", "builtin_datasets", "dataset", "load_site_energies",
+        "build_hamiltonian", "exciton_table",
+    ),
+    "reservoir": (
+        "ReservoirParams", "amplitude", "amplitude_ode_oracle", "population_difference", "damping",
+    ),
+    "entanglement": ("w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"),
+    "dense": (
+        "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
+        "normalized_negativity", "global_entanglement", "w_state", "ghz_state", "w_state_exciton_rho",
+        "w_state_reservoir_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
+    ),
+    "fidelity": ("f_ghz_teleport", "f_w_teleport", "f_ghz_split", "f_w_split"),
 }
+_EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 
 # Submodules, imported on attribute access (``fmoent.reservoir``) too.
-_MODULES = ("qlin", "fmo", "reservoir", "entanglement", "fidelity", "cli")
+_MODULES = ("qlin", "fmo", "reservoir", "entanglement", "dense", "fidelity", "cli")
 
 __all__ = ["__version__", "CM1_TO_RAD_PER_PS", *_EXPORTS]
 

@@ -104,10 +104,7 @@ _LIBRARY = {
     "reservoir": (
         "ReservoirParams", "amplitude", "amplitude_ode_oracle", "damping", "population_difference",
     ),
-    "entanglement": (
-        "XStateParams", "meyer_wallach_closed", "meyer_wallach_numeric",
-        "w_mixture_entanglement", "x_state_register",
-    ),
+    "entanglement": ("meyer_wallach_closed", "meyer_wallach_register", "w_mixture_entanglement"),
     "fidelity": ("f_ghz_split", "f_ghz_teleport", "f_w_split", "f_w_teleport"),
     "fmo": ("build_hamiltonian", "dataset", "exciton_table", "load_site_energies"),
 }
@@ -311,12 +308,6 @@ def _u_amplitude(p):
     return u.real, u.imag, np.abs(u) ** 2
 
 
-def _q_numeric(p):
-    a, b = _ab(p)
-    u = _u(p)
-    return (meyer_wallach_numeric(x_state_register(XStateParams(a=a, b=b, u1=u, u2=u))),)
-
-
 def _with_damping(p, fidelity):
     damp = damping(_reservoir(p), p["t"])
     return damp, fidelity(damp)
@@ -359,7 +350,9 @@ _OBSERVABLE_TABLE = {
     "q_closed": _Observable(
         ("q",), _RES + ("b",), lambda p: (meyer_wallach_closed(*_ab(p), _u(p)),), _R_ENT
     ),
-    "q_numeric": _Observable(("q",), _RES + ("b",), _q_numeric, _R_ENT),
+    "q_numeric": _Observable(
+        ("q",), _RES + ("b",), lambda p: (meyer_wallach_register(*_ab(p), _u(p)),), _R_ENT
+    ),
     "f_ghz_tele": _Observable(
         _FID, _RES + ("n",),
         lambda p: _with_damping(p, lambda d: f_ghz_teleport(d, _parties(p["n"]))), _R_FID,

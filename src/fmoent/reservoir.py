@@ -27,24 +27,12 @@ from . import CM1_TO_RAD_PER_PS
 
 __all__ = [
     "CM1_TO_RAD_PER_PS",
-    "UnitSystem",
-    "DEFAULT_UNITS",
     "ReservoirParams",
     "amplitude",
     "amplitude_ode_oracle",
     "population_difference",
     "damping",
 ]
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversion from cm^-1 rates to rad/ps; configurable for unit probes."""
-
-    angular_conversion: float = CM1_TO_RAD_PER_PS
-
-
-DEFAULT_UNITS = UnitSystem()
 
 
 @dataclass(frozen=True)
@@ -81,15 +69,23 @@ class ReservoirParams:
         return self.delta_omega / 2.0
 
 
-def _decay_rates(params: ReservoirParams, units: UnitSystem):
+def _decay_rates(params: ReservoirParams):
     """Return (B, xi) in rad/ps for the closed-form amplitude.
 
     Scalar parameters give Python complex numbers; array parameters give
-    complex arrays of their broadcast shape.
+    complex arrays of their broadcast shape.  Rates whose squares or product
+    overflow are refused.
     """
-    k = units.angular_conversion
-    b = (params.delta_omega / 2.0 - 1j * params.delta) * k
-    disc = b * b - (params.gamma0 * k) * (params.delta_omega * k)
+    k = CM1_TO_RAD_PER_PS
+    # an overflow in B^2 or in the product of rates leaves disc non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (params.delta_omega / 2.0 - 1j * params.delta) * k
+        disc = b * b - (params.gamma0 * k) * (params.delta_omega * k)
+    if not np.all(np.isfinite(disc)):
+        raise ValueError(
+            "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow "
+            "(a rate above about 7e154 cm^-1, or gamma0 * delta_omega above about 5e309 cm^-2)"
+        )
     if np.ndim(disc):
         return b, np.sqrt(disc)
     return b, complex(np.sqrt(complex(disc)))
@@ -100,7 +96,7 @@ def _select(rate, mask):
     return rate[mask] if np.ndim(rate) else rate
 
 
-def amplitude(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
+def amplitude(params: ReservoirParams, t):
     """Survival amplitude u(t) of the excited qubit state; u(0) = 1, |u| <= 1.
 
     ``t`` is in picoseconds (scalar or array, finite and >= 0) and broadcasts
@@ -114,7 +110,7 @@ def amplitude(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
     t_in = np.asarray(t, dtype=float)
     if not np.all((t_in >= 0.0) & (t_in < np.inf)):
         raise ValueError("t must be finite and non-negative")
-    b, xi = _decay_rates(params, units)
+    b, xi = _decay_rates(params)
     # xi depends on every parameter, so its shape is theirs broadcast
     shape = np.broadcast_shapes(t_in.shape, np.shape(xi))
     tt = np.broadcast_to(t_in, shape).ravel()
@@ -187,7 +183,6 @@ def amplitude_ode_oracle(
     t_grid,
     *,
     max_step: float = 1e-4,
-    units: UnitSystem = DEFAULT_UNITS,
 ) -> np.ndarray:
     """Integrate the memory-kernel equation for u(t) numerically.
 
@@ -226,7 +221,7 @@ def amplitude_ode_oracle(
     if not max_step > 0.0:
         raise ValueError("max_step must be positive")
 
-    k = units.angular_conversion
+    k = CM1_TO_RAD_PER_PS
     b = (params.delta_omega / 2.0 - 1j * params.delta) * k
     c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0
     out = np.empty(grid.size, dtype=complex)
@@ -254,14 +249,14 @@ def amplitude_ode_oracle(
     return out
 
 
-def population_difference(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
+def population_difference(params: ReservoirParams, t):
     """Excited/ground population difference 2|u(t)|^2 - 1, in [-1, 1]."""
-    u = amplitude(params, t, units)
+    u = amplitude(params, t)
     return 2.0 * np.abs(u) ** 2 - 1.0
 
 
-def damping(params: ReservoirParams, t, units: UnitSystem = DEFAULT_UNITS):
+def damping(params: ReservoirParams, t):
     """Channel damping parameter p = 1 - |u(t)|^2, clipped to [0, 1]."""
-    u = amplitude(params, t, units)
+    u = amplitude(params, t)
     p = np.clip(1.0 - np.abs(u) ** 2, 0.0, 1.0)
     return p if np.ndim(p) else float(p)

@@ -687,6 +687,34 @@ class TestMainEntrypoint:
         assert cli.main(argv) == 1
         assert "2..12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # a half width this large would give a non-finite amplitude
+            (["--half-width", "1e200", "--b", "0.5"], "fmoent: "),
+            (["--half-width", "40", "--a", "0.5", "--b", "0.5"], "fmoent: a^2 + b^2 must equal 1"),
+        ],
+        ids=["non-finite-amplitude", "a-and-b-off-the-unit-circle"],
+    )
+    def test_q_numeric_refusals(self, flags, message, capsys):
+        argv = ["scan", "--observable", "q_numeric", "--gamma0", "1000", "--t", "0.5", *flags]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and len(captured.err) > len("fmoent: \n")
+
+    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("flag", ["--half-width", "--delta"])
+    def test_overflowing_rates_refused(self, observable, flag, capsys):
+        argv = ["scan", "--observable", observable, "--gamma0", "1000", "--half-width", "40",
+                "--t", "0.5", flag, "1e160"]
+        if observable.startswith("q_"):
+            argv += ["--b", "0.5"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow" in captured.err
+
     def test_delta_axis_sweep(self):
         spec = ScanSpec(
             observable="delta_p",

@@ -379,6 +379,91 @@ class TestMeyerWallach:
             ent.meyer_wallach_closed(0.9, 0.9, 0.5)
 
 
+class TestMeyerWallachRegister:
+    """The closed form q_numeric evaluates, against the register it describes."""
+
+    @staticmethod
+    def register_route(a, b, u):
+        return ent.meyer_wallach_numeric(ent.x_state_register(ent.XStateParams(a, b, u, u)))
+
+    def test_anchors(self):
+        assert ent.meyer_wallach_register(0.0, 1.0, SQRT_HALF) == pytest.approx(1.0, abs=1e-15)
+        assert ent.meyer_wallach_register(1.0, 0.0, 0.37 + 0.1j) == 0.0
+        # b = 1 with the pair fully decayed or fully surviving is a product state
+        assert ent.meyer_wallach_register(0.0, 1.0, 0.0) == 0.0
+        assert ent.meyer_wallach_register(0.0, 1.0, 1.0) == 0.0
+        # the hand value at b = 0.6, s = 0.5 (the published form reads 0.8208)
+        assert ent.meyer_wallach_register(0.8, 0.6, math.sqrt(0.5)) == pytest.approx(0.5904, abs=1e-15)
+
+    def test_equals_the_register_over_a_grid(self):
+        b, s = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
+        a, u = np.sqrt(1.0 - b * b), np.sqrt(s) * np.exp(0.7j)
+        closed = ent.meyer_wallach_register(a, b, u)
+        assert closed.shape == (21, 21)
+        # the register route takes Q from purities near 1, so it carries
+        # errors of a few ulps of 1 (3.6e-15 at b = 1, |u| = 1 - 1e-16)
+        assert np.abs(closed - self.register_route(a, b, u)).max() < 5e-15
+
+    def test_broadcasts_and_returns_a_float_for_scalars(self):
+        b = np.array([0.0, 0.6, 1.0])[:, None]
+        u = np.array([1.0, 0.3 + 0.4j, 0.0, -0.8j])
+        grid = ent.meyer_wallach_register(np.sqrt(1.0 - b * b), b, u)
+        assert grid.shape == (3, 4)
+        value = ent.meyer_wallach_register(0.8, 0.6, 0.3 + 0.4j)
+        assert type(value) is float and value == grid[1, 1]
+
+    def test_refuses_a_broken_normalization(self):
+        with pytest.raises(ValueError, match="a\\^2 \\+ b\\^2 must equal 1"):
+            ent.meyer_wallach_register(0.5, 0.5, 0.3)
+        with pytest.raises(ValueError, match="a\\^2 \\+ b\\^2 must equal 1"):
+            ent.meyer_wallach_register(np.array([0.6, 0.5]), np.array([0.8, 0.5]), 0.3)
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("excess", [2e-9, 6e-10])
+    def test_refuses_an_amplitude_above_one_whenever_the_register_does(self, b, excess):
+        # |u| = 1 + 2e-9 fails the |u| bound at every b; |u| = 1 + 6e-10
+        # passes it but pushes the register's norm past 1e-9 at b = 1 only
+        a, u = math.sqrt(1.0 - b * b), (1.0 + excess) * np.exp(0.3j)
+        try:
+            expected = self.register_route(a, b, u)
+        except ValueError:
+            with pytest.raises(ValueError, match="must not exceed 1|normalized"):
+                ent.meyer_wallach_register(a, b, u)
+        else:
+            assert excess < 1e-9 and b < 1.0
+            assert ent.meyer_wallach_register(a, b, u) == pytest.approx(expected, abs=1e-8)
+        with pytest.raises(ValueError, match="must not exceed 1"):
+            ent.meyer_wallach_register(a, b, np.array([0.5, 1.0 + 2e-9]))
+
+    @pytest.mark.parametrize("u", [math.nan, complex(math.nan, 0.0), complex(0.5, math.inf), math.inf])
+    def test_refuses_a_non_finite_amplitude(self, u):
+        with pytest.raises(ValueError):
+            self.register_route(0.8, 0.6, u)
+        with pytest.raises(ValueError, match="normalized|must not exceed 1"):
+            ent.meyer_wallach_register(0.8, 0.6, u)
+        with pytest.raises(ValueError, match="normalized|must not exceed 1"):
+            ent.meyer_wallach_register(0.8, 0.6, np.array([0.5, u]))
+
+
+class TestDenseRouteThroughEntanglement:
+    def test_dense_names_resolve_to_the_dense_module(self):
+        from fmoent import dense
+
+        for name in dense.__all__:
+            assert getattr(ent, name) is getattr(dense, name)
+            assert name in dir(ent)
+            assert name in ent.__all__
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'partial_trace'"):
+            ent.partial_trace
+
+    def test_star_import_brings_every_listed_name(self):
+        namespace: dict = {}
+        exec("from fmoent.entanglement import *", namespace)
+        assert set(ent.__all__) <= set(namespace)
+
+
 class TestDensityMatrixSanity:
     def test_w_state_outputs_are_densities(self):
         res = ReservoirParams.from_half_width(1200.0, 30.0, 50.0)

@@ -77,3 +77,11 @@ def test_x_state_rho_is_a_density_matrix(b, seed):
     assert np.abs(rho - rho.conj().T).max() == 0.0
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+@PROPERTY
+@given(b=weights, radius=weights, phase=st.floats(0.0, 2.0 * math.pi))
+def test_register_closed_form_equals_the_register(b, radius, phase):
+    a, u = math.sqrt(1.0 - b * b), radius * complex(math.cos(phase), math.sin(phase))
+    register = ent.meyer_wallach_numeric(ent.x_state_register(ent.XStateParams(a, b, u, u)))
+    assert abs(ent.meyer_wallach_register(a, b, u) - register) <= 2e-15

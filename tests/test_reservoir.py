@@ -11,9 +11,7 @@ from scipy.integrate import quad
 from fmoent import reservoir
 from fmoent.reservoir import (
     CM1_TO_RAD_PER_PS,
-    DEFAULT_UNITS,
     ReservoirParams,
-    UnitSystem,
     amplitude,
     amplitude_ode_oracle,
     damping,
@@ -186,6 +184,30 @@ class TestAmplitude:
                 assert amplitude(params, t) == 0j
             assert amplitude(params, np.array([0.0, 1e200])).tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "gamma0, half_width, delta",
+        [
+            (1000.0, 1e160, 0.0),  # B^2 overflows
+            (1000.0, 40.0, 1e160),  # Re B^2 = inf - inf
+            (1e300, 1e10, 0.0),  # gamma0 * delta_omega overflows
+            (np.array([1000.0, 1000.0]), np.array([40.0, 1e200]), 0.0),
+        ],
+    )
+    def test_overflowing_rates_refused(self, gamma0, half_width, delta):
+        params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for observable in (amplitude, population_difference, damping):
+                with pytest.raises(ValueError, match=r"gamma0, delta_omega \(twice half_width\) and delta"):
+                    observable(params, 0.5)
+
+    def test_rates_below_the_overflow_stay_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for half_width in (1e150, np.array([40.0, 1e153])):
+                params = ReservoirParams.from_half_width(1000.0, half_width, 1e150)
+                assert np.all(np.isfinite(amplitude(params, 0.5)))
+
     def test_scalar_and_array_evaluation_agree(self):
         t = np.linspace(0.0, 1.0, 7)
         batch = amplitude(NON_MARKOVIAN, t)
@@ -211,14 +233,6 @@ class TestAmplitude:
         fixed_t = amplitude(params, 0.3)
         assert fixed_t.shape == (4, 1)
         assert np.array_equal(fixed_t[:, 0], grid[:, 1])
-
-    def test_unit_system_is_a_time_rescaling(self):
-        params = ReservoirParams.from_half_width(300.0, 25.0, 40.0)
-        natural = UnitSystem(angular_conversion=1.0)
-        for t in (0.1, 0.7):
-            scaled = amplitude(params, t, DEFAULT_UNITS)
-            unscaled = amplitude(params, t * CM1_TO_RAD_PER_PS, natural)
-            assert abs(scaled - unscaled) < 1e-12
 
 
 class TestOdeOracle:

@@ -52,10 +52,17 @@ SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", 
         (_RUN_MAIN, ("table",), {"fmoent", "cli", "fmo", "qlin"}),
         (_RUN_MAIN, (*SCAN, "delta_p"), {"fmoent", "cli", "reservoir"}),
         (_RUN_MAIN, (*SCAN, "f_w_split"), {"fmoent", "cli", "reservoir", "fidelity"}),
-        # entanglement brings qlin, the linear algebra of its dense route
-        (_RUN_MAIN, (*SCAN, "e_exciton"), {"fmoent", "cli", "reservoir", "entanglement", "qlin"}),
+        # the scans evaluate closed forms: neither the dense route nor qlin
+        (_RUN_MAIN, (*SCAN, "e_exciton"), {"fmoent", "cli", "reservoir", "entanglement"}),
+        (_RUN_MAIN, (*SCAN, "q_numeric", "--b", "0.6"), {"fmoent", "cli", "reservoir", "entanglement"}),
+        # a dense name read through entanglement loads the dense route
+        ("from fmoent import entanglement; entanglement.x_state_register", (),
+         {"fmoent", "entanglement", "dense", "qlin"}),
     ],
-    ids=["import-fmoent", "import-cli", "version", "check", "table", "scan-delta_p", "scan-f_w_split", "scan-e_exciton"],
+    ids=[
+        "import-fmoent", "import-cli", "version", "check", "table", "scan-delta_p", "scan-f_w_split",
+        "scan-e_exciton", "scan-q_numeric", "entanglement-dense-name",
+    ],
 )
 def test_entry_loads_only_what_it_runs(code, argv, expected):
     assert loaded_modules(code, *argv) == expected
