@@ -142,7 +142,7 @@ class WStateParams:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if abs(self.u) > 1.0 + _AMP_SLACK:
-            raise ValueError(f"|u| must not exceed 1, got {abs(self.u):.6g}")
+            raise ValueError(f"|u| must not exceed 1, got {abs(self.u):.12g}")
 
     @property
     def survival_probability(self) -> float:
@@ -194,7 +194,7 @@ class XStateParams:
         for label, u in (("u1", self.u1), ("u2", self.u2)):
             modulus = np.max(np.abs(u))
             if modulus > 1.0 + _AMP_SLACK:
-                raise ValueError(f"|{label}| must not exceed 1, got {modulus:.6g}")
+                raise ValueError(f"|{label}| must not exceed 1, got {modulus:.12g}")
 
     def emitted(self):
         v1 = np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.u1) ** 2))

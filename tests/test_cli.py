@@ -2,6 +2,7 @@ import io
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -714,6 +715,24 @@ class TestMainEntrypoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow" in captured.err
+
+    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("flag", ["--half-width", "--delta"])
+    def test_overflowing_exponents_refused(self, observable, flag, capsys):
+        # rates below the overflow of B^2, but B*t/2 or xi*t/2 overflows at this t
+        argv = ["scan", "--observable", observable, "--gamma0", "1000", "--half-width", "40",
+                "--t", "1e200", flag, "1e150"]
+        if observable.startswith("q_"):
+            argv += ["--b", "0.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fmoent: t and the rates gamma0, delta_omega (twice half_width) and delta: the decay "
+            "exponent B*t/2 or xi*t/2 overflows at t = 1e+200 ps\n"
+        )
 
     def test_delta_axis_sweep(self):
         spec = ScanSpec(

@@ -184,6 +184,11 @@ class TestWStateDecay:
         with pytest.raises(ValueError):
             ent.WStateParams(u=1.2)
 
+    def test_refusal_prints_the_excess(self):
+        # |u| = 1 + 2e-9 lies past the 1e-9 slack; six digits would print it as 1
+        with pytest.raises(ValueError, match=r"\|u\| must not exceed 1, got 1\.000000002$"):
+            ent.WStateParams(u=(1.0 + 2e-9) * np.exp(0.3j))
+
 
 class TestWMixtureClosedForm:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -278,6 +283,12 @@ class TestXState:
             ent.XStateParams(a=0.5, b=0.5, u1=1.0, u2=1.0)
         with pytest.raises(ValueError):
             ent.XStateParams(a=np.array([0.6, 0.5]), b=np.array([0.8, 0.5]), u1=1.0, u2=1.0)
+
+    @pytest.mark.parametrize("label", ["u1", "u2"])
+    def test_amplitude_refusal_prints_the_excess(self, label):
+        amplitudes = {"u1": 0.5, "u2": 0.5, label: np.array([0.5, 1.0 + 2e-9])}
+        with pytest.raises(ValueError, match=rf"\|{label}\| must not exceed 1, got 1\.000000002$"):
+            ent.XStateParams(a=0.6, b=0.8, **amplitudes)
 
     def test_batched_register_equals_per_state(self):
         rng = np.random.default_rng(33)

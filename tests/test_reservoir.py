@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import time
 import warnings
 
@@ -201,6 +202,30 @@ class TestAmplitude:
                 with pytest.raises(ValueError, match=r"gamma0, delta_omega \(twice half_width\) and delta"):
                     observable(params, 0.5)
 
+    @pytest.mark.parametrize(
+        "half_width, delta, t, t_named",
+        [
+            (1e150, 0.0, 1e200, "1e+200"),
+            (40.0, 1e150, 1e200, "1e+200"),
+            (40.0, -1e150, 1e200, "1e+200"),
+            (np.array([40.0, 1e150]), 0.0, 1e200, "1e+200"),
+            # the first time that overflows is named
+            (40.0, 0.0, np.array([0.5, 1e308, 1.5e308]), "1e+308"),
+        ],
+        ids=["half-width", "delta", "negative-delta", "array-rates", "array-times"],
+    )
+    def test_overflowing_exponents_refused(self, half_width, delta, t, t_named):
+        params = ReservoirParams.from_half_width(1000.0, half_width, delta)
+        message = (
+            r"^t and the rates gamma0, delta_omega \(twice half_width\) and delta: the decay exponent "
+            rf"B\*t/2 or xi\*t/2 overflows at t = {re.escape(t_named)} ps$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for observable in (amplitude, population_difference, damping):
+                with pytest.raises(ValueError, match=message):
+                    observable(params, t)
+
     def test_rates_below_the_overflow_stay_finite(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -310,11 +335,47 @@ class TestOracleMatchesStepwiseRk4:
         for grid in ([0.37], [0.25, 0.5, 1.0]):
             self.assert_same(STRONG, np.array(grid))
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, reservoir._ORACLE_WIDTH + 3])
     def test_grid_sizes_at_a_block_edge(self, offset):
         size = reservoir._ORACLE_BLOCK + offset
         self.assert_same(STRONG, np.linspace(0.0, 0.5, size))
         self.assert_same(WEAK, np.linspace(0.0, 0.5, size), max_step=3e-4)
+
+    @pytest.mark.parametrize(
+        "size", [1, 2, reservoir._ORACLE_WIDTH - 1, reservoir._ORACLE_WIDTH, reservoir._ORACLE_WIDTH + 1]
+    )
+    def test_grid_sizes_at_a_run_edge(self, size):
+        grid = np.linspace(0.0, 2e-3, size + 1)[1:]
+        self.assert_same(STRONG, grid)
+        self.assert_same(WEAK, grid, max_step=3e-4)
+
+    def test_powered_intervals_either_side_of_a_carry(self):
+        # single-step intervals except a few of four steps, placed on both
+        # sides of a run edge and of the block edge the state is carried over
+        block, width = reservoir._ORACLE_BLOCK, reservoir._ORACLE_WIDTH
+        spans = np.full(2 * block + 5, 0.5e-4)
+        powered = [0, width - 1, width, 3 * width - 1, block - 2, block - 1, block, block + 1]
+        spans[powered] = 3.7e-4
+        grid = np.cumsum(spans)
+        steps = np.maximum(1, np.ceil(np.diff(grid, prepend=0.0) / 1e-4))
+        assert np.flatnonzero(steps > 1).tolist() == powered
+        for params in (WEAK, STRONG):
+            self.assert_same(params, grid)
+
+    def test_map_products_per_interval_on_the_check_grid(self, monkeypatch):
+        # work-efficient scan: about 3 map products per interval (a doubling
+        # scan over every interval takes about 12)
+        work = []
+        product = reservoir._map_product
+
+        def counted(p1, q1, p2, q2, b, c):
+            work.append(np.broadcast(p1, q1, p2, q2).size)
+            return product(p1, q1, p2, q2, b, c)
+
+        monkeypatch.setattr(reservoir, "_map_product", counted)
+        grid = np.arange(0.0, 2.0 + 0.5e-4, 1e-4)
+        amplitude_ode_oracle(STRONG, grid)
+        assert sum(work) <= 4 * grid.size
 
     def test_ten_million_steps_in_one_interval(self):
         # 1e7 steps: about 30 s for the stepwise loop, 24 squarings for the step maps
