@@ -22,6 +22,7 @@ import argparse
 import functools
 import importlib
 import math
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -90,9 +91,9 @@ _NUMERIC_KEYS = ("gamma0", "half_width", "delta", "a", "b", "n", "t")
 MAX_GRID_ROWS = 10**7
 # Rows per kernel evaluation and per CSV write: bounds the temporaries.
 _BLOCK_ROWS = 1024
-# Points per amplitude evaluation in ``check``: bounds its temporaries; the
-# default grid (20,001 points) is one block.
-_CHECK_BLOCK = 32768
+# Points per amplitude evaluation in ``check``, the oracle's block size: the
+# comparison measured fastest and smallest here (1.2-1.3x over 32,768-point calls).
+_CHECK_BLOCK = 4096
 
 
 # The library names this module calls, by the module that defines them.  A
@@ -504,15 +505,12 @@ def _merge_flags(args: argparse.Namespace) -> dict[str, str]:
 
 def _run_scan_command(args: argparse.Namespace) -> int:
     raw = _merge_flags(args)
-    spec = build_scan_spec(raw)
-    result = run_scan(spec)
-    emit_csv(result, raw.get("output"))
+    emit_csv(run_scan(build_scan_spec(raw)), raw.get("output"))
     return 0
 
 
 def _run_table_command(args: argparse.Namespace) -> int:
-    spec = ScanSpec(observable="exciton_table", dataset=args.dataset or "reng")
-    emit_csv(run_scan(spec), args.output)
+    emit_csv(run_scan(ScanSpec("exciton_table", dataset=args.dataset or "reng")), args.output)
     return 0
 
 
@@ -533,23 +531,21 @@ def _check_grid(t_max: float, step: float) -> np.ndarray:
 
 def _max_error(params, grid: np.ndarray, integrated: np.ndarray) -> float:
     """max |amplitude - integrated| over the grid, ``_CHECK_BLOCK`` points at a time."""
-    errors = [
+    return float(np.max([
         np.abs(amplitude(params, grid[lo : lo + _CHECK_BLOCK]) - integrated[lo : lo + _CHECK_BLOCK]).max()
         for lo in range(0, grid.size, _CHECK_BLOCK)
-    ]
-    return float(np.max(errors))
+    ]))
 
 
 def _run_check_command(args: argparse.Namespace) -> int:
-    step = args.step
-    grid = _check_grid(args.t_max, step)
+    grid = _check_grid(args.t_max, args.step)
     _need("reservoir")
     errors = []
     for gamma0 in (10.0, 1000.0):
         for half_width in (20.0, 40.0):
             for delta in (0.0, 100.0):
                 params = ReservoirParams.from_half_width(gamma0, half_width, delta)
-                integrated = amplitude_ode_oracle(params, grid, max_step=step)
+                integrated = amplitude_ode_oracle(params, grid, max_step=args.step)
                 err = _max_error(params, grid, integrated)
                 errors.append(err)
                 print(
@@ -609,6 +605,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--t-max", type=float, default=2.0, help="time horizon (ps)")
     check.add_argument("--step", type=float, default=1e-4, help="integration step (ps)")
+    # argparse's own pattern has no exponent, so it took "-1e3" for a flag
+    scan._negative_number_matcher = check._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+    )
     return parser
 
 

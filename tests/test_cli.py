@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import time
 import tracemalloc
@@ -744,6 +745,22 @@ class TestMainEntrypoint:
         values = {round(r[0], 9): r[1] for r in rows}
         assert abs(values[100.0] - values[-100.0]) < 1e-13  # even in detuning
 
+    @pytest.mark.parametrize("flag, value", [("--delta", "-1e3"), ("--delta", "-2.5E+2"), ("--delta", "-.5e2"), ("--t", "-1e-3")])
+    def test_negative_numbers_in_exponent_notation(self, flag, value, capsys):
+        argv = ["scan", "--observable", "delta_p", "--gamma0", "1000", "--half-width", "40"]
+        if flag != "--t":
+            argv += ["--t", "0.5"]
+        joined = cli.main([*argv, f"{flag}={value}"])
+        expected = capsys.readouterr()
+        assert cli.main([*argv, flag, value]) == joined
+        assert capsys.readouterr() == expected
+
+    def test_negative_step_in_exponent_notation_is_refused_by_check(self, capsys):
+        assert cli.main(["check", "--step", "-1e-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fmoent: --step: must be a positive finite number, got -0.0001\n"
+
     def test_check_subcommand_quick(self, capsys):
         assert cli.main(["check", "--t-max", "0.2", "--step", "0.001"]) == 0
         out = capsys.readouterr().out
@@ -795,12 +812,41 @@ class TestMainEntrypoint:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
 
-    def test_default_check_is_one_amplitude_call_per_set(self, monkeypatch, capsys):
-        points = []
+    def test_default_check_bounds_its_working_set(self, capsys):
+        # one 20,001-point amplitude call per set peaked at 2.95 MiB
+        tracemalloc.start()
+        try:
+            assert cli.main(["check"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert "overall max error" in capsys.readouterr().out
+
+    def test_default_check_compares_in_blocks_of_4096_points(self, monkeypatch, capsys):
+        # one 20,001-point call per set was slower than 4,096-point calls, not faster
+        calls = []
         original = cli.amplitude
-        monkeypatch.setattr(cli, "amplitude", lambda params, t: points.append(t.size) or original(params, t))
+        monkeypatch.setattr(cli, "amplitude", lambda params, t: calls.append((params, t)) or original(params, t))
         assert cli.main(["check"]) == 0
-        assert points == [20001] * 8
+        assert max(t.size for _, t in calls) <= 4096
+        grid = cli._check_grid(2.0, 1e-4)
+        sets = [list(group) for _, group in itertools.groupby(calls, key=lambda call: call[0])]
+        assert len(sets) == 8
+        for group in sets:
+            assert np.array_equal(np.concatenate([t for _, t in group]), grid)
+
+    @pytest.mark.parametrize("gamma0, half_width", [(10.0, 20.0), (10.0, 40.0), (1000.0, 20.0), (1000.0, 40.0)])
+    def test_check_blocks_give_the_values_of_small_calls(self, gamma0, half_width):
+        # one 20,001-point call differs from 1,000-point calls in the last bit at
+        # 1,711-2,572 points of each detuned set; check's blocks must not
+        params = ReservoirParams.from_half_width(gamma0, half_width, 100.0)
+        grid = cli._check_grid(2.0, 1e-4)
+
+        def blocked(size):
+            return np.concatenate([amplitude(params, grid[lo : lo + size]) for lo in range(0, grid.size, size)])
+
+        assert np.array_equal(blocked(cli._CHECK_BLOCK), blocked(1000))
 
     def test_check_fails_when_the_integration_diverges(self, capsys):
         # RK4 steps of 5 ps overflow for every set: NaN errors must not pass
