@@ -43,21 +43,9 @@ __all__ = [
     "main",
 ]
 
-OBSERVABLES = (
-    "delta_p",
-    "e_exciton",
-    "e_reservoir",
-    "q_closed",
-    "q_numeric",
-    "f_ghz_tele",
-    "f_w_tele",
-    "f_ghz_split",
-    "f_w_split",
-    "exciton_table",
-    "u_amplitude",
-)
-
 AXIS_NAMES = ("t", "gamma0", "half_width", "delta", "b", "n")
+# the numbers a scan takes: every axis, swept or fixed, and the fixed-only `a`
+_PARAMETERS = AXIS_NAMES + ("a",)
 
 _AXIS_LABELS = {
     "t": "t_ps",
@@ -70,22 +58,22 @@ _AXIS_LABELS = {
 
 _DEFAULTS = {"delta": 0.0, "n": 4.0}
 
-_CONFIG_KEYS = (
-    "observable",
-    "axis1",
-    "axis2",
-    "gamma0",
-    "half_width",
-    "delta",
-    "a",
-    "b",
-    "n",
-    "t",
-    "dataset",
-    "output",
-)
-
-_NUMERIC_KEYS = ("gamma0", "half_width", "delta", "a", "b", "n", "t")
+# Every scan key, with its help text: the config-file keys and the `scan`
+# flags (`--half-width` for `half_width`).  A flag arrives as text and is
+# parsed as the file's value is.
+_SCAN_KEYS = {
+    "observable": "quantity to evaluate",
+    "axis1": "outer sweep, 'name:min:max:steps'",
+    "axis2": "inner sweep, 'name:min:max:steps'",
+    "gamma0": "reservoir strength (cm^-1)",
+    "half_width": "Lorentzian half width (cm^-1)",
+    "delta": "peak detuning (cm^-1), default 0",
+    "a": "ground-pair coefficient (default sqrt(1-b^2))",
+    "b": "excited-pair coefficient",
+    "n": "qubit/party count, default 4",
+    "t": "time (ps) when not swept",
+    "output": "CSV destination path, '-' for stdout",
+}
 
 # Largest grid a scan may request, checked before anything is allocated.
 MAX_GRID_ROWS = 10**7
@@ -143,11 +131,17 @@ class AxisSpec:
     stop: float
     steps: int
 
-    def values(self) -> np.ndarray:
+    def __post_init__(self):
         if self.name not in AXIS_NAMES:
-            raise ConfigError(f"axis: unknown axis name {self.name!r}; use one of {AXIS_NAMES}")
+            raise ConfigError(f"axis {self.name!r}: unknown axis name; use one of {AXIS_NAMES}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(
+                f"axis {self.name}: min and max must be finite, got {self.start} and {self.stop}"
+            )
         if self.steps < 2:
             raise ConfigError(f"axis {self.name}: steps must be >= 2, got {self.steps}")
+
+    def values(self) -> np.ndarray:
         grid = np.linspace(self.start, self.stop, self.steps)
         if self.name == "n":
             rounded = np.round(grid)
@@ -159,12 +153,38 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Observable plus swept axes, fixed parameter values and dataset name."""
+    """Observable plus swept axes and fixed parameter values, checked when built."""
 
     observable: str
     axes: tuple[AxisSpec, ...] = ()
     fixed: dict[str, float] = field(default_factory=dict)
-    dataset: str = "reng"
+
+    def __post_init__(self):
+        if self.observable == "exciton_table":
+            raise ConfigError("observable: exciton_table is not a scan; use `fmoent table`")
+        if self.observable not in OBSERVABLES:
+            raise ConfigError(f"observable: unknown value {self.observable!r}")
+        names = [axis.name for axis in self.axes]
+        if len(names) > 2:
+            raise ConfigError(f"axes: at most two axes may be swept, got {len(names)}")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"axis2: duplicates axis1 ({names[0]!r})")
+        for key, value in self.fixed.items():
+            if key not in _PARAMETERS:
+                raise ConfigError(f"{key}: not a scan parameter; use one of {_PARAMETERS}")
+            if key in names:
+                raise ConfigError(f"{key}: given both as an axis and a fixed value")
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: expected a finite number, got {value}")
+        if "a" in self.fixed and "b" in names:
+            raise ConfigError("a: cannot be fixed while sweeping b (a is derived as sqrt(1 - b^2))")
+        if "n" in self.fixed and not float(self.fixed["n"]).is_integer():
+            raise ConfigError(f"n: must be an integer, got {self.fixed['n']}")
+        total = math.prod(axis.steps for axis in self.axes)
+        if total > MAX_GRID_ROWS:
+            raise ConfigError(
+                f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -191,23 +211,19 @@ def _parse_axis(key: str, text: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError(f"{key}: expected 'name:min:max:steps', got {text!r}")
-    name = parts[0].strip()
-    if name not in AXIS_NAMES:
-        raise ConfigError(f"{key}: unknown axis name {name!r}; use one of {AXIS_NAMES}")
     try:
         start = float(parts[1])
         stop = float(parts[2])
     except ValueError:
         raise ConfigError(f"{key}: min/max must be numbers in {text!r}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"{key}: min/max must be finite in {text!r}")
     try:
         steps = int(parts[3])
     except ValueError:
         raise ConfigError(f"{key}: steps must be an integer in {text!r}") from None
-    if steps < 2:
-        raise ConfigError(f"{key}: steps must be >= 2, got {steps}")
-    return AxisSpec(name=name, start=start, stop=stop, steps=steps)
+    try:
+        return AxisSpec(name=parts[0].strip(), start=start, stop=stop, steps=steps)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -223,7 +239,7 @@ def parse_config_file(path) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SCAN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -233,37 +249,24 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+def _number(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+
+
 def build_scan_spec(mapping: dict[str, str]) -> ScanSpec:
     """Turn a flat key/value mapping (config or flags) into a ScanSpec."""
-    unknown = sorted(set(mapping) - set(_CONFIG_KEYS))
+    unknown = sorted(set(mapping) - set(_SCAN_KEYS))
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
     observable = mapping.get("observable")
     if observable is None:
         raise ConfigError("observable: missing required key")
-    axes = []
-    for key in ("axis1", "axis2"):
-        if key in mapping:
-            axes.append(_parse_axis(key, mapping[key]))
-    if len(axes) == 2 and axes[0].name == axes[1].name:
-        raise ConfigError(f"axis2: duplicates axis1 ({axes[0].name!r})")
-    if "dataset" in mapping and observable != "exciton_table":
-        raise ConfigError(f"dataset: only exciton_table reads a dataset, not {observable!r}")
-    fixed: dict[str, float] = {}
-    for key in _NUMERIC_KEYS:
-        if key in mapping:
-            try:
-                fixed[key] = float(mapping[key])
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {mapping[key]!r}") from None
-            if not math.isfinite(fixed[key]):
-                raise ConfigError(f"{key}: expected a finite number, got {mapping[key]!r}")
-    return ScanSpec(
-        observable=observable,
-        axes=tuple(axes),
-        fixed=fixed,
-        dataset=mapping.get("dataset", "reng"),
-    )
+    axes = tuple(_parse_axis(key, mapping[key]) for key in ("axis1", "axis2") if key in mapping)
+    fixed = {key: _number(key, text) for key, text in mapping.items() if key in _PARAMETERS}
+    return ScanSpec(observable=observable, axes=axes, fixed=fixed)
 
 
 def load_config(path) -> ScanSpec:
@@ -275,14 +278,6 @@ def _reservoir(p) -> ReservoirParams:
     return ReservoirParams.from_half_width(
         gamma0=p["gamma0"], half_width=p["half_width"], delta=p["delta"]
     )
-
-
-def _parties(n: np.ndarray) -> np.ndarray:
-    rounded = np.rint(n)
-    off = np.abs(n - rounded) > 1e-9
-    if off.any():
-        raise ValueError(f"n: must be an integer, got {n[off][0]}")
-    return rounded
 
 
 def _ab(p):
@@ -339,14 +334,13 @@ _OBSERVABLE_TABLE = {
     "delta_p": _Observable(
         ("delta_p",), _RES, lambda p: (population_difference(_reservoir(p), p["t"]),), _R
     ),
-    "u_amplitude": _Observable(("u_re", "u_im", "u_abs2"), _RES, _u_amplitude, _R),
     "e_exciton": _Observable(
         ("e_exciton",), _RES + ("n",),
-        lambda p: (w_mixture_entanglement(_survival(p), _parties(p["n"])),), _R_ENT,
+        lambda p: (w_mixture_entanglement(_survival(p), p["n"]),), _R_ENT,
     ),
     "e_reservoir": _Observable(
         ("e_reservoir",), _RES + ("n",),
-        lambda p: (w_mixture_entanglement(1.0 - _survival(p), _parties(p["n"])),), _R_ENT,
+        lambda p: (w_mixture_entanglement(1.0 - _survival(p), p["n"]),), _R_ENT,
     ),
     "q_closed": _Observable(
         ("q",), _RES + ("b",), lambda p: (meyer_wallach_closed(*_ab(p), _u(p)),), _R_ENT
@@ -356,15 +350,18 @@ _OBSERVABLE_TABLE = {
     ),
     "f_ghz_tele": _Observable(
         _FID, _RES + ("n",),
-        lambda p: _with_damping(p, lambda d: f_ghz_teleport(d, _parties(p["n"]))), _R_FID,
+        lambda p: _with_damping(p, lambda d: f_ghz_teleport(d, p["n"])), _R_FID,
     ),
     "f_w_tele": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_teleport(d)), _R_FID),
     "f_ghz_split": _Observable(
         _FID, _RES + ("n",),
-        lambda p: _with_damping(p, lambda d: f_ghz_split(d, _parties(p["n"]))), _R_FID,
+        lambda p: _with_damping(p, lambda d: f_ghz_split(d, p["n"])), _R_FID,
     ),
     "f_w_split": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_split(d)), _R_FID),
+    "u_amplitude": _Observable(("u_re", "u_im", "u_abs2"), _RES, _u_amplitude, _R),
 }
+
+OBSERVABLES = tuple(_OBSERVABLE_TABLE)
 
 
 def _resolve_dataset(name_or_path: str):
@@ -379,33 +376,11 @@ def _resolve_dataset(name_or_path: str):
         ) from None
 
 
-def _exciton_table_result(spec: ScanSpec) -> ScanResult:
-    _need("fmo")
-    table = exciton_table(build_hamiltonian(_resolve_dataset(spec.dataset)))
-    header = ["energy_cm1"] + [f"bchl{i}" for i in range(1, 8)]
-    return ScanResult(header=header, rows=np.column_stack([table.energies, table.amplitudes.T]))
-
-
 def run_scan(spec: ScanSpec) -> ScanResult:
     """Evaluate the observable over the grid; the first axis varies slowest."""
-    if spec.observable not in OBSERVABLES:
-        raise ValueError(f"observable: unknown value {spec.observable!r}")
-    if spec.observable == "exciton_table":
-        if spec.axes:
-            raise ValueError("axis1: exciton_table takes no axes")
-        return _exciton_table_result(spec)
     observable = _OBSERVABLE_TABLE[spec.observable]
     _need(*observable.modules)
-
-    if len(spec.axes) > 2:
-        raise ValueError("axes: at most two axes may be swept")
     axis_names = [axis.name for axis in spec.axes]
-    if len(set(axis_names)) != len(axis_names):
-        raise ValueError("axis2: duplicates axis1")
-    for name in axis_names:
-        if name in spec.fixed:
-            raise ValueError(f"{name}: given both as an axis and a fixed value")
-
     base: dict[str, float] = {}
     for name in observable.needs:
         if name in axis_names:
@@ -417,16 +392,10 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         else:
             raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
     if "b" in observable.needs and "a" in spec.fixed:
-        if "b" in axis_names:
-            raise ValueError("a: cannot be fixed while sweeping b (a is derived as sqrt(1 - b^2))")
         base["a"] = spec.fixed["a"]
 
     shape = tuple(axis.steps for axis in spec.axes)
     total = math.prod(shape)
-    if total > MAX_GRID_ROWS:
-        raise ConfigError(
-            f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}"
-        )
     grids = [axis.values() for axis in spec.axes]
 
     header = [_AXIS_LABELS[name] for name in axis_names] + list(observable.columns)
@@ -486,31 +455,18 @@ def _write_csv(result: ScanResult, out) -> None:
         out.write("".join(template) % tuple(values[lo:hi].ravel().tolist()))
 
 
-def _merge_flags(args: argparse.Namespace) -> dict[str, str]:
-    raw: dict[str, str] = {}
-    if args.config is not None:
-        raw.update(parse_config_file(args.config))
-    for key in ("observable", "axis1", "axis2", "dataset", "output"):
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = value
-    for key in ("gamma0", "half_width", "delta", "a", "b", "t"):
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = repr(value)
-    if args.n is not None:
-        raw["n"] = str(args.n)
-    return raw
-
-
 def _run_scan_command(args: argparse.Namespace) -> int:
-    raw = _merge_flags(args)
+    raw = {} if args.config is None else parse_config_file(args.config)
+    raw.update((key, getattr(args, key)) for key in _SCAN_KEYS if getattr(args, key) is not None)
     emit_csv(run_scan(build_scan_spec(raw)), raw.get("output"))
     return 0
 
 
 def _run_table_command(args: argparse.Namespace) -> int:
-    emit_csv(run_scan(ScanSpec("exciton_table", dataset=args.dataset or "reng")), args.output)
+    _need("fmo")
+    table = exciton_table(build_hamiltonian(_resolve_dataset(args.dataset or "reng")))
+    header = ["energy_cm1"] + [f"bchl{i}" for i in range(1, 8)]
+    emit_csv(ScanResult(header, np.column_stack([table.energies, table.amplitudes.T])), args.output)
     return 0
 
 
@@ -583,21 +539,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="evaluate an observable over a parameter grid")
     scan.add_argument("--config", help="key = value configuration file; flags win on conflict")
-    scan.add_argument("--observable", choices=OBSERVABLES, help="quantity to evaluate")
-    scan.add_argument("--axis1", help="outer sweep, 'name:min:max:steps'")
-    scan.add_argument("--axis2", help="inner sweep, 'name:min:max:steps'")
-    scan.add_argument("--gamma0", type=float, help="reservoir strength (cm^-1)")
-    scan.add_argument("--half-width", type=float, help="Lorentzian half width (cm^-1)")
-    scan.add_argument("--delta", type=float, help="peak detuning (cm^-1), default 0")
-    scan.add_argument("--a", type=float, help="ground-pair coefficient (default sqrt(1-b^2))")
-    scan.add_argument("--b", type=float, help="excited-pair coefficient")
-    scan.add_argument("--n", type=int, help="qubit/party count, default 4")
-    scan.add_argument("--t", type=float, help="time (ps) when not swept")
-    scan.add_argument("--dataset", help="site-energy dataset (reng, lorenExpt, wend)")
-    scan.add_argument("--output", help="CSV destination path, '-' for stdout")
+    for key, text in _SCAN_KEYS.items():
+        choices = OBSERVABLES if key == "observable" else None
+        scan.add_argument("--" + key.replace("_", "-"), choices=choices, help=text)
 
     table = sub.add_parser("table", help="print the exciton energy/amplitude table")
-    table.add_argument("--dataset", help="site-energy dataset (default reng)")
+    table.add_argument("--dataset", help="reng (default), lorenExpt, wend or a site-energy file")
     table.add_argument("--output", help="CSV destination path, '-' for stdout")
 
     check = sub.add_parser(
@@ -605,9 +552,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--t-max", type=float, default=2.0, help="time horizon (ps)")
     check.add_argument("--step", type=float, default=1e-4, help="integration step (ps)")
-    # argparse's own pattern has no exponent, so it took "-1e3" for a flag
+    # argparse's own pattern has no exponent, infinity or NaN, so it took
+    # "-1e3" and "-inf" for flags
     scan._negative_number_matcher = check._negative_number_matcher = re.compile(
-        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
     )
     return parser
 

@@ -26,9 +26,6 @@ from fmoent.reservoir import ReservoirParams, amplitude, damping, population_dif
 
 from conftest import write_csv_reference
 
-SCAN_OBSERVABLES = [name for name in cli.OBSERVABLES if name != "exciton_table"]
-
-
 def scalar_route(observable, point):
     """One grid point through the library's scalar functions, one call each."""
     res = ReservoirParams.from_half_width(point["gamma0"], point["half_width"], point["delta"])
@@ -167,27 +164,13 @@ class TestRunScan:
         assert [r[0] for r in rows] == [10.0, 10.0, 10.0, 20.0, 20.0, 20.0]
         assert [r[1] for r in rows] == [0.0, 0.5, 1.0] * 2
 
-    def test_exciton_table_observable(self):
-        result = run_scan(ScanSpec(observable="exciton_table"))
-        assert len(result.rows) == 7
-        table = exciton_table(build_hamiltonian(dataset("reng")))
-        got = np.array(result.rows)
-        assert np.array_equal(got[:, 0], table.energies)
-        assert np.array_equal(got[:, 1:], table.amplitudes.T)
-
-    def test_exciton_table_rejects_axes(self):
-        spec = ScanSpec(observable="exciton_table", axes=(AxisSpec("t", 0, 1, 5),))
-        with pytest.raises(ValueError, match="no axes"):
-            run_scan(spec)
-
     def test_axis_and_fixed_conflict(self):
-        spec = ScanSpec(
-            observable="delta_p",
-            axes=(AxisSpec("t", 0.0, 1.0, 5),),
-            fixed={"gamma0": 10.0, "half_width": 40.0, "t": 0.3},
-        )
         with pytest.raises(ValueError, match="both as an axis and a fixed value"):
-            run_scan(spec)
+            ScanSpec(
+                observable="delta_p",
+                axes=(AxisSpec("t", 0.0, 1.0, 5),),
+                fixed={"gamma0": 10.0, "half_width": 40.0, "t": 0.3},
+            )
 
     def test_b_sweep_derives_a(self):
         spec = ScanSpec(
@@ -201,13 +184,12 @@ class TestRunScan:
         assert result.rows[0][1] == 0.0
 
     def test_fixed_a_conflicts_with_b_sweep(self):
-        spec = ScanSpec(
-            observable="q_closed",
-            axes=(AxisSpec("b", 0.0, 1.0, 5),),
-            fixed={"gamma0": 800.0, "half_width": 40.0, "t": 0.1, "a": 0.0},
-        )
         with pytest.raises(ValueError, match="a: cannot be fixed"):
-            run_scan(spec)
+            ScanSpec(
+                observable="q_closed",
+                axes=(AxisSpec("b", 0.0, 1.0, 5),),
+                fixed={"gamma0": 800.0, "half_width": 40.0, "t": 0.1, "a": 0.0},
+            )
 
     def test_q_closed_and_numeric_agree_at_b_one(self):
         common = {"gamma0": 800.0, "half_width": 40.0, "b": 1.0}
@@ -262,7 +244,7 @@ class TestRunScan:
         # each row must equal the same point evaluated on its own (pure
         # kernels: any evaluation order or partitioning gives the same grid)
         fixed = {"half_width": 40.0, "delta": 15.0, "b": 0.6, "n": 4.0}
-        for observable in SCAN_OBSERVABLES:
+        for observable in cli.OBSERVABLES:
             spec = ScanSpec(
                 observable=observable,
                 axes=(AxisSpec("t", 0.0, 0.5, 4), AxisSpec("gamma0", 100.0, 900.0, 3)),
@@ -289,7 +271,7 @@ class TestRunScan:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
         assert np.array_equal(run_scan(spec).rows, whole)
 
-    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     def test_rows_match_scalar_library_route(self, observable):
         # the array kernels against one scalar library call per point; the
         # array arithmetic may round differently in the last bits, so the
@@ -332,22 +314,86 @@ class TestRunScan:
                 "--gamma0", "10", "--half-width", "40"]
         assert cli.main(argv) == 1
         assert "limit" in capsys.readouterr().err
-        single = build_scan_spec(
-            {"observable": "delta_p", "axis1": "t:0:1:100000000000",
-             "gamma0": "10", "half_width": "40"}
-        )
         with pytest.raises(ConfigError, match="limit"):
-            run_scan(single)
-        product = ScanSpec(
-            observable="delta_p",
-            axes=(
-                AxisSpec("t", 0.0, 1.0, 10**4),
-                AxisSpec("gamma0", 1.0, 2.0, cli.MAX_GRID_ROWS // 10**4 + 1),
+            build_scan_spec(
+                {"observable": "delta_p", "axis1": "t:0:1:100000000000",
+                 "gamma0": "10", "half_width": "40"}
+            )
+        with pytest.raises(ConfigError, match="limit"):
+            ScanSpec(
+                observable="delta_p",
+                axes=(
+                    AxisSpec("t", 0.0, 1.0, 10**4),
+                    AxisSpec("gamma0", 1.0, 2.0, cli.MAX_GRID_ROWS // 10**4 + 1),
+                ),
+                fixed={"half_width": 40.0},
+            )
+
+    @pytest.mark.parametrize(
+        "build, flags, key",
+        [
+            pytest.param(lambda: AxisSpec("tau", 0.0, 1.0, 5), ["--axis1", "tau:0:1:5"],
+                         "axis 'tau'", id="axis-name"),
+            # a nan bound would print a nan axis column
+            pytest.param(lambda: AxisSpec("b", 0.0, math.nan, 3), ["--axis1", "b:0:nan:3"],
+                         "axis b", id="nan-bound"),
+            pytest.param(lambda: AxisSpec("t", -math.inf, 1.0, 3), ["--axis1", "t:-inf:1:3"],
+                         "axis t", id="inf-bound"),
+            pytest.param(lambda: AxisSpec("t", 0.0, 1.0, 1), ["--axis1", "t:0:1:1"],
+                         "axis t", id="one-step"),
+            pytest.param(lambda: ScanSpec("delta_p", axes=(AxisSpec("t", 0.0, 1.0, 2),) * 3), None,
+                         "axes", id="three-axes"),
+            pytest.param(
+                lambda: ScanSpec("delta_p", axes=(AxisSpec("t", 0.0, 1.0, 5),) * 2),
+                ["--axis1", "t:0:1:5", "--axis2", "t:0:1:5"], "axis2", id="duplicate-axes",
             ),
-            fixed={"half_width": 40.0},
-        )
-        with pytest.raises(ConfigError, match="limit"):
-            run_scan(product)
+            pytest.param(
+                lambda: ScanSpec("delta_p", axes=(AxisSpec("t", 0.0, 1.0, 5),), fixed={"t": 0.3}),
+                ["--axis1", "t:0:1:5", "--t", "0.3"], "t", id="axis-also-fixed",
+            ),
+            # a misspelt key would leave delta at its default of 0
+            pytest.param(lambda: ScanSpec("delta_p", fixed={"dleta": 50.0}), None,
+                         "dleta", id="unknown-parameter"),
+            pytest.param(lambda: ScanSpec("delta_p", fixed={"gamma0": math.inf}),
+                         ["--t", "0.5", "--gamma0", "inf"], "gamma0", id="non-finite-fixed"),
+            pytest.param(
+                lambda: ScanSpec("q_closed", axes=(AxisSpec("b", 0.0, 1.0, 5),), fixed={"a": 0.0}),
+                ["--observable", "q_closed", "--axis1", "b:0:1:5", "--a", "0"], "a",
+                id="a-fixed-b-swept",
+            ),
+            pytest.param(
+                lambda: ScanSpec("delta_p", axes=(AxisSpec("t", 0.0, 1.0, 10**4),
+                                                  AxisSpec("delta", 1.0, 2.0, 1001))),
+                ["--axis1", "t:0:1:10000", "--axis2", "delta:1:2:1001"], "axes", id="grid-limit",
+            ),
+            pytest.param(lambda: ScanSpec("delta_p", fixed={"n": 4.5}),
+                         ["--t", "0.5", "--n", "4.5"], "n", id="fractional-n"),
+        ],
+    )
+    def test_invalid_specs_refused_when_built(self, build, flags, key, capsys):
+        with pytest.raises(ConfigError) as refused:
+            build()
+        message = str(refused.value)
+        assert message.startswith(f"{key}: ")
+        if flags is None:
+            return  # beyond the flags: three axes, a key with no flag
+        argv = ["scan", "--observable", "delta_p", "--gamma0", "1000", "--half-width", "40", *flags]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # a flag's axis is named by its key: "fmoent: axis1: axis t: ..."
+        assert captured.err.startswith("fmoent: ") and captured.err.endswith(f"{message}\n")
+
+    def test_exciton_table_is_not_a_scan(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="use `fmoent table`") as refused:
+            ScanSpec("exciton_table")
+        config = write_config(tmp_path, "observable = exciton_table\n")
+        assert cli.main(["scan", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"fmoent: {refused.value}\n"
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["scan", "--observable", "exciton_table"])
+        assert usage.value.code == 2
 
 
 class TestCsvEmission:
@@ -434,19 +480,19 @@ def _scan(observable, *axes):
 class TestCsvWriterBytes:
     """The axis-once writer against the one-value-at-a-time reference writer."""
 
-    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     def test_scalar_scan(self, observable):
         result = _scan(observable)
         assert result.axes == () and len(result.rows) == 1
         assert_reference_bytes(result)
 
-    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     def test_one_axis_scans(self, observable):
         outer, inner = _observable_axes(observable)
         for axis in (outer, inner):
             assert_reference_bytes(_scan(observable, axis))
 
-    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     def test_two_axis_scans(self, observable):
         outer, inner = _observable_axes(observable)
         assert_reference_bytes(_scan(observable, outer, inner))
@@ -496,10 +542,12 @@ class TestCsvWriterBytes:
         assert_reference_bytes(result)
 
     @pytest.mark.parametrize("name", ["reng", "lorenExpt", "wend"])
-    def test_exciton_table(self, name):
-        result = run_scan(ScanSpec(observable="exciton_table", dataset=name))
-        assert result.axes == () and result.rows.shape == (7, 8)
-        assert_reference_bytes(result)
+    def test_exciton_table(self, name, capsys):
+        assert cli.main(["table", "--dataset", name]) == 0
+        table = exciton_table(build_hamiltonian(dataset(name)))
+        header = ["energy_cm1"] + [f"bchl{i}" for i in range(1, 8)]
+        rows = np.column_stack([table.energies, table.amplitudes.T])
+        assert capsys.readouterr().out == _csv(write_csv_reference, ScanResult(header, rows))
 
     def test_axes_must_span_the_rows(self):
         with pytest.raises(ValueError, match="axes"):
@@ -654,17 +702,34 @@ class TestMainEntrypoint:
         assert cli.main(["table", "--dataset", "tepidum"]) == 1
         assert "dataset" in capsys.readouterr().err
 
-    def test_dataset_only_for_exciton_table(self, capsys):
-        argv = ["scan", "--observable", "delta_p", "--gamma0", "10", "--half-width", "40",
-                "--t", "0"]
-        assert cli.main(argv + ["--dataset", "nonexistent"]) == 1
+    def test_dataset_only_for_exciton_table(self, tmp_path, capsys):
+        # only `table` reads a dataset: `scan` knows neither the flag nor the key
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["scan", "--observable", "delta_p", "--t", "0", "--dataset", "wend"])
+        assert usage.value.code == 2
+        config = write_config(tmp_path, "observable = delta_p\ndataset = wend\n")
+        assert cli.main(["scan", "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "dataset" in captured.err
-        assert cli.main(["scan", "--observable", "exciton_table", "--dataset", "wend"]) == 0
-        scanned = capsys.readouterr().out
-        assert cli.main(["table", "--dataset", "wend"]) == 0
-        assert scanned == capsys.readouterr().out
+        assert captured.err.endswith(":2: unknown key 'dataset'\n")
+
+    def test_flags_are_text_parsed_as_the_config_file_parses(self, tmp_path, capsys):
+        argv = ["scan", "--observable", "e_exciton", "--axis1", "t:0:1:11", "--gamma0", "1000",
+                "--half-width", "40", "--n"]
+        assert cli.main([*argv, "4"]) == 0
+        whole = capsys.readouterr().out
+        assert cli.main([*argv, "4.0"]) == 0
+        assert capsys.readouterr().out == whole
+        # each refused by the one number parsing, not by argparse (exit 2) or by rounding
+        for key, value in (("n", "4.5"), ("gamma0", "abc"), ("n", "4.0000000001")):
+            keys = {"observable": "delta_p", "t": "0.5", "half_width": "40", "gamma0": "1000", key: value}
+            config = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+            assert cli.main(["scan", "--config", str(config)]) == 1
+            from_config = capsys.readouterr()
+            assert from_config.out == "" and from_config.err.startswith(f"fmoent: {key}: ")
+            flags = [text for k, v in keys.items() for text in ("--" + k.replace("_", "-"), v)]
+            assert cli.main(["scan", *flags]) == 1
+            assert capsys.readouterr() == from_config
 
     @pytest.mark.parametrize(
         "flags, key",
@@ -705,7 +770,7 @@ class TestMainEntrypoint:
         assert captured.out == ""
         assert captured.err.startswith(message) and len(captured.err) > len("fmoent: \n")
 
-    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     @pytest.mark.parametrize("flag", ["--half-width", "--delta"])
     def test_overflowing_rates_refused(self, observable, flag, capsys):
         argv = ["scan", "--observable", observable, "--gamma0", "1000", "--half-width", "40",
@@ -717,7 +782,7 @@ class TestMainEntrypoint:
         assert captured.out == ""
         assert "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow" in captured.err
 
-    @pytest.mark.parametrize("observable", SCAN_OBSERVABLES)
+    @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     @pytest.mark.parametrize("flag", ["--half-width", "--delta"])
     def test_overflowing_exponents_refused(self, observable, flag, capsys):
         # rates below the overflow of B^2, but B*t/2 or xi*t/2 overflows at this t
@@ -745,7 +810,10 @@ class TestMainEntrypoint:
         values = {round(r[0], 9): r[1] for r in rows}
         assert abs(values[100.0] - values[-100.0]) < 1e-13  # even in detuning
 
-    @pytest.mark.parametrize("flag, value", [("--delta", "-1e3"), ("--delta", "-2.5E+2"), ("--delta", "-.5e2"), ("--t", "-1e-3")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "-1e3"), ("--delta", "-2.5E+2"), ("--delta", "-.5e2"), ("--t", "-1e-3"),
+        ("--delta", "-inf"), ("--delta", "-Infinity"), ("--delta", "-NaN"),
+    ])
     def test_negative_numbers_in_exponent_notation(self, flag, value, capsys):
         argv = ["scan", "--observable", "delta_p", "--gamma0", "1000", "--half-width", "40"]
         if flag != "--t":
@@ -778,6 +846,8 @@ class TestMainEntrypoint:
             # 2e13 points would need 146 TiB: refused, never allocated
             (["--step", "1e-13"], "--step"),
             (["--t-max", "1e300", "--step", "1e-300"], "--step"),
+            # read as a value, not a flag: argparse's own pattern has no "-inf"
+            (["--t-max", "-inf"], "--t-max"),
         ],
     )
     def test_check_grid_refused(self, flags, flag, capsys):
