@@ -19,12 +19,13 @@ __version__ = "0.1.0"
 # 2*pi*c * (1 ps) with c = 0.0299792458 cm/ps, fixed to 11 significant digits.
 CM1_TO_RAD_PER_PS = 0.18836515673
 
-# The public names of each module, and public name -> the module that defines it.
+# The one table of where each name lives: the public names of each module
+# (its ``__all__``), and public name -> the module that defines it.
 _PUBLIC = {
     "qlin": ("partial_trace", "partial_transpose", "hermitian_eigen"),
     "fmo": (
-        "SiteDataset", "ExcitonTable", "builtin_datasets", "dataset", "load_site_energies",
-        "build_hamiltonian", "exciton_table",
+        "SiteDataset", "ExcitonTable", "COUPLINGS_CM1", "builtin_datasets", "dataset",
+        "load_site_energies", "build_hamiltonian", "exciton_table",
     ),
     "reservoir": (
         "ReservoirParams", "amplitude", "amplitude_ode_oracle", "population_difference", "damping",
@@ -40,7 +41,7 @@ _PUBLIC = {
 _EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 
 # Submodules, imported on attribute access (``fmoent.reservoir``) too.
-_MODULES = ("qlin", "fmo", "reservoir", "entanglement", "dense", "fidelity", "cli")
+_MODULES = (*_PUBLIC, "cli")
 
 __all__ = ["__version__", "CM1_TO_RAD_PER_PS", *_EXPORTS]
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import CM1_TO_RAD_PER_PS, __version__
+from . import _EXPORTS, _PUBLIC, CM1_TO_RAD_PER_PS, __version__
 
 __all__ = [
     "ConfigError",
@@ -84,20 +84,12 @@ _BLOCK_ROWS = 1024
 _CHECK_BLOCK = 4096
 
 
-# The library names this module calls, by the module that defines them.  A
-# subcommand imports a module the first time it needs one (``_need``), so a
-# process loads only what it runs.  The names are bound as attributes of this
-# module and the kernels look them up by name when they run, so a wrapper set
-# on an attribute (a profiler's, say) sees each call.
-_LIBRARY = {
-    "reservoir": (
-        "ReservoirParams", "amplitude", "amplitude_ode_oracle", "damping", "population_difference",
-    ),
-    "entanglement": ("meyer_wallach_closed", "meyer_wallach_register", "w_mixture_entanglement"),
-    "fidelity": ("f_ghz_split", "f_ghz_teleport", "f_w_split", "f_w_teleport"),
-    "fmo": ("build_hamiltonian", "dataset", "exciton_table", "load_site_energies"),
-}
-_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+# The library modules this module calls.  A subcommand imports one the first
+# time it needs it (``_need``), so a process loads only what it runs, and
+# binds that module's public names (its ``_PUBLIC`` row) as attributes here.
+# The kernels look them up by name when they run, so a wrapper set on an
+# attribute (a profiler's, say) sees each call.
+_LIBRARY = ("reservoir", "entanglement", "fidelity", "fmo")
 _loaded: set[str] = set()
 
 
@@ -106,15 +98,15 @@ def _need(*modules: str) -> None:
     for module in modules:
         if module not in _loaded:
             library = importlib.import_module(f"{__package__}.{module}")
-            globals().update({name: getattr(library, name) for name in _LIBRARY[module]})
+            globals().update({name: getattr(library, name) for name in _PUBLIC[module]})
             _loaded.add(module)
 
 
 def __getattr__(name: str):
     """A library name not bound yet is bound, with its module's, on first access."""
-    if name not in _HOME:
+    if _EXPORTS.get(name) not in _LIBRARY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _need(_HOME[name])
+    _need(_EXPORTS[name])
     return globals()[name]
 
 
@@ -138,6 +130,8 @@ class AxisSpec:
             raise ConfigError(
                 f"axis {self.name}: min and max must be finite, got {self.start} and {self.stop}"
             )
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ConfigError(f"axis {self.name}: steps must be an integer, got {self.steps}")
         if self.steps < 2:
             raise ConfigError(f"axis {self.name}: steps must be >= 2, got {self.steps}")
 
@@ -464,7 +458,7 @@ def _run_scan_command(args: argparse.Namespace) -> int:
 
 def _run_table_command(args: argparse.Namespace) -> int:
     _need("fmo")
-    table = exciton_table(build_hamiltonian(_resolve_dataset(args.dataset or "reng")))
+    table = exciton_table(build_hamiltonian(_resolve_dataset(args.dataset)))
     header = ["energy_cm1"] + [f"bchl{i}" for i in range(1, 8)]
     emit_csv(ScanResult(header, np.column_stack([table.energies, table.amplitudes.T])), args.output)
     return 0
@@ -544,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
         scan.add_argument("--" + key.replace("_", "-"), choices=choices, help=text)
 
     table = sub.add_parser("table", help="print the exciton energy/amplitude table")
-    table.add_argument("--dataset", help="reng (default), lorenExpt, wend or a site-energy file")
+    table.add_argument("--dataset", default="reng", help="reng (default), lorenExpt, wend or a site-energy file")
     table.add_argument("--output", help="CSV destination path, '-' for stdout")
 
     check = sub.add_parser(

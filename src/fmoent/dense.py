@@ -1,8 +1,8 @@
 """Dense 2^N route: the registers themselves, and their entanglement by linear algebra.
 
-The oracle of the closed forms in :mod:`fmoent.entanglement`, which resolves
-every name here; no scan imports it.  Negativities come from partial
-transposes and eigenvalues, Meyer-Wallach values from single-qubit purities.
+The oracle of the closed forms in :mod:`fmoent.entanglement`; no scan imports
+it.  Negativities come from partial transposes and eigenvalues, Meyer-Wallach
+values from single-qubit purities.
 """
 
 from __future__ import annotations
@@ -14,9 +14,13 @@ from itertools import combinations
 import numpy as np
 
 from . import qlin
-from .entanglement import _AMP_SLACK, _DENSE, _NORM_ATOL
+from .entanglement import _AMP_SLACK, _NORM_ATOL
 
-__all__ = list(_DENSE)
+__all__ = [
+    "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
+    "normalized_negativity", "global_entanglement", "w_state", "ghz_state", "w_state_exciton_rho",
+    "w_state_reservoir_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
+]
 
 
 @dataclass(frozen=True)

@@ -2,35 +2,17 @@
 
 The dense 2^N route (state builders, bipartition negativity, numeric
 Meyer-Wallach), the oracle of these closed forms, lives in
-:mod:`fmoent.dense`.  Its names resolve here too, loading it on first access.
+:mod:`fmoent.dense`.
 """
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 
-# the dense route's names, resolved from ``dense`` on first access
-_DENSE = (
-    "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
-    "normalized_negativity", "global_entanglement", "w_state", "ghz_state", "w_state_exciton_rho",
-    "w_state_reservoir_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
-)
-__all__ = ["w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed", *_DENSE]
+__all__ = ["w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"]
 
 _AMP_SLACK = 1e-9  # |u| may exceed 1 by rounding when fed from amplitude()
 _NORM_ATOL = 1e-9  # largest accepted departure of a register's norm from 1
-
-
-def __getattr__(name: str):
-    if name not in _DENSE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__package__}.dense"), name)
-
-
-def __dir__():
-    return sorted({*globals(), *_DENSE})
 
 
 def w_mixture_entanglement(s, n_qubits):
@@ -65,6 +47,7 @@ def w_mixture_entanglement(s, n_qubits):
         total += np.where(has_cut, 2.0 / (2.0**m - 1.0) * cut, 0.0)
     value = total / half
     return value if value.ndim else float(value)
+
 
 def meyer_wallach_register(a, b, u):
     """Meyer-Wallach measure of the decaying two-exciton register, in closed form.

@@ -55,35 +55,27 @@ class SiteDataset:
 
     name: str
     site_energies: np.ndarray
-    energy_diffs: np.ndarray
-
-    @classmethod
-    def from_energies(cls, name: str, site_energies) -> "SiteDataset":
-        energies = np.asarray(site_energies, dtype=float)
-        if energies.shape != (N_SITES,):
-            raise ValueError(f"{name}: expected {N_SITES} site energies, got {energies.shape}")
-        diffs = energies - energies[2]
-        return cls(name=name, site_energies=energies, energy_diffs=diffs)
 
     def __post_init__(self):
-        object.__setattr__(self, "site_energies", np.asarray(self.site_energies, dtype=float))
-        object.__setattr__(self, "energy_diffs", np.asarray(self.energy_diffs, dtype=float))
-        if self.energy_diffs[2] != 0.0:
-            raise ValueError("BChl 3 is the energy reference; diffs[2] must be 0")
-        if not np.array_equal(self.energy_diffs, self.site_energies - self.site_energies[2]):
-            raise ValueError("energy_diffs inconsistent with site_energies")
+        energies = np.asarray(self.site_energies, dtype=float)
+        if energies.shape != (N_SITES,):
+            raise ValueError(f"{self.name}: expected {N_SITES} site energies, got {energies.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(energies - energies[2]).all():
+                raise ValueError(f"{self.name}: site energies and their differences must be finite")
+        object.__setattr__(self, "site_energies", energies)
+
+    @property
+    def energy_diffs(self) -> np.ndarray:
+        return self.site_energies - self.site_energies[2]
 
 
 _BUILTIN = {
-    "reng": SiteDataset.from_energies(
-        "reng", [12450.0, 12520.0, 12210.0, 12320.0, 12550.0, 12540.0, 12470.0]
-    ),
-    "lorenExpt": SiteDataset.from_energies(
+    "reng": SiteDataset("reng", [12450.0, 12520.0, 12210.0, 12320.0, 12550.0, 12540.0, 12470.0]),
+    "lorenExpt": SiteDataset(
         "lorenExpt", [12266.0, 12496.0, 12112.0, 12293.0, 12634.0, 12396.0, 12457.0]
     ),
-    "wend": SiteDataset.from_energies(
-        "wend", [12315.0, 12500.0, 12175.0, 12405.0, 12625.0, 12430.0, 12450.0]
-    ),
+    "wend": SiteDataset("wend", [12315.0, 12500.0, 12175.0, 12405.0, 12625.0, 12430.0, 12450.0]),
 }
 
 
@@ -101,7 +93,7 @@ def dataset(name: str) -> SiteDataset:
         raise ValueError(f"unknown dataset {name!r}; known datasets: {known}") from None
 
 
-def load_site_energies(path, name: str | None = None) -> SiteDataset:
+def load_site_energies(path) -> SiteDataset:
     """Read a site-energy table: one ``bchl_index energy_cm1`` pair per line.
 
     Blank lines are skipped and ``#`` starts a comment.  Every BChl index
@@ -129,20 +121,16 @@ def load_site_energies(path, name: str | None = None) -> SiteDataset:
     missing = sorted(set(range(1, N_SITES + 1)) - set(energies))
     if missing:
         raise ValueError(f"{path}: missing BChl indices {missing}")
-    ordered = [energies[i] for i in range(1, N_SITES + 1)]
-    return SiteDataset.from_energies(name or path.stem, ordered)
+    return SiteDataset(path.stem, [energies[i] for i in range(1, N_SITES + 1)])
 
 
-def build_hamiltonian(site_data: SiteDataset, couplings=None) -> np.ndarray:
+def build_hamiltonian(site_data: SiteDataset) -> np.ndarray:
     """Assemble the 7x7 site-basis Hamiltonian (cm^-1, real symmetric).
 
     Diagonal entries are the dataset's energy differences, off-diagonal
-    entries the intersite couplings (``COUPLINGS_CM1`` unless overridden).
+    entries the intersite couplings ``COUPLINGS_CM1``.
     """
-    coup = COUPLINGS_CM1 if couplings is None else np.asarray(couplings, dtype=float)
-    if coup.shape != (N_SITES, N_SITES):
-        raise ValueError(f"coupling matrix must be {N_SITES}x{N_SITES}, got {coup.shape}")
-    return np.diag(site_data.energy_diffs) + coup
+    return np.diag(site_data.energy_diffs) + COUPLINGS_CM1
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ import numpy as np
 from . import CM1_TO_RAD_PER_PS
 
 __all__ = [
-    "CM1_TO_RAD_PER_PS",
     "ReservoirParams",
     "amplitude",
     "amplitude_ode_oracle",

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from fmoent import dense
 from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent import qlin
@@ -94,11 +95,11 @@ def test_criterion_3_boundary_identities():
 @criterion(4, "pure W4 global entanglement = (sqrt(3)/2 + 1/3)/2, brute-force confirmed")
 def test_criterion_4_pure_w_entanglement():
     reference = (math.sqrt(3) / 2 + 1 / 3) / 2
-    w4 = ent.w_state(4)
+    w4 = dense.w_state(4)
     rho = np.outer(w4, w4.conj())
     # independent route: bit-arithmetic partial transposes + LAPACK eigenvalues
     assert abs(global_entanglement_brute(rho, 4) - reference) < 1e-12
-    assert abs(ent.global_entanglement(rho, 4) - reference) < 1e-9
+    assert abs(dense.global_entanglement(rho, 4) - reference) < 1e-9
 
 
 @criterion(5, "closed-form exciton state equals the traced 8-qubit register (20 draws)")
@@ -109,7 +110,7 @@ def test_criterion_5_closed_form_vs_register_oracle():
         register = decayed_w_register(4, u)
         rho_full = np.outer(register, register.conj())
         traced = qlin.partial_trace(rho_full, 8, {0, 1, 2, 3})
-        closed = ent.w_state_exciton_rho(ent.WStateParams(u=u))
+        closed = dense.w_state_exciton_rho(dense.WStateParams(u=u))
         assert np.abs(closed - traced).max() < 1e-12
 
 
@@ -117,21 +118,21 @@ def test_criterion_5_closed_form_vs_register_oracle():
 def test_criterion_6_meyer_wallach_anchors():
     half = 1 / math.sqrt(2)
     assert abs(ent.meyer_wallach_closed(0.0, 1.0, half) - 1.0) < 1e-12
-    register = ent.x_state_register(ent.XStateParams(a=0.0, b=1.0, u1=half, u2=half))
-    assert abs(ent.meyer_wallach_numeric(register) - 1.0) < 1e-12
+    register = dense.x_state_register(dense.XStateParams(a=0.0, b=1.0, u1=half, u2=half))
+    assert abs(dense.meyer_wallach_numeric(register) - 1.0) < 1e-12
     rng = np.random.default_rng(66)
     for n in (2, 3, 4):
         psi = np.array([1.0], dtype=complex)
         for _ in range(n):
             q = rng.normal(size=2) + 1j * rng.normal(size=2)
             psi = np.kron(psi, q / np.linalg.norm(q))
-        assert abs(ent.meyer_wallach_numeric(psi)) < 1e-12
+        assert abs(dense.meyer_wallach_numeric(psi)) < 1e-12
     # closed form against the register route across a u grid, at b = 1
     for radius in np.linspace(0.0, 1.0, 11):
         for phase in (0.0, 1.1, 2.7, 4.4):
             u = radius * complex(math.cos(phase), math.sin(phase))
-            register = ent.x_state_register(ent.XStateParams(a=0.0, b=1.0, u1=u, u2=u))
-            numeric = ent.meyer_wallach_numeric(register)
+            register = dense.x_state_register(dense.XStateParams(a=0.0, b=1.0, u1=u, u2=u))
+            numeric = dense.meyer_wallach_numeric(register)
             closed = ent.meyer_wallach_closed(0.0, 1.0, u)
             assert abs(numeric - closed) < 1e-12
 
@@ -168,10 +169,10 @@ def test_criterion_8_density_matrix_sanity():
             params = ReservoirParams.from_half_width(gamma0, 40.0, delta)
             for t in time_grid:
                 u = amplitude(params, t)
-                w_params = ent.WStateParams(u=u)
+                w_params = dense.WStateParams(u=u)
                 for rho in (
-                    ent.w_state_exciton_rho(w_params),
-                    ent.w_state_reservoir_rho(w_params),
+                    dense.w_state_exciton_rho(w_params),
+                    dense.w_state_reservoir_rho(w_params),
                 ):
                     _assert_density(rho)
                     produced += 1
@@ -180,7 +181,7 @@ def test_criterion_8_density_matrix_sanity():
     for b in np.linspace(0.0, 1.0, 21):
         a = math.sqrt(1.0 - b * b)
         for u in amplitudes:
-            rho = ent.x_state_rho(ent.XStateParams(a=a, b=b, u1=u, u2=u))
+            rho = dense.x_state_rho(dense.XStateParams(a=a, b=b, u1=u, u2=u))
             _assert_density(rho)
             produced += 1
     assert produced >= 1000, f"sweep produced only {produced} states"

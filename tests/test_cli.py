@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import fmoent
 from fmoent import cli
+from fmoent import dense
 from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent.cli import (
@@ -36,15 +38,15 @@ def scalar_route(observable, point):
     if observable == "u_amplitude":
         return [u.real, u.imag, abs(u) ** 2]
     if observable in ("e_exciton", "e_reservoir"):
-        params = ent.WStateParams(u=u, n_qubits=n)
-        build = ent.w_state_exciton_rho if observable == "e_exciton" else ent.w_state_reservoir_rho
-        return [ent.global_entanglement(build(params), n)]
+        params = dense.WStateParams(u=u, n_qubits=n)
+        build = dense.w_state_exciton_rho if observable == "e_exciton" else dense.w_state_reservoir_rho
+        return [dense.global_entanglement(build(params), n)]
     if observable in ("q_closed", "q_numeric"):
         b = point["b"]
         a = math.sqrt(1.0 - b * b)
         if observable == "q_closed":
             return [ent.meyer_wallach_closed(a, b, u)]
-        return [ent.meyer_wallach_numeric(ent.x_state_register(ent.XStateParams(a, b, u, u)))]
+        return [dense.meyer_wallach_numeric(dense.x_state_register(dense.XStateParams(a, b, u, u)))]
     p = damping(res, t)
     if observable in ("f_ghz_tele", "f_ghz_split"):
         formula = fid.f_ghz_teleport if observable == "f_ghz_tele" else fid.f_ghz_split
@@ -341,6 +343,9 @@ class TestRunScan:
                          "axis t", id="inf-bound"),
             pytest.param(lambda: AxisSpec("t", 0.0, 1.0, 1), ["--axis1", "t:0:1:1"],
                          "axis t", id="one-step"),
+            # a float count is refused here, not by np.linspace; a flag's steps go through int()
+            pytest.param(lambda: AxisSpec("t", 0.0, 1.0, 2.5), None, "axis t", id="fractional-steps"),
+            pytest.param(lambda: AxisSpec("t", 0.0, 1.0, 5.0), None, "axis t", id="float-steps"),
             pytest.param(lambda: ScanSpec("delta_p", axes=(AxisSpec("t", 0.0, 1.0, 2),) * 3), None,
                          "axes", id="three-axes"),
             pytest.param(
@@ -702,6 +707,12 @@ class TestMainEntrypoint:
         assert cli.main(["table", "--dataset", "tepidum"]) == 1
         assert "dataset" in capsys.readouterr().err
 
+    def test_empty_dataset_is_refused_not_read_as_the_default(self, capsys):
+        assert cli.main(["table", "--dataset", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fmoent: dataset: '' is neither a builtin name nor a readable file\n"
+
     def test_dataset_only_for_exciton_table(self, tmp_path, capsys):
         # only `table` reads a dataset: `scan` knows neither the flag nor the key
         with pytest.raises(SystemExit) as usage:
@@ -892,6 +903,15 @@ class TestMainEntrypoint:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert "overall max error" in capsys.readouterr().out
+
+    def test_library_names_are_bound_from_the_packages_map(self):
+        for module in cli._LIBRARY:
+            library = getattr(fmoent, module)
+            for name in fmoent._PUBLIC[module]:
+                assert getattr(cli, name) is getattr(library, name)
+        # cli binds only the modules it runs: not the dense route
+        with pytest.raises(AttributeError, match="no attribute 'global_entanglement'"):
+            cli.global_entanglement
 
     def test_default_check_compares_in_blocks_of_4096_points(self, monkeypatch, capsys):
         # one 20,001-point call per set was slower than 4,096-point calls, not faster

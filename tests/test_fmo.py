@@ -76,7 +76,7 @@ class TestBuildHamiltonian:
 
     def test_zero_couplings_gives_diagonal(self):
         data = fmo.dataset("reng")
-        h = fmo.build_hamiltonian(data, couplings=np.zeros((7, 7)))
+        h = fmo.build_hamiltonian(data) - fmo.COUPLINGS_CM1
         assert np.array_equal(h, np.diag(data.energy_diffs))
 
     def test_offdiagonal_is_dataset_independent(self):
@@ -167,6 +167,14 @@ class TestSiteEnergyFile:
         path = tmp_path / "short.txt"
         path.write_text("1 12450\n2 12520\n")
         with pytest.raises(ValueError, match="missing BChl indices"):
+            fmo.load_site_energies(path)
+
+    @pytest.mark.parametrize("energy2", ["nan", "inf", "1e308"])
+    def test_non_finite_energies_rejected(self, tmp_path, energy2):
+        # 1e308 is finite, but its difference to BChl 3 (-1e308) overflows
+        path = tmp_path / "wild.txt"
+        path.write_text(f"1 12450\n2 {energy2}\n3 -1e308\n4 12320\n5 12550\n6 12540\n7 12470\n")
+        with pytest.raises(ValueError, match="wild: site energies and their differences must be finite"):
             fmo.load_site_energies(path)
 
     def test_duplicate_site_rejected(self, tmp_path):

@@ -55,8 +55,8 @@ SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", 
         # the scans evaluate closed forms: neither the dense route nor qlin
         (_RUN_MAIN, (*SCAN, "e_exciton"), {"fmoent", "cli", "reservoir", "entanglement"}),
         (_RUN_MAIN, (*SCAN, "q_numeric", "--b", "0.6"), {"fmoent", "cli", "reservoir", "entanglement"}),
-        # a dense name read through entanglement loads the dense route
-        ("from fmoent import entanglement; entanglement.x_state_register", (),
+        # the dense route loads the closed forms' module for its tolerances
+        ("from fmoent import dense; dense.x_state_register", (),
          {"fmoent", "entanglement", "dense", "qlin"}),
     ],
     ids=[
@@ -76,3 +76,12 @@ def test_every_public_name_resolves_and_is_listed():
     namespace: dict = {}
     exec("from fmoent import *", namespace)
     assert set(fmoent.__all__) <= set(namespace)
+
+
+def test_each_module_lists_what_the_package_maps_to_it():
+    for module, names in fmoent._PUBLIC.items():
+        assert set(getattr(fmoent, module).__all__) == set(names), module
+    assert fmoent.global_entanglement is fmoent.dense.global_entanglement
+    # the package's map is the only route to a name: entanglement forwards none
+    with pytest.raises(AttributeError, match="no attribute 'global_entanglement'"):
+        fmoent.entanglement.global_entanglement
