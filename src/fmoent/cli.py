@@ -4,12 +4,19 @@ Scans evaluate one observable over a grid of up to two swept axes and write
 RFC-4180-style CSV (header row first, 12 significant digits, '\\n' line
 endings).  Identical inputs produce byte-identical output.
 
-Each observable is one array kernel in ``_OBSERVABLE_TABLE``.  A scan
-evaluates its kernel over the flattened grid in blocks of ``_BLOCK_ROWS``
-rows.  Every parameter, swept or fixed, reaches the kernel as an array with
-one element per row, so a point's value never depends on which parameters
-were swept or on how the grid was blocked.  The CSV is written a block at a
-time, with each axis value formatted once from the grids the result carries.
+A scan's grid is outer x inner (a scan of one axis or none has one outer
+row), evaluated in blocks of at most ``_BLOCK_ROWS`` rows: k whole inner
+sweeps, or a slice of one sweep longer than a block.  In a block the outer
+axis is a (k, 1) array, the inner axis a (1, m) array and each fixed value a
+(1, 1) array, so each layer is evaluated only on the axes it reads.
+``run_scan`` forms the survival amplitude u once per distinct reservoir point
+(gamma0, half width, delta, t) of a block, and once per scan when the outer
+axis is not a reservoir input and the inner sweep fits in a block.  Each
+observable is one array kernel of u and the parameters in
+``_OBSERVABLE_TABLE``.  Every value takes numpy's array path, and a point's
+value does not depend on which parameters were swept or on the blocking.
+The CSV is written a block at a time, with each axis value formatted once
+from the grids the result carries.
 
 Subcommands: ``scan`` (general observable scans), ``table`` (the exciton
 energy/amplitude table) and ``check`` (closed-form amplitude against the
@@ -24,7 +31,8 @@ import importlib
 import math
 import re
 import sys
-from collections.abc import Callable
+import types
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,13 +155,18 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Observable plus swept axes and fixed parameter values, checked when built."""
+    """Observable plus swept axes and fixed parameter values, checked when built.
+
+    ``fixed`` is kept as a read-only copy, so the checked values are the ones
+    a scan reads.
+    """
 
     observable: str
     axes: tuple[AxisSpec, ...] = ()
-    fixed: dict[str, float] = field(default_factory=dict)
+    fixed: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "fixed", types.MappingProxyType(dict(self.fixed)))
         if self.observable == "exciton_table":
             raise ConfigError("observable: exciton_table is not a scan; use `fmoent table`")
         if self.observable not in OBSERVABLES:
@@ -179,6 +192,10 @@ class ScanSpec:
             raise ConfigError(
                 f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}"
             )
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; the spec is rebuilt and checked
+        return ScanSpec, (self.observable, self.axes, dict(self.fixed))
 
 
 @dataclass(frozen=True)
@@ -268,12 +285,6 @@ def load_config(path) -> ScanSpec:
     return build_scan_spec(parse_config_file(path))
 
 
-def _reservoir(p) -> ReservoirParams:
-    return ReservoirParams.from_half_width(
-        gamma0=p["gamma0"], half_width=p["half_width"], delta=p["delta"]
-    )
-
-
 def _ab(p):
     """(a, b): a fixed a as given, else a = sqrt(1 - b^2) for b in [0, 1]."""
     b = p["b"]
@@ -285,21 +296,13 @@ def _ab(p):
     return np.sqrt(1.0 - b * b), b
 
 
-def _u(p):
-    return amplitude(_reservoir(p), p["t"])
+def _survival(u):
+    return np.minimum(1.0, np.abs(u) ** 2)
 
 
-def _survival(p):
-    return np.minimum(1.0, np.abs(_u(p)) ** 2)
-
-
-def _u_amplitude(p):
-    u = _u(p)
-    return u.real, u.imag, np.abs(u) ** 2
-
-
-def _with_damping(p, fidelity):
-    damp = damping(_reservoir(p), p["t"])
+def _with_damping(u, fidelity):
+    # the expression of reservoir.damping
+    damp = np.clip(1.0 - np.abs(u) ** 2, 0.0, 1.0)
     return damp, fidelity(damp)
 
 
@@ -307,52 +310,54 @@ def _with_damping(p, fidelity):
 class _Observable:
     """Value columns, consumed parameters, array kernel and library modules of one observable.
 
-    The kernel maps parameter name -> array over the block's rows to one
-    array per value column; ``modules`` are the library modules it calls.
+    The kernel maps the block's survival amplitude ``u`` and its parameters
+    (name -> array broadcasting over the block) to one array per value
+    column; ``modules`` are the library modules the kernel and the amplitude call need.
     """
 
     columns: tuple[str, ...]
     needs: tuple[str, ...]
-    kernel: Callable[[dict], tuple]
+    kernel: Callable[[np.ndarray, dict], tuple]
     modules: tuple[str, ...]
 
 
 _RES = ("gamma0", "half_width", "delta", "t")
 _FID = ("p_damp", "fidelity")
-# the library modules each kernel calls
+# the library modules each observable calls
 _R = ("reservoir",)
 _R_ENT = ("reservoir", "entanglement")
 _R_FID = ("reservoir", "fidelity")
 
 _OBSERVABLE_TABLE = {
-    "delta_p": _Observable(
-        ("delta_p",), _RES, lambda p: (population_difference(_reservoir(p), p["t"]),), _R
-    ),
+    # the expression of reservoir.population_difference
+    "delta_p": _Observable(("delta_p",), _RES, lambda u, p: (2.0 * np.abs(u) ** 2 - 1.0,), _R),
     "e_exciton": _Observable(
         ("e_exciton",), _RES + ("n",),
-        lambda p: (w_mixture_entanglement(_survival(p), p["n"]),), _R_ENT,
+        lambda u, p: (w_mixture_entanglement(_survival(u), p["n"]),), _R_ENT,
     ),
     "e_reservoir": _Observable(
         ("e_reservoir",), _RES + ("n",),
-        lambda p: (w_mixture_entanglement(1.0 - _survival(p), p["n"]),), _R_ENT,
+        lambda u, p: (w_mixture_entanglement(1.0 - _survival(u), p["n"]),), _R_ENT,
     ),
     "q_closed": _Observable(
-        ("q",), _RES + ("b",), lambda p: (meyer_wallach_closed(*_ab(p), _u(p)),), _R_ENT
+        ("q",), _RES + ("b",), lambda u, p: (meyer_wallach_closed(*_ab(p), u),), _R_ENT
     ),
     "q_numeric": _Observable(
-        ("q",), _RES + ("b",), lambda p: (meyer_wallach_register(*_ab(p), _u(p)),), _R_ENT
+        ("q",), _RES + ("b",), lambda u, p: (meyer_wallach_register(*_ab(p), u),), _R_ENT
     ),
     "f_ghz_tele": _Observable(
         _FID, _RES + ("n",),
-        lambda p: _with_damping(p, lambda d: f_ghz_teleport(d, p["n"])), _R_FID,
+        lambda u, p: _with_damping(u, lambda d: f_ghz_teleport(d, p["n"])), _R_FID,
     ),
-    "f_w_tele": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_teleport(d)), _R_FID),
+    "f_w_tele": _Observable(_FID, _RES, lambda u, p: _with_damping(u, f_w_teleport), _R_FID),
     "f_ghz_split": _Observable(
         _FID, _RES + ("n",),
-        lambda p: _with_damping(p, lambda d: f_ghz_split(d, p["n"])), _R_FID,
+        lambda u, p: _with_damping(u, lambda d: f_ghz_split(d, p["n"])), _R_FID,
     ),
-    "f_w_split": _Observable(_FID, _RES, lambda p: _with_damping(p, lambda d: f_w_split(d)), _R_FID),
-    "u_amplitude": _Observable(("u_re", "u_im", "u_abs2"), _RES, _u_amplitude, _R),
+    "f_w_split": _Observable(_FID, _RES, lambda u, p: _with_damping(u, f_w_split), _R_FID),
+    "u_amplitude": _Observable(
+        ("u_re", "u_im", "u_abs2"), _RES, lambda u, p: (u.real, u.imag, np.abs(u) ** 2), _R
+    ),
 }
 
 OBSERVABLES = tuple(_OBSERVABLE_TABLE)
@@ -375,34 +380,47 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     observable = _OBSERVABLE_TABLE[spec.observable]
     _need(*observable.modules)
     axis_names = [axis.name for axis in spec.axes]
-    base: dict[str, float] = {}
+    # each fixed value as a (1, 1) array, broadcasting over a block
+    base: dict[str, np.ndarray] = {}
     for name in observable.needs:
         if name in axis_names:
             continue
-        if name in spec.fixed:
-            base[name] = spec.fixed[name]
-        elif name in _DEFAULTS:
-            base[name] = _DEFAULTS[name]
-        else:
+        value = spec.fixed.get(name, _DEFAULTS.get(name))
+        if value is None:
             raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
+        base[name] = np.full((1, 1), value)
     if "b" in observable.needs and "a" in spec.fixed:
-        base["a"] = spec.fixed["a"]
+        base["a"] = np.full((1, 1), spec.fixed["a"])
 
-    shape = tuple(axis.steps for axis in spec.axes)
-    total = math.prod(shape)
     grids = [axis.values() for axis in spec.axes]
-
+    # the grid is outer x inner; a scan of one axis or none has a single outer row
+    outer = grids[0] if len(grids) == 2 else np.zeros(1)
+    inner = grids[-1] if grids else np.zeros(1)
+    sweep = len(inner)
     header = [_AXIS_LABELS[name] for name in axis_names] + list(observable.columns)
-    rows = np.empty((total, len(header)))
-    for lo in range(0, total, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, total)
-        point = {name: np.full(hi - lo, value) for name, value in base.items()}
-        # flattened meshgrid in C order: the first axis varies slowest
-        indices = np.unravel_index(np.arange(lo, hi), shape) if shape else ()
-        for j, (name, grid, index) in enumerate(zip(axis_names, grids, indices)):
-            point[name] = rows[lo:hi, j] = grid[index]
-        for j, column in enumerate(observable.kernel(point), start=len(axis_names)):
-            rows[lo:hi, j] = column
+    rows = np.empty((len(outer) * sweep, len(header)))
+    # a block is k whole inner sweeps, or a slice of one sweep longer than a block
+    k, width = max(1, _BLOCK_ROWS // sweep), min(sweep, _BLOCK_ROWS)
+    # u is evaluated once and every block reuses it, unless the outer axis is
+    # a reservoir input or the inner sweep is sliced
+    reuse = (len(grids) < 2 or axis_names[0] not in _RES) and sweep <= _BLOCK_ROWS
+    u = None
+    for o in range(0, len(outer), k):
+        for i in range(0, sweep, width):
+            # the outer axis as (k, 1), the inner axis as (1, m)
+            axes = (outer[o : o + k, None], inner[None, i : i + width])[2 - len(grids) :]
+            p = {**base, **dict(zip(axis_names, axes))}
+            if u is None or not reuse:
+                reservoir = ReservoirParams.from_half_width(p["gamma0"], p["half_width"], p["delta"])
+                # t spans the block's distinct reservoir points, one per value of u
+                t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
+                t[...] = p["t"]
+                u = amplitude(reservoir, t)
+            outer_n, inner_n = min(k, len(outer) - o), min(width, sweep - i)
+            lo = o * sweep + i
+            block = rows[lo : lo + outer_n * inner_n].reshape(outer_n, inner_n, len(header))
+            for j, column in enumerate([*axes, *observable.kernel(u, p)]):
+                block[:, :, j] = column
     return ScanResult(header=header, rows=rows, axes=tuple(grids))
 
 

@@ -50,14 +50,17 @@ class SiteDataset:
     """Absolute BChl site energies (cm^-1) and their differences to BChl 3.
 
     ``site_energies[k]`` belongs to BChl ``k + 1``; ``energy_diffs`` is the
-    same array shifted so BChl 3 sits at zero.
+    same array shifted so BChl 3 sits at zero.  The dataset keeps a read-only
+    copy of the energies it is given.
     """
 
     name: str
     site_energies: np.ndarray
 
     def __post_init__(self):
-        energies = np.asarray(self.site_energies, dtype=float)
+        # a private copy: the caller's array, or a builtin's, cannot change it
+        energies = np.array(self.site_energies, dtype=float)
+        energies.setflags(write=False)
         if energies.shape != (N_SITES,):
             raise ValueError(f"{self.name}: expected {N_SITES} site energies, got {energies.shape}")
         with np.errstate(over="ignore", invalid="ignore"):

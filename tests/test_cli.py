@@ -1,6 +1,9 @@
+import copy
 import io
 import itertools
 import math
+import operator
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -174,6 +177,31 @@ class TestRunScan:
                 fixed={"gamma0": 10.0, "half_width": 40.0, "t": 0.3},
             )
 
+    def test_fixed_values_cannot_change_after_the_spec_is_checked(self):
+        fixed = {"gamma0": 1000.0, "half_width": 40.0, "delta": 500.0, "t": 0.5}
+        spec = ScanSpec(observable="delta_p", fixed=fixed)
+        expected = run_scan(spec).rows.tolist()
+        # a misspelt key and an n that is not an integer, both refused when built
+        for edit, args in (
+            (operator.setitem, ("dleta", 1e3)),
+            (operator.delitem, ("delta",)),
+            (operator.setitem, ("n", 4.5)),
+            (operator.setitem, ("delta", 0.0)),
+        ):
+            with pytest.raises(TypeError):
+                edit(spec.fixed, *args)
+        # the spec holds a copy: the caller's dict may change afterwards
+        fixed["delta"] = 0.0
+        del fixed["gamma0"]
+        assert spec.fixed["delta"] == 500.0 and "gamma0" in spec.fixed
+        assert run_scan(spec).rows.tolist() == expected
+        assert spec == ScanSpec(observable="delta_p", fixed={**fixed, "gamma0": 1000.0, "delta": 500.0})
+        assert spec != ScanSpec(observable="delta_p", fixed={**fixed, "gamma0": 1000.0, "delta": 0.0})
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec
+            with pytest.raises(TypeError):
+                operator.setitem(copied.fixed, "delta", 0.0)
+
     def test_b_sweep_derives_a(self):
         spec = ScanSpec(
             observable="q_closed",
@@ -272,6 +300,81 @@ class TestRunScan:
         whole = run_scan(spec).rows
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
         assert np.array_equal(run_scan(spec).rows, whole)
+
+    @staticmethod
+    def _record_amplitude_calls(monkeypatch):
+        sizes = []
+        original = cli.amplitude
+
+        def recording(params, t):
+            u = original(params, t)
+            sizes.append(u.size)
+            return u
+
+        monkeypatch.setattr(cli, "amplitude", recording)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "observable, axes",
+        [
+            ("delta_p", (AxisSpec("gamma0", 100.0, 2000.0, 3), AxisSpec("t", 0.0, 2.0, 3000))),
+            ("q_numeric", (AxisSpec("b", 0.0, 1.0, 3), AxisSpec("t", 0.0, 2.0, 3000))),
+            ("f_ghz_split", (AxisSpec("n", 2.0, 4.0, 3), AxisSpec("t", 0.0, 2.0, 1500))),
+            ("u_amplitude", (AxisSpec("t", 0.0, 2.0, 2500),)),
+            ("e_exciton", (AxisSpec("t", 0.0, 2.0, 600), AxisSpec("delta", -50.0, 50.0, 5))),
+        ],
+    )
+    def test_amplitude_calls_stay_within_a_block(self, monkeypatch, observable, axes):
+        # amplitude's last bit depends on the call size from 16,384 points up
+        sizes = self._record_amplitude_calls(monkeypatch)
+        result = _scan(observable, *axes)
+        assert sizes and max(sizes) <= cli._BLOCK_ROWS
+        assert sum(sizes) <= len(result.rows)
+
+    def test_amplitude_is_evaluated_once_per_reservoir_point(self, monkeypatch):
+        sizes = self._record_amplitude_calls(monkeypatch)
+        run_scan(
+            ScanSpec(
+                observable="q_numeric",
+                axes=(AxisSpec("b", 0.0, 1.0, 21), AxisSpec("t", 0.0, 1.0, 101)),
+                fixed={"gamma0": 800.0, "half_width": 40.0},
+            )
+        )
+        assert sizes == [101]
+        # an outer reservoir axis: k = 1024 // 101 whole sweeps per call
+        sizes.clear()
+        _scan("delta_p", AxisSpec("gamma0", 10.0, 2000.0, 21), AxisSpec("t", 0.0, 1.0, 101))
+        assert sizes == [1010, 1010, 101]
+        # a reservoir inner axis under an outer t: one value of u per row
+        sizes.clear()
+        _scan("q_closed", AxisSpec("t", 0.0, 1.0, 9), AxisSpec("delta", -50.0, 50.0, 4))
+        assert sizes == [36]
+        sizes.clear()
+        _scan("q_closed", AxisSpec("t", 0.0, 1.0, 9), AxisSpec("b", 0.0, 1.0, 4))
+        assert sizes == [9]
+
+    @pytest.mark.parametrize(
+        "observable, library",
+        [("delta_p", population_difference), ("f_w_tele", damping), ("f_ghz_tele", damping)],
+    )
+    def test_columns_are_the_library_functions_bit_for_bit(self, observable, library):
+        # the scan forms delta_p and the damping column from u with the
+        # library's own expressions; each row equals a one-element-per-row call
+        for axes in [
+            (AxisSpec("gamma0", 10.0, 2000.0, 13), AxisSpec("t", 0.0, 1.3, 101)),
+            (AxisSpec("t", 0.0, 1.3, 17), AxisSpec("delta", -300.0, 300.0, 7)),
+            (AxisSpec("n", 2.0, 9.0, 8), AxisSpec("t", 0.0, 1.3, 151)),
+        ]:
+            result = _scan(observable, *axes)
+            names = [axis.name for axis in axes]
+
+            def column(name):
+                if name in names:
+                    return result.rows[:, names.index(name)]
+                return np.full(len(result.rows), _FIXED[name])
+
+            reservoir = ReservoirParams.from_half_width(column("gamma0"), column("half_width"), column("delta"))
+            assert np.array_equal(result.rows[:, len(axes)], library(reservoir, column("t")))
 
     @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     def test_rows_match_scalar_library_route(self, observable):

@@ -56,6 +56,16 @@ class TestDatasets:
         assert fmo.dataset("lorenExpt").site_energies[2] == 12112.0
         assert fmo.dataset("wend").site_energies[2] == 12175.0
 
+    def test_energies_are_a_private_read_only_copy(self):
+        with pytest.raises(ValueError, match="read-only"):
+            fmo.dataset("reng").site_energies[0] = 0.0
+        assert fmo.dataset("reng").site_energies[0] == 12450.0
+        energies = np.array(SITE_HAMILTONIAN.diagonal()) + 12210.0
+        data = fmo.SiteDataset("x", energies)
+        energies[0] = 99.0
+        assert data.site_energies[0] == 12450.0
+        assert np.array_equal(data.energy_diffs, SITE_HAMILTONIAN.diagonal())
+
     def test_builtin_listing(self):
         names = [d.name for d in fmo.builtin_datasets()]
         assert sorted(names) == ["lorenExpt", "reng", "wend"]
