@@ -22,7 +22,7 @@ CM1_TO_RAD_PER_PS = 0.18836515673
 # The one table of where each name lives: the public names of each module
 # (its ``__all__``), and public name -> the module that defines it.
 _PUBLIC = {
-    "qlin": ("partial_trace", "partial_transpose", "hermitian_eigen"),
+    "qlin": ("partial_trace", "partial_transpose"),
     "fmo": (
         "SiteDataset", "ExcitonTable", "COUPLINGS_CM1", "builtin_datasets", "dataset",
         "load_site_energies", "build_hamiltonian", "exciton_table",

@@ -91,7 +91,7 @@ def normalized_negativity(rho, n_qubits: int, subset) -> float:
             f"subset size {m} exceeds half of {n_qubits} qubits; transpose the smaller side"
         )
     transposed = qlin.partial_transpose(rho, n_qubits, qubits)
-    eigenvalues, _ = qlin.hermitian_eigen(transposed)
+    eigenvalues = np.linalg.eigvalsh(transposed)
     negative_sum = float(-eigenvalues[eigenvalues < 0.0].sum())
     return 2.0 / (2.0**m - 1.0) * negative_sum
 

@@ -49,6 +49,15 @@ def w_mixture_entanglement(s, n_qubits):
     return value if value.ndim else float(value)
 
 
+def _survival(u):
+    """|u|^2, refusing a non-finite ``u`` and |u| > 1 + _AMP_SLACK."""
+    modulus = np.abs(u)
+    worst = np.max(modulus, initial=0.0)
+    if not worst <= 1.0 + _AMP_SLACK:
+        raise ValueError(f"|u| must not exceed 1, got {worst:.12g}")
+    return modulus**2
+
+
 def meyer_wallach_register(a, b, u):
     """Meyer-Wallach measure of the decaying two-exciton register, in closed form.
 
@@ -59,16 +68,13 @@ def meyer_wallach_register(a, b, u):
     619 (2003)) is 2 b^2 [s (1 - b^2 s) + (1 - s)(1 - b^2 (1 - s))], evaluated
     without cancellation as 2 b^2 (1 - b^2) + 4 b^4 s (1 - s).  It refuses
     what the register route (``dense.meyer_wallach_numeric``) refuses:
-    |a^2 + b^2 - 1| > 1e-12, |u| > 1 + 1e-9 and a register norm off 1 by more
-    than 1e-9, which catches a non-finite ``u``.  Arguments broadcast;
-    all-scalar arguments give a float.
+    |a^2 + b^2 - 1| > 1e-12, a non-finite ``u`` or |u| > 1 + 1e-9, and a
+    register norm off 1 by more than 1e-9.  Arguments broadcast; all-scalar
+    arguments give a float.
     """
     if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
         raise ValueError("a^2 + b^2 must equal 1")
-    modulus = np.abs(u)
-    if np.max(modulus) > 1.0 + _AMP_SLACK:
-        raise ValueError(f"|u| must not exceed 1, got {np.max(modulus):.12g}")
-    s = modulus**2
+    s = _survival(u)
     # the register's norm: a^2 + b^2 (|u|^2 + |v|^2)^2, |v|^2 = max(0, 1 - s)
     norm = np.sqrt(a * a + b * b * (s + np.maximum(0.0, 1.0 - s)) ** 2)
     worst = np.max(np.abs(norm - 1.0))
@@ -87,10 +93,12 @@ def meyer_wallach_closed(a, b, u):
     qubits sharing ``u``, kept for figure reproduction.  It departs from the
     register it describes (:func:`meyer_wallach_register`) by
     ``4 b^2 (1 - b^2) s (1 - s)``, up to 0.25; the two agree at b = 1, the
-    plotted case.  Arguments broadcast; all-scalar arguments give a float.
+    plotted case.  It refuses the ``u`` the register refuses: a non-finite
+    ``u`` or |u| > 1 + 1e-9.  Arguments broadcast; all-scalar arguments give
+    a float.
     """
     if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
         raise ValueError("a^2 + b^2 must equal 1")
-    survival = np.minimum(1.0, np.abs(u) ** 2)
+    survival = np.minimum(1.0, _survival(u))
     value = 2.0 * a**2 * b**2 + 4.0 * b**2 * survival * (1.0 - survival)
     return value if np.ndim(value) else float(value)

@@ -27,15 +27,18 @@ def _check_damping(p):
 
 
 def _check_parties(n_parties):
-    """An int, or a float array of integer values, all >= 2."""
+    """An int, or a float array of integer values, all >= 2 (so finite)."""
     if np.ndim(n_parties):
         n = np.asarray(n_parties, dtype=float)
-        bad = (n != np.rint(n)) | (n < 2)
+        bad = ~np.isfinite(n) | (n != np.rint(n)) | (n < 2)
         if bad.any():
             raise ValueError(f"n_parties must be integers >= 2, got {n[bad].flat[0]:g}")
         return n
-    n = int(n_parties)
-    if n != n_parties or n < 2:
+    try:
+        n = int(n_parties)
+    except (OverflowError, ValueError):  # inf, nan
+        n = None
+    if n is None or n != n_parties or n < 2:
         raise ValueError(f"n_parties must be an integer >= 2, got {n_parties!r}")
     return n
 

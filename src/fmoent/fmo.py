@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import qlin
-
 __all__ = [
     "SiteDataset",
     "ExcitonTable",
@@ -141,13 +139,19 @@ class ExcitonTable:
     """Exciton energies (ascending, cm^-1) and site occupation amplitudes.
 
     Column ``k`` of ``amplitudes`` holds the amplitudes of exciton qubit
-    ``k`` over BChl sites 1..7.  Columns are orthonormal.
+    ``k`` over BChl sites 1..7.  Columns are orthonormal.  The table keeps
+    read-only copies of the arrays it is given.
     """
 
     energies: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        for name in ("energies", "amplitudes"):
+            # a private copy: neither the caller nor a reader can change the table
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         norms = np.linalg.norm(self.amplitudes, axis=0)
         if np.abs(norms - 1.0).max() > 1e-10:
             raise ValueError("exciton amplitude columns must have unit norm")
@@ -156,11 +160,38 @@ class ExcitonTable:
             raise ValueError("exciton amplitude columns must be orthogonal")
 
 
+def _eigen(h: np.ndarray):
+    """Eigenvalues (ascending) and real unit eigenvectors of a real symmetric 7x7.
+
+    LAPACK's complex routine (``numpy.linalg.eigh``) diagonalizes the
+    symmetrized matrix; the real routine would move last digits of the table.
+    Each eigenvector is phased so its largest-magnitude component is real and
+    positive, and exact eigenvalue ties are broken by component-wise
+    comparison of the phased eigenvectors (larger leading components first).
+    """
+    energies, vectors = np.linalg.eigh(((h + h.T) / 2.0).astype(complex))
+    columns = np.arange(N_SITES)
+    pivot_rows = np.argmax(np.abs(vectors), axis=0)
+    pivots = vectors[pivot_rows, columns]
+    vectors = vectors * (pivots.conjugate() / np.abs(pivots))
+    # clear the rounding residue on the pivots themselves
+    vectors[pivot_rows, columns] = np.abs(vectors[pivot_rows, columns])
+    if np.any(np.diff(energies) == 0.0):
+        order = sorted(
+            columns, key=lambda k: (energies[k], *((-c.real, -c.imag) for c in vectors[:, k]))
+        )
+        energies, vectors = energies[order], vectors[:, order]
+    if float(np.abs(vectors.imag).max()) > 1e-12:
+        raise RuntimeError("real symmetric input produced complex eigenvectors")
+    return energies, vectors.real
+
+
 def exciton_table(hamiltonian) -> ExcitonTable:
     """Diagonalize a site-basis Hamiltonian into its exciton table.
 
     Energies come out ascending; each amplitude column is phased so its
-    largest-magnitude component is positive (the eigensolver's convention).
+    largest-magnitude component is positive, and exact energy ties are
+    ordered by their columns, larger leading components first.
     """
     h = np.asarray(hamiltonian)
     if np.iscomplexobj(h):
@@ -173,7 +204,5 @@ def exciton_table(hamiltonian) -> ExcitonTable:
     scale = max(1.0, float(np.abs(h).max()))
     if float(np.abs(h - h.T).max()) > 1e-10 * scale:
         raise ValueError("site-basis Hamiltonian must be symmetric")
-    energies, vectors = qlin.hermitian_eigen(h)
-    if float(np.abs(vectors.imag).max()) > 1e-12:
-        raise RuntimeError("real symmetric input produced complex eigenvectors")
-    return ExcitonTable(energies=energies, amplitudes=vectors.real.copy())
+    energies, amplitudes = _eigen(h)
+    return ExcitonTable(energies=energies, amplitudes=amplitudes)

@@ -15,11 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "partial_trace",
-    "partial_transpose",
-    "hermitian_eigen",
-]
+__all__ = ["partial_trace", "partial_transpose"]
 
 
 def _as_register_operator(mat, n_qubits: int) -> np.ndarray:
@@ -74,59 +70,3 @@ def partial_transpose(rho, n_qubits: int, subset) -> np.ndarray:
         axes[q], axes[n_qubits + q] = axes[n_qubits + q], axes[q]
     dim = 2**n_qubits
     return np.ascontiguousarray(tensor.transpose(axes)).reshape(dim, dim)
-
-
-def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column's global phase so its largest-magnitude component is real > 0.
-
-    Every column must be nonzero (eigenvectors are unit vectors).
-    """
-    columns = np.arange(vectors.shape[1])
-    pivot_rows = np.argmax(np.abs(vectors), axis=0)
-    pivots = vectors[pivot_rows, columns]
-    fixed = vectors * (pivots.conjugate() / np.abs(pivots))
-    # clear the rounding residue on the pivots themselves
-    fixed[pivot_rows, columns] = np.abs(fixed[pivot_rows, columns])
-    return fixed
-
-
-def hermitian_eigen(m):
-    """Full eigendecomposition of a Hermitian matrix, in a fixed convention.
-
-    LAPACK (``numpy.linalg.eigh``) does the work; the convention makes the
-    result deterministic: eigenvalues are returned ascending, and every
-    eigenvector is phased so that its largest-magnitude component is real
-    and positive.  Exact eigenvalue ties are broken by component-wise
-    comparison of the phased eigenvectors (larger leading components first).
-
-    Parameters
-    ----------
-    m : array_like
-        Hermitian matrix (violations beyond ``1e-10`` relative to the largest
-        entry are rejected).
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        ``eigenvalues`` is a real array in ascending order; column ``k`` of
-        ``eigenvectors`` is the unit eigenvector for ``eigenvalues[k]``.
-    """
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    entry_scale = max(1.0, float(np.abs(a).max()) if n else 1.0)
-    if float(np.abs(a - a.conj().T).max()) > 1e-10 * entry_scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-    evals, vec = np.linalg.eigh((a + a.conj().T) / 2.0)
-    vec = _phase_fix(vec)
-    if not np.any(np.diff(evals) == 0.0):
-        return evals, vec  # eigh returns them ascending; no ties to break
-
-    def _tie_key(k: int):
-        col = vec[:, k]
-        return (evals[k],) + tuple((-c.real, -c.imag) for c in col)
-
-    order = sorted(range(n), key=_tie_key)
-    return evals[order], vec[:, order]

@@ -391,6 +391,18 @@ class TestMeyerWallach:
             ent.meyer_wallach_closed(0.9, 0.9, 0.5)
 
 
+    @pytest.mark.parametrize(
+        "u", [math.nan, complex(0.5, math.inf), 2.0, (1.0 + 2e-9) * np.exp(0.3j), np.array([0.5, math.nan])],
+        ids=["nan", "inf-phase", "two", "past-the-slack", "array-nan"],
+    )
+    def test_closed_refuses_the_amplitude_the_register_refuses(self, u):
+        # nan once came back as nan, u = 2 as 0.4608
+        for form in (ent.meyer_wallach_closed, ent.meyer_wallach_register):
+            with pytest.raises(ValueError, match="must not exceed 1"):
+                form(0.6, 0.8, u)
+        # the rounding slack of amplitude() is accepted by both
+        assert ent.meyer_wallach_closed(0.6, 0.8, 1.0 + 5e-10) == pytest.approx(2 * 0.36 * 0.64, abs=1e-8)
+
 class TestMeyerWallachRegister:
     """The closed form q_numeric evaluates, against the register it describes."""
 

@@ -74,6 +74,16 @@ class TestDampingDomain:
                 protocol(p, 4)
 
 
+    @pytest.mark.parametrize(
+        "n", [np.inf, np.nan, -np.inf, np.float64(np.inf), np.array([3.0, np.inf]), np.array([np.nan])],
+        ids=["inf", "nan", "-inf", "float64-inf", "array-inf", "array-nan"],
+    )
+    def test_non_finite_party_count_refused(self, n):
+        # a scalar inf once escaped as OverflowError; an array inf gave 0.333 and 0.583
+        for protocol in (fid.f_ghz_teleport, fid.f_ghz_split):
+            with pytest.raises(ValueError, match="n_parties must be"):
+                protocol(0.5, n)
+
 class TestWSplit:
     def test_boundaries(self):
         assert fid.f_w_split(0.0) == 1.0

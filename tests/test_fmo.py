@@ -3,6 +3,8 @@ import pytest
 
 from fmoent import fmo
 
+from conftest import jacobi_eigen
+
 # Published seven-site Hamiltonian (cm^-1): reng diagonal + couplings.
 SITE_HAMILTONIAN = np.array(
     [
@@ -36,6 +38,12 @@ DIFFS = {
     "lorenExpt": [154.0, 384.0, 0.0, 181.0, 522.0, 284.0, 345.0],
     "wend": [140.0, 325.0, 0.0, 230.0, 450.0, 255.0, 275.0],
 }
+
+
+def random_symmetric(seed):
+    """A real symmetric 7x7 with entries of a few hundred cm^-1 and no eigenvalue ties."""
+    g = np.random.default_rng(seed).normal(scale=200.0, size=(7, 7))
+    return (g + g.T) / 2
 
 
 def amplitude_deviation_mod_sign(column, reference):
@@ -143,6 +151,57 @@ class TestExcitonTable:
         for data in fmo.builtin_datasets():
             table = fmo.exciton_table(fmo.build_hamiltonian(data))
             assert np.all(np.diff(table.energies) > 0)
+
+    def test_diagonal_orders_ascending(self):
+        order = [1, 2, 0, 6, 4, 3, 5]
+        table = fmo.exciton_table(np.diag([3.0, 1.0, 2.0, 6.0, 5.0, 7.0, 4.0]))
+        assert np.array_equal(table.energies, np.arange(1.0, 8.0))
+        assert np.array_equal(table.amplitudes, np.eye(7)[:, order])
+
+    def test_identity_is_fixed_point(self):
+        # seven exact ties: larger leading components first
+        table = fmo.exciton_table(np.eye(7))
+        assert np.array_equal(table.energies, np.ones(7))
+        assert np.array_equal(table.amplitudes, np.eye(7))
+
+    def test_eigen_equation_residual(self):
+        h = random_symmetric(42)
+        table = fmo.exciton_table(h)
+        residual = np.abs(h @ table.amplitudes - table.amplitudes * table.energies).max()
+        assert residual < 1e-10 * np.linalg.norm(h)
+
+    def test_sign_convention(self):
+        for h in [random_symmetric(13), *map(fmo.build_hamiltonian, fmo.builtin_datasets())]:
+            amplitudes = fmo.exciton_table(h).amplitudes
+            pivots = amplitudes[np.argmax(np.abs(amplitudes), axis=0), np.arange(7)]
+            assert np.all(pivots > 0.0)
+
+    def test_deterministic_across_calls(self):
+        h = random_symmetric(77)
+        first, second = fmo.exciton_table(h), fmo.exciton_table(h.copy())
+        assert np.array_equal(first.energies, second.energies)
+        assert np.array_equal(first.amplitudes, second.amplitudes)
+
+    def test_matches_jacobi_oracle(self):
+        for h in [random_symmetric(207), *map(fmo.build_hamiltonian, fmo.builtin_datasets())]:
+            table = fmo.exciton_table(h)
+            oracle_energies, oracle_vectors = jacobi_eigen(h)
+            assert np.abs(table.energies - oracle_energies).max() < 1e-10 * np.linalg.norm(h)
+            # no ties: each column agrees with the oracle's up to its phase
+            overlaps = np.abs(np.sum(table.amplitudes * oracle_vectors, axis=0))
+            assert np.abs(overlaps - 1.0).max() < 1e-10
+
+    def test_arrays_are_private_read_only_copies(self):
+        table = fmo.exciton_table(SITE_HAMILTONIAN)
+        with pytest.raises(ValueError, match="read-only"):
+            table.energies[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.amplitudes[0, 0] = 0.0
+        energies, amplitudes = np.arange(7.0), np.eye(7)
+        built = fmo.ExcitonTable(energies, amplitudes)
+        energies[0], amplitudes[0, 0] = 99.0, 0.0
+        assert built.energies[0] == 0.0 and built.amplitudes[0, 0] == 1.0
+        assert np.array_equal(fmo.exciton_table(SITE_HAMILTONIAN).energies, table.energies)
 
     def test_asymmetric_rejected(self):
         bad = SITE_HAMILTONIAN.copy()

@@ -3,7 +3,7 @@ import pytest
 
 from fmoent import qlin
 
-from conftest import jacobi_eigen, pt_by_bits, random_density
+from conftest import pt_by_bits, random_density
 
 I2 = np.eye(2, dtype=complex)
 
@@ -61,7 +61,7 @@ class TestPartialTranspose:
 
     def test_bell_pair_eigenvalues(self):
         transposed = qlin.partial_transpose(BELL_RHO, 2, {0})
-        eigenvalues, _ = qlin.hermitian_eigen(transposed)
+        eigenvalues = np.linalg.eigvalsh(transposed)
         assert np.abs(eigenvalues - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
 
     @pytest.mark.parametrize("subset", [{0}, {1}, {0, 2}, {1, 3}])
@@ -83,7 +83,7 @@ class TestPartialTranspose:
         for n in (2, 3, 4):
             rho = random_density(rng, 2**n)
             transposed = qlin.partial_transpose(rho, n, {0})
-            eigenvalues, _ = qlin.hermitian_eigen(transposed)
+            eigenvalues = np.linalg.eigvalsh(transposed)
             assert abs(eigenvalues.sum() - 1.0) < 1e-12
 
     def test_hermiticity_preserved(self):
@@ -96,81 +96,3 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             qlin.partial_transpose(np.eye(6), 2, {0})
 
-
-class TestHermitianEigen:
-    def test_diagonal_orders_ascending(self):
-        eigenvalues, vectors = qlin.hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(eigenvalues, [1.0, 2.0, 3.0])
-        assert np.abs(vectors - np.eye(3)[:, [1, 2, 0]]).max() < 1e-14
-
-    def test_pauli_x(self):
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        eigenvalues, vectors = qlin.hermitian_eigen(sx)
-        assert np.abs(eigenvalues - [-1.0, 1.0]).max() < 1e-12
-        r = 1 / np.sqrt(2)
-        assert np.abs(vectors[:, 0] - [r, -r]).max() < 1e-12
-        assert np.abs(vectors[:, 1] - [r, r]).max() < 1e-12
-
-    @pytest.mark.parametrize("dim", [2, 5, 16, 33, 64])
-    def test_random_hermitian_reconstruction(self, dim):
-        rng = np.random.default_rng(100 + dim)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (g + g.conj().T) / 2
-        eigenvalues, vectors = qlin.hermitian_eigen(h)
-        assert np.all(np.diff(eigenvalues) >= 0.0)
-        reconstruction = (vectors * eigenvalues) @ vectors.conj().T
-        assert np.linalg.norm(reconstruction - h) < 1e-10
-        gram = vectors.conj().T @ vectors
-        assert np.abs(gram - np.eye(dim)).max() < 1e-10
-        # eigenvalue agreement with the LAPACK oracle
-        assert np.abs(eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-10
-
-    def test_eigen_equation_residual(self):
-        rng = np.random.default_rng(42)
-        g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        h = (g + g.conj().T) / 2
-        eigenvalues, vectors = qlin.hermitian_eigen(h)
-        residual = np.abs(h @ vectors - vectors * eigenvalues).max()
-        assert residual < 1e-10 * np.linalg.norm(h)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(13)
-        g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        h = (g + g.conj().T) / 2
-        _, vectors = qlin.hermitian_eigen(h)
-        for k in range(9):
-            pivot = vectors[np.argmax(np.abs(vectors[:, k])), k]
-            assert pivot.imag == 0.0
-            assert pivot.real > 0.0
-
-    def test_identity_is_fixed_point(self):
-        eigenvalues, vectors = qlin.hermitian_eigen(np.eye(4))
-        assert np.array_equal(eigenvalues, np.ones(4))
-        assert np.array_equal(vectors, np.eye(4))
-
-    def test_deterministic_across_calls(self):
-        rng = np.random.default_rng(77)
-        g = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        h = (g + g.conj().T) / 2
-        w1, v1 = qlin.hermitian_eigen(h)
-        w2, v2 = qlin.hermitian_eigen(h.copy())
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(v1, v2)
-
-    @pytest.mark.parametrize("dim", [2, 7, 16, 33])
-    def test_matches_jacobi_oracle(self, dim):
-        rng = np.random.default_rng(200 + dim)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (g + g.conj().T) / 2
-        eigenvalues, vectors = qlin.hermitian_eigen(h)
-        oracle_values, oracle_vectors = jacobi_eigen(h)
-        assert np.abs(eigenvalues - oracle_values).max() < 1e-10 * np.linalg.norm(h)
-        # random spectra have no ties: each eigenvector agrees up to its phase
-        overlaps = np.abs(np.sum(vectors.conj() * oracle_vectors, axis=0))
-        assert np.abs(overlaps - 1.0).max() < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            qlin.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            qlin.hermitian_eigen(np.ones((2, 3)))

@@ -49,7 +49,7 @@ SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", 
         ("import fmoent.cli", (), {"fmoent", "cli"}),
         (_RUN_MAIN, ("--version",), {"fmoent", "cli"}),
         (_RUN_MAIN, ("check", "--t-max", "0.01"), {"fmoent", "cli", "reservoir"}),
-        (_RUN_MAIN, ("table",), {"fmoent", "cli", "fmo", "qlin"}),
+        (_RUN_MAIN, ("table",), {"fmoent", "cli", "fmo"}),
         (_RUN_MAIN, (*SCAN, "delta_p"), {"fmoent", "cli", "reservoir"}),
         (_RUN_MAIN, (*SCAN, "f_w_split"), {"fmoent", "cli", "reservoir", "fidelity"}),
         # the scans evaluate closed forms: neither the dense route nor qlin
