@@ -296,14 +296,14 @@ def _ab(p):
     return np.sqrt(1.0 - b * b), b
 
 
-def _survival(u):
-    return np.minimum(1.0, np.abs(u) ** 2)
-
-
 def _with_damping(u, fidelity):
-    # the expression of reservoir.damping
-    damp = np.clip(1.0 - np.abs(u) ** 2, 0.0, 1.0)
+    damp = damping(u)
     return damp, fidelity(damp)
+
+
+def _u_columns(u):
+    survival(u)  # refuses the u that every other observable refuses
+    return u.real, u.imag, np.abs(u) ** 2
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,8 @@ class _Observable:
 
     The kernel maps the block's survival amplitude ``u`` and its parameters
     (name -> array broadcasting over the block) to one array per value
-    column; ``modules`` are the library modules the kernel and the amplitude call need.
+    column, reading |u| through ``reservoir.survival``, which refuses a bad
+    ``u``; ``modules`` are the library modules the kernel and the amplitude call need.
     """
 
     columns: tuple[str, ...]
@@ -329,15 +330,14 @@ _R_ENT = ("reservoir", "entanglement")
 _R_FID = ("reservoir", "fidelity")
 
 _OBSERVABLE_TABLE = {
-    # the expression of reservoir.population_difference
-    "delta_p": _Observable(("delta_p",), _RES, lambda u, p: (2.0 * np.abs(u) ** 2 - 1.0,), _R),
+    "delta_p": _Observable(("delta_p",), _RES, lambda u, p: (population_difference(u),), _R),
     "e_exciton": _Observable(
         ("e_exciton",), _RES + ("n",),
-        lambda u, p: (w_mixture_entanglement(_survival(u), p["n"]),), _R_ENT,
+        lambda u, p: (w_mixture_entanglement(survival(u), p["n"]),), _R_ENT,
     ),
     "e_reservoir": _Observable(
         ("e_reservoir",), _RES + ("n",),
-        lambda u, p: (w_mixture_entanglement(1.0 - _survival(u), p["n"]),), _R_ENT,
+        lambda u, p: (w_mixture_entanglement(damping(u), p["n"]),), _R_ENT,
     ),
     "q_closed": _Observable(
         ("q",), _RES + ("b",), lambda u, p: (meyer_wallach_closed(*_ab(p), u),), _R_ENT
@@ -355,9 +355,7 @@ _OBSERVABLE_TABLE = {
         lambda u, p: _with_damping(u, lambda d: f_ghz_split(d, p["n"])), _R_FID,
     ),
     "f_w_split": _Observable(_FID, _RES, lambda u, p: _with_damping(u, f_w_split), _R_FID),
-    "u_amplitude": _Observable(
-        ("u_re", "u_im", "u_abs2"), _RES, lambda u, p: (u.real, u.imag, np.abs(u) ** 2), _R
-    ),
+    "u_amplitude": _Observable(("u_re", "u_im", "u_abs2"), _RES, lambda u, p: _u_columns(u), _R),
 }
 
 OBSERVABLES = tuple(_OBSERVABLE_TABLE)

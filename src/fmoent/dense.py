@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from . import qlin
-from .entanglement import _AMP_SLACK, _NORM_ATOL
+from .entanglement import _NORM_ATOL
+from .reservoir import _AMP_SLACK, damping, survival
 
 __all__ = [
     "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
@@ -145,12 +146,7 @@ class WStateParams:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if abs(self.u) > 1.0 + _AMP_SLACK:
-            raise ValueError(f"|u| must not exceed 1, got {abs(self.u):.12g}")
-
-    @property
-    def survival_probability(self) -> float:
-        return min(1.0, abs(self.u) ** 2)
+        survival(self.u)
 
 
 def _w_mixture(on_w: float, on_ground: float, n_qubits: int) -> np.ndarray:
@@ -167,14 +163,12 @@ def w_state_exciton_rho(params: WStateParams) -> np.ndarray:
     |u|^2 |W><W| + (1 - |u|^2) |0...0><0...0| because distinct
     single-excitation reservoir states are orthogonal.
     """
-    surv = params.survival_probability
-    return _w_mixture(surv, 1.0 - surv, params.n_qubits)
+    return _w_mixture(survival(params.u), damping(params.u), params.n_qubits)
 
 
 def w_state_reservoir_rho(params: WStateParams) -> np.ndarray:
     """Reduced reservoir state: the exciton mixture with |u|^2 <-> 1 - |u|^2."""
-    surv = params.survival_probability
-    return _w_mixture(1.0 - surv, surv, params.n_qubits)
+    return _w_mixture(damping(params.u), survival(params.u), params.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -197,13 +191,11 @@ class XStateParams:
             raise ValueError("a^2 + b^2 must equal 1")
         for label, u in (("u1", self.u1), ("u2", self.u2)):
             modulus = np.max(np.abs(u))
-            if modulus > 1.0 + _AMP_SLACK:
+            if not modulus <= 1.0 + _AMP_SLACK:
                 raise ValueError(f"|{label}| must not exceed 1, got {modulus:.12g}")
 
     def emitted(self):
-        v1 = np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.u1) ** 2))
-        v2 = np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.u2) ** 2))
-        return v1, v2
+        return np.sqrt(damping(self.u1)), np.sqrt(damping(self.u2))
 
 
 def x_state_rho(params: XStateParams) -> np.ndarray:

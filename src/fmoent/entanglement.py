@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .reservoir import survival
+
 __all__ = ["w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"]
 
-_AMP_SLACK = 1e-9  # |u| may exceed 1 by rounding when fed from amplitude()
 _NORM_ATOL = 1e-9  # largest accepted departure of a register's norm from 1
 
 
@@ -49,15 +50,6 @@ def w_mixture_entanglement(s, n_qubits):
     return value if value.ndim else float(value)
 
 
-def _survival(u):
-    """|u|^2, refusing a non-finite ``u`` and |u| > 1 + _AMP_SLACK."""
-    modulus = np.abs(u)
-    worst = np.max(modulus, initial=0.0)
-    if not worst <= 1.0 + _AMP_SLACK:
-        raise ValueError(f"|u| must not exceed 1, got {worst:.12g}")
-    return modulus**2
-
-
 def meyer_wallach_register(a, b, u):
     """Meyer-Wallach measure of the decaying two-exciton register, in closed form.
 
@@ -74,13 +66,12 @@ def meyer_wallach_register(a, b, u):
     """
     if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
         raise ValueError("a^2 + b^2 must equal 1")
-    s = _survival(u)
-    # the register's norm: a^2 + b^2 (|u|^2 + |v|^2)^2, |v|^2 = max(0, 1 - s)
-    norm = np.sqrt(a * a + b * b * (s + np.maximum(0.0, 1.0 - s)) ** 2)
+    s = survival(u)
+    # the register's norm a^2 + b^2 (|u|^2 + |v|^2)^2, |v|^2 = 1 - s, reads |u|^2 uncapped
+    norm = np.sqrt(a * a + b * b * (np.abs(u) ** 2 + (1.0 - s)) ** 2)
     worst = np.max(np.abs(norm - 1.0))
     if not worst <= _NORM_ATOL:
         raise ValueError(f"state is not normalized (norm off by {worst:.3g})")
-    s = np.minimum(1.0, s)
     bb = b * b
     value = 2.0 * bb * (1.0 - bb) + 4.0 * bb * bb * s * (1.0 - s)
     return value if np.ndim(value) else float(value)
@@ -99,6 +90,6 @@ def meyer_wallach_closed(a, b, u):
     """
     if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
         raise ValueError("a^2 + b^2 must equal 1")
-    survival = np.minimum(1.0, _survival(u))
-    value = 2.0 * a**2 * b**2 + 4.0 * b**2 * survival * (1.0 - survival)
+    s = survival(u)
+    value = 2.0 * a**2 * b**2 + 4.0 * b**2 * s * (1.0 - s)
     return value if np.ndim(value) else float(value)

@@ -201,6 +201,8 @@ def exciton_table(hamiltonian) -> ExcitonTable:
     h = h.astype(float)
     if h.shape != (N_SITES, N_SITES):
         raise ValueError(f"expected a {N_SITES}x{N_SITES} Hamiltonian, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("site-basis Hamiltonian entries must be finite")
     scale = max(1.0, float(np.abs(h).max()))
     if float(np.abs(h - h.T).max()) > 1e-10 * scale:
         raise ValueError("site-basis Hamiltonian must be symmetric")

@@ -29,9 +29,12 @@ __all__ = [
     "ReservoirParams",
     "amplitude",
     "amplitude_ode_oracle",
+    "survival",
     "population_difference",
     "damping",
 ]
+
+_AMP_SLACK = 1e-9  # |u| may exceed 1 by rounding in amplitude(); beyond that it is refused
 
 
 @dataclass(frozen=True)
@@ -275,14 +278,25 @@ def amplitude_ode_oracle(
     return out
 
 
-def population_difference(params: ReservoirParams, t):
-    """Excited/ground population difference 2|u(t)|^2 - 1, in [-1, 1]."""
-    u = amplitude(params, t)
-    return 2.0 * np.abs(u) ** 2 - 1.0
+def survival(u):
+    """Survival probability s = |u|^2 of the amplitude ``u``, capped at 1.
+
+    Every observable reads ``u`` through s.  Refuses a non-finite ``u`` or
+    |u| > 1 + 1e-9; a scalar ``u`` gives a float.
+    """
+    modulus = np.abs(u)
+    worst = np.max(modulus, initial=0.0)
+    if not worst <= 1.0 + _AMP_SLACK:
+        raise ValueError(f"|u| must not exceed 1, got {worst:.12g}")
+    s = np.minimum(1.0, modulus**2)
+    return s if np.ndim(s) else float(s)
 
 
-def damping(params: ReservoirParams, t):
-    """Channel damping parameter p = 1 - |u(t)|^2, clipped to [0, 1]."""
-    u = amplitude(params, t)
-    p = np.clip(1.0 - np.abs(u) ** 2, 0.0, 1.0)
-    return p if np.ndim(p) else float(p)
+def population_difference(u):
+    """Excited/ground population difference 2 s - 1 of the amplitude ``u``, in [-1, 1]."""
+    return 2.0 * survival(u) - 1.0
+
+
+def damping(u):
+    """Channel damping parameter p = 1 - s of the amplitude ``u``, in [0, 1]."""
+    return 1.0 - survival(u)

@@ -77,7 +77,7 @@ def test_criterion_2_amplitude_oracle_equivalence():
 def test_criterion_3_boundary_identities():
     params = ReservoirParams.from_half_width(1000.0, 40.0, 0.0)
     assert amplitude(params, 0.0) == 1.0 + 0.0j
-    assert damping(params, 0.0) == 0.0
+    assert damping(amplitude(params, 0.0)) == 0.0
     for n_parties in (2, 4, 16, 64):
         for formula in (
             lambda p: fid.f_ghz_teleport(p, n_parties),

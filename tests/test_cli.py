@@ -36,7 +36,7 @@ def scalar_route(observable, point):
     res = ReservoirParams.from_half_width(point["gamma0"], point["half_width"], point["delta"])
     t, n = point["t"], int(point["n"])
     if observable == "delta_p":
-        return [population_difference(res, t)]
+        return [population_difference(amplitude(res, t))]
     u = amplitude(res, t)
     if observable == "u_amplitude":
         return [u.real, u.imag, abs(u) ** 2]
@@ -50,7 +50,7 @@ def scalar_route(observable, point):
         if observable == "q_closed":
             return [ent.meyer_wallach_closed(a, b, u)]
         return [dense.meyer_wallach_numeric(dense.x_state_register(dense.XStateParams(a, b, u, u)))]
-    p = damping(res, t)
+    p = damping(amplitude(res, t))
     if observable in ("f_ghz_tele", "f_ghz_split"):
         formula = fid.f_ghz_teleport if observable == "f_ghz_tele" else fid.f_ghz_split
         return [p, formula(p, n)]
@@ -374,7 +374,7 @@ class TestRunScan:
                 return np.full(len(result.rows), _FIXED[name])
 
             reservoir = ReservoirParams.from_half_width(column("gamma0"), column("half_width"), column("delta"))
-            assert np.array_equal(result.rows[:, len(axes)], library(reservoir, column("t")))
+            assert np.array_equal(result.rows[:, len(axes)], library(amplitude(reservoir, column("t"))))
 
     @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     def test_rows_match_scalar_library_route(self, observable):
@@ -913,6 +913,20 @@ class TestMainEntrypoint:
             "fmoent: t and the rates gamma0, delta_omega (twice half_width) and delta: the decay "
             "exponent B*t/2 or xi*t/2 overflows at t = 1e+200 ps\n"
         )
+
+    @pytest.mark.parametrize("observable", cli.OBSERVABLES)
+    def test_amplitude_above_one_refused(self, observable, capsys):
+        # at huge detuning amplitude() returns |u| = 6403 here (ROADMAP item 4);
+        # delta_p once printed 82009551.3303 and seven more observables a value, all with exit 0
+        argv = ["scan", "--observable", observable, "--gamma0", "1.0504166348694111e+76",
+                "--half-width", "6.105002384194852e+49", "--delta=-1.714729736772316e+80",
+                "--t", "1.3504003786612088e-32", "--b", "0.8", "--n", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fmoent: |u| must not exceed 1, got 6403.49718241\n"
 
     def test_delta_axis_sweep(self):
         spec = ScanSpec(

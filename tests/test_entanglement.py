@@ -190,6 +190,12 @@ class TestWStateDecay:
         with pytest.raises(ValueError, match=r"\|u\| must not exceed 1, got 1\.000000002$"):
             dense.WStateParams(u=(1.0 + 2e-9) * np.exp(0.3j))
 
+    @pytest.mark.parametrize("u", [math.nan, complex(0.5, math.inf)], ids=["nan", "inf-phase"])
+    def test_non_finite_amplitude_refused(self, u):
+        # a nan u once built a W mixture of nan entries
+        with pytest.raises(ValueError, match=r"\|u\| must not exceed 1, got (nan|inf)$"):
+            dense.WStateParams(u=u)
+
 
 class TestWMixtureClosedForm:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -289,6 +295,13 @@ class TestXState:
     def test_amplitude_refusal_prints_the_excess(self, label):
         amplitudes = {"u1": 0.5, "u2": 0.5, label: np.array([0.5, 1.0 + 2e-9])}
         with pytest.raises(ValueError, match=rf"\|{label}\| must not exceed 1, got 1\.000000002$"):
+            dense.XStateParams(a=0.6, b=0.8, **amplitudes)
+
+    @pytest.mark.parametrize("label", ["u1", "u2"])
+    def test_non_finite_amplitude_refused(self, label):
+        # a nan u once built a register of nan entries
+        amplitudes = {"u1": 0.5, "u2": 0.5, label: np.array([0.5, math.nan])}
+        with pytest.raises(ValueError, match=rf"\|{label}\| must not exceed 1, got nan$"):
             dense.XStateParams(a=0.6, b=0.8, **amplitudes)
 
     def test_batched_register_equals_per_state(self):

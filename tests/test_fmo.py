@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +215,21 @@ class TestExcitonTable:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             fmo.exciton_table(np.eye(6))
+
+    @pytest.mark.parametrize(
+        "row, col, bad",
+        [(0, 0, math.inf), (3, 3, -math.inf), (0, 0, math.nan), (1, 2, math.nan), (2, 1, math.nan)],
+        ids=["inf-diagonal", "minus-inf-diagonal", "nan-diagonal", "nan-upper", "nan-lower"],
+    )
+    def test_non_finite_entries_rejected(self, row, col, bad):
+        # a NaN difference once passed the symmetry check: inf gave seven nan
+        # energies with a RuntimeWarning, nan escaped as numpy's LinAlgError
+        h = SITE_HAMILTONIAN.copy()
+        h[row, col] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^site-basis Hamiltonian entries must be finite$"):
+                fmo.exciton_table(h)
 
 
 class TestSiteEnergyFile:

@@ -7,10 +7,10 @@ Each test is derandomized (the same examples on every run) with a small
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmoent import dense
+from fmoent import cli, dense
 from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent.reservoir import ReservoirParams, amplitude
@@ -25,6 +25,9 @@ times = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=20)
 weights = st.floats(0.0, 1.0)
 qubits = st.integers(2, 12)
 seeds = st.integers(0, 2**32 - 1)
+# rates log-uniform over 1e-6 .. 1e8 cm^-1, a detuning of either sign
+log_rates = st.floats(-6.0, 8.0).map(lambda e: 10.0**e)
+signed_rates = st.tuples(st.sampled_from([-1.0, 1.0]), log_rates).map(lambda x: x[0] * x[1])
 
 
 @PROPERTY
@@ -86,3 +89,36 @@ def test_register_closed_form_equals_the_register(b, radius, phase):
     a, u = math.sqrt(1.0 - b * b), radius * complex(math.cos(phase), math.sin(phase))
     register = dense.meyer_wallach_numeric(dense.x_state_register(dense.XStateParams(a, b, u, u)))
     assert abs(ent.meyer_wallach_register(a, b, u) - register) <= 2e-15
+
+
+# value columns bounded to [0, 1]; delta_p and the u columns have their own
+# bounds, and q_closed's published form exceeds 1 for some b < 1
+_UNIT_COLUMNS = ("p_damp", "fidelity", "e_exciton", "e_reservoir")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    gamma0=log_rates, half_width=log_rates, delta=st.one_of(st.just(0.0), signed_rates),
+    t=st.floats(0.0, 1e4), b=weights, n=qubits,
+)
+# huge detuning: amplitude() returns |u| = 6403 here (ROADMAP item 4)
+@example(
+    gamma0=1.0504166348694111e76, half_width=6.105002384194852e49, delta=-1.714729736772316e80,
+    t=1.3504003786612088e-32, b=0.8, n=4,
+)
+def test_every_scan_observable_is_refused_or_in_range(gamma0, half_width, delta, t, b, n):
+    fixed = {"gamma0": gamma0, "half_width": half_width, "delta": delta, "t": t, "b": b, "n": n}
+    for observable in cli.OBSERVABLES:
+        try:
+            result = cli.run_scan(cli.ScanSpec(observable, fixed=fixed))
+        except ValueError:
+            continue
+        values = dict(zip(result.header, result.rows[0].tolist()))
+        assert all(math.isfinite(v) for v in values.values()), (observable, values)
+        for column, value in values.items():
+            if column in _UNIT_COLUMNS:
+                assert 0.0 <= value <= 1.0, (observable, column, value)
+        if "delta_p" in values:
+            assert -1.0 <= values["delta_p"] <= 1.0, values
+        if "u_re" in values:
+            assert max(abs(values["u_re"]), abs(values["u_im"])) <= 1.0 + 1e-9, values

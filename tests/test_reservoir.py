@@ -17,10 +17,18 @@ from fmoent.reservoir import (
     amplitude_ode_oracle,
     damping,
     population_difference,
+    survival,
 )
 
 MARKOVIAN = ReservoirParams.from_half_width(gamma0=10.0, half_width=4000.0, delta=0.0)
 NON_MARKOVIAN = ReservoirParams.from_half_width(gamma0=1000.0, half_width=40.0, delta=0.0)
+
+# the amplitude and the observables read from it, each as a function of (params, t)
+RESERVOIR_OBSERVABLES = (
+    amplitude,
+    lambda params, t: population_difference(amplitude(params, t)),
+    lambda params, t: damping(amplitude(params, t)),
+)
 
 
 def closed_form_reference(params, t, flip_branch=False):
@@ -123,8 +131,8 @@ class TestAmplitude:
         # xi is imaginary here, so u oscillates through zero
         t_zero = bisect_amplitude_zero(NON_MARKOVIAN, 0.03, 0.09)
         assert abs(amplitude(NON_MARKOVIAN, t_zero)) < 1e-12
-        assert damping(NON_MARKOVIAN, t_zero) == 1.0
-        assert damping(NON_MARKOVIAN, t_zero + 0.02) < 1.0  # revival
+        assert damping(amplitude(NON_MARKOVIAN, t_zero)) == 1.0
+        assert damping(amplitude(NON_MARKOVIAN, t_zero + 0.02)) < 1.0  # revival
 
     def test_zero_crossing_matches_ode_oracle(self):
         t_zero = bisect_amplitude_zero(NON_MARKOVIAN, 0.03, 0.09)
@@ -155,9 +163,9 @@ class TestAmplitude:
         plus = ReservoirParams.from_half_width(800.0, 30.0, 75.0)
         minus = ReservoirParams.from_half_width(800.0, 30.0, -75.0)
         assert np.abs(
-            population_difference(plus, t) - population_difference(minus, t)
+            population_difference(amplitude(plus, t)) - population_difference(amplitude(minus, t))
         ).max() < 1e-13
-        assert np.abs(damping(plus, t) - damping(minus, t)).max() < 1e-13
+        assert np.abs(damping(amplitude(plus, t)) - damping(amplitude(minus, t))).max() < 1e-13
 
     def test_branch_choice_of_xi_is_irrelevant(self):
         params = ReservoirParams.from_half_width(700.0, 35.0, 50.0)
@@ -198,7 +206,7 @@ class TestAmplitude:
         params = ReservoirParams.from_half_width(gamma0, half_width, delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for observable in (amplitude, population_difference, damping):
+            for observable in RESERVOIR_OBSERVABLES:
                 with pytest.raises(ValueError, match=r"gamma0, delta_omega \(twice half_width\) and delta"):
                     observable(params, 0.5)
 
@@ -222,7 +230,7 @@ class TestAmplitude:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for observable in (amplitude, population_difference, damping):
+            for observable in RESERVOIR_OBSERVABLES:
                 with pytest.raises(ValueError, match=message):
                     observable(params, t)
 
@@ -389,16 +397,16 @@ class TestOracleMatchesStepwiseRk4:
 
 class TestDerivedObservables:
     def test_population_difference_at_t0(self):
-        assert population_difference(NON_MARKOVIAN, 0.0) == 1.0
+        assert population_difference(amplitude(NON_MARKOVIAN, 0.0)) == 1.0
 
     def test_population_difference_matches_definition(self):
         t = np.linspace(0.0, 1.0, 33)
         expected = 2.0 * np.abs(amplitude(NON_MARKOVIAN, t)) ** 2 - 1.0
-        assert np.array_equal(population_difference(NON_MARKOVIAN, t), expected)
+        assert np.array_equal(population_difference(amplitude(NON_MARKOVIAN, t)), expected)
 
     def test_population_difference_markovian_anchor(self):
         rate = MARKOVIAN.gamma0 * CM1_TO_RAD_PER_PS
-        value = population_difference(MARKOVIAN, 1.0 / rate)
+        value = population_difference(amplitude(MARKOVIAN, 1.0 / rate))
         assert abs(value - (2.0 / math.e - 1.0)) < 0.01
 
     def test_half_survival_crosses_zero(self):
@@ -407,13 +415,41 @@ class TestDerivedObservables:
         lo, hi = 0.5 * t_half, 1.5 * t_half
         for _ in range(80):
             mid = (lo + hi) / 2
-            if population_difference(MARKOVIAN, mid) > 0:
+            if population_difference(amplitude(MARKOVIAN, mid)) > 0:
                 lo = mid
             else:
                 hi = mid
-        assert abs(population_difference(MARKOVIAN, (lo + hi) / 2)) < 1e-9
+        assert abs(population_difference(amplitude(MARKOVIAN, (lo + hi) / 2))) < 1e-9
 
     def test_damping_boundaries(self):
-        assert damping(NON_MARKOVIAN, 0.0) == 0.0
+        assert damping(amplitude(NON_MARKOVIAN, 0.0)) == 0.0
         rate = MARKOVIAN.gamma0 * CM1_TO_RAD_PER_PS
-        assert damping(MARKOVIAN, 10.0 / rate) >= 0.9999
+        assert damping(amplitude(MARKOVIAN, 10.0 / rate)) >= 0.9999
+
+    def test_survival_caps_at_one_within_the_slack(self):
+        # amplitude's rounding may leave |u| just above 1; s, p and the difference stay in range
+        u = np.array([0.6, 1.0 + 5e-10, 1j * (1.0 + 1e-9)])
+        assert survival(u).tolist() == [0.36, 1.0, 1.0]
+        assert damping(u)[1:].tolist() == [0.0, 0.0]
+        assert population_difference(u)[1:].tolist() == [1.0, 1.0]
+        assert type(survival(0.6 + 0.8j)) is float
+        assert survival(np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "u, named",
+        [
+            (1.0 + 2e-9, "1.000000002"),
+            (6403.49718241 + 1.3e-43j, "6403.49718241"),
+            (math.nan, "nan"),
+            (complex(0.0, math.inf), "inf"),
+            (np.array([[0.5, 1.0 + 2e-9], [0.25, 0.0]]), "1.000000002"),
+            (np.array([0.5, math.nan, 2.0]), "nan"),
+        ],
+        ids=["slack-exceeded", "huge-detuning", "nan", "inf", "array", "array-nan"],
+    )
+    def test_bad_amplitude_refused_by_every_observable(self, u, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for observable in (survival, damping, population_difference):
+                with pytest.raises(ValueError, match=rf"^\|u\| must not exceed 1, got {named}$"):
+                    observable(u)

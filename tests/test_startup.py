@@ -55,9 +55,10 @@ SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", 
         # the scans evaluate closed forms: neither the dense route nor qlin
         (_RUN_MAIN, (*SCAN, "e_exciton"), {"fmoent", "cli", "reservoir", "entanglement"}),
         (_RUN_MAIN, (*SCAN, "q_numeric", "--b", "0.6"), {"fmoent", "cli", "reservoir", "entanglement"}),
-        # the dense route loads the closed forms' module for its tolerances
+        # the dense route loads the closed forms' module for its tolerances and
+        # reservoir for what |u| means
         ("from fmoent import dense; dense.x_state_register", (),
-         {"fmoent", "entanglement", "dense", "qlin"}),
+         {"fmoent", "entanglement", "dense", "qlin", "reservoir"}),
     ],
     ids=[
         "import-fmoent", "import-cli", "version", "check", "table", "scan-delta_p", "scan-f_w_split",
