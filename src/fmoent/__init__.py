@@ -28,8 +28,8 @@ _PUBLIC = {
         "load_site_energies", "build_hamiltonian", "exciton_table",
     ),
     "reservoir": (
-        "ReservoirParams", "amplitude", "amplitude_ode_oracle", "survival", "population_difference",
-        "damping",
+        "ReservoirParams", "amplitude", "amplitude_ode_oracle", "amplitude_ode_blocks", "survival",
+        "population_difference", "damping",
     ),
     "entanglement": ("w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"),
     "dense": (

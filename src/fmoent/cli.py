@@ -87,8 +87,9 @@ _SCAN_KEYS = {
 MAX_GRID_ROWS = 10**7
 # Rows per kernel evaluation and per CSV write: bounds the temporaries.
 _BLOCK_ROWS = 1024
-# Points per amplitude evaluation in ``check``, the oracle's block size: the
-# comparison measured fastest and smallest here (1.2-1.3x over 32,768-point calls).
+# Points per amplitude evaluation in ``check``, within each of the oracle's
+# blocks (4,096 points, so one call per block): the comparison measured
+# fastest and smallest here (1.2-1.3x over 32,768-point calls).
 _CHECK_BLOCK = 4096
 
 
@@ -480,45 +481,44 @@ def _run_table_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_grid(t_max: float, step: float) -> np.ndarray:
-    """The grid 0, step, ..., t_max of ``check``, refused before it is allocated."""
+def _check_grid(t_max: float, step: float) -> int:
+    """Number of points of the grid 0, step, ..., t_max of ``check``, refused before anything is allocated."""
     for flag, value in (("--step", step), ("--t-max", t_max)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{flag}: must be a positive finite number, got {value}")
-    # np.arange below yields ceil(points) values
+    # as many points as np.arange(0.0, t_max + step / 2.0, step) holds
     points = (t_max + step / 2.0) / step
     if points > MAX_GRID_ROWS:
         raise ConfigError(
             f"--step: the grid over [0, {t_max:g}] ps has {points:.4g} points, "
             f"more than the limit of {MAX_GRID_ROWS}"
         )
-    return np.arange(0.0, t_max + step / 2.0, step)
-
-
-def _max_error(params, grid: np.ndarray, integrated: np.ndarray) -> float:
-    """max |amplitude - integrated| over the grid, ``_CHECK_BLOCK`` points at a time."""
-    return float(np.max([
-        np.abs(amplitude(params, grid[lo : lo + _CHECK_BLOCK]) - integrated[lo : lo + _CHECK_BLOCK]).max()
-        for lo in range(0, grid.size, _CHECK_BLOCK)
-    ]))
+    return math.ceil(points)
 
 
 def _run_check_command(args: argparse.Namespace) -> int:
-    grid = _check_grid(args.t_max, args.step)
+    size, step = _check_grid(args.t_max, args.step), args.step
     _need("reservoir")
-    errors = []
-    for gamma0 in (10.0, 1000.0):
-        for half_width in (20.0, 40.0):
-            for delta in (0.0, 100.0):
-                params = ReservoirParams.from_half_width(gamma0, half_width, delta)
-                integrated = amplitude_ode_oracle(params, grid, max_step=args.step)
-                err = _max_error(params, grid, integrated)
-                errors.append(err)
-                print(
-                    f"gamma0={gamma0:g} half_width={half_width:g} delta={delta:g} cm^-1: "
-                    f"max|u_analytic - u_ode| = {err:.3e}"
-                )
-    # np.max, unlike max(), propagates a NaN from a diverged integration
+    sets = [
+        ReservoirParams.from_half_width(gamma0, half_width, delta)
+        for gamma0 in (10.0, 1000.0)
+        for half_width in (20.0, 40.0)
+        for delta in (0.0, 100.0)
+    ]
+    # point i of the grid is i * step, as np.arange makes it
+    blocks = amplitude_ode_blocks(sets, size, lambda lo, hi: np.arange(lo, hi) * step, max_step=step)
+    errors = np.full(len(sets), -np.inf)
+    for i, t, integrated in blocks:
+        for lo in range(0, t.size, _CHECK_BLOCK):
+            closed = amplitude(sets[i], t[lo : lo + _CHECK_BLOCK])
+            error = np.abs(closed - integrated[lo : lo + _CHECK_BLOCK]).max()
+            # np.maximum, unlike max(), propagates a NaN from a diverged integration
+            errors[i] = np.maximum(errors[i], error)
+    for params, error in zip(sets, errors):
+        print(
+            f"gamma0={params.gamma0:g} half_width={params.half_width:g} delta={params.delta:g} cm^-1: "
+            f"max|u_analytic - u_ode| = {error:.3e}"
+        )
     worst = float(np.max(errors))
     print(f"overall max error over t in [0, {args.t_max:g}] ps: {worst:.3e}")
     if not worst < 1e-6:

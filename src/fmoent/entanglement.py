@@ -84,9 +84,12 @@ def meyer_wallach_closed(a, b, u):
     qubits sharing ``u``, kept for figure reproduction.  It departs from the
     register it describes (:func:`meyer_wallach_register`) by
     ``4 b^2 (1 - b^2) s (1 - s)``, up to 0.25; the two agree at b = 1, the
-    plotted case.  It refuses the ``u`` the register refuses: a non-finite
-    ``u`` or |u| > 1 + 1e-9.  Arguments broadcast; all-scalar arguments give
-    a float.
+    plotted case.  Unlike a Meyer-Wallach measure it is not bounded by 1:
+    it peaks at 9/8 = 1.125, at b^2 = 3/4 and s = 1/2, and ``q_closed``
+    prints such values as they are (1.00180541946 at b = 0.75, gamma0 = 1,
+    half width 0.01 cm^-1, t = 48 ps).  It refuses the ``u`` the register
+    refuses: a non-finite ``u`` or |u| > 1 + 1e-9.  Arguments broadcast;
+    all-scalar arguments give a float.
     """
     if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
         raise ValueError("a^2 + b^2 must equal 1")

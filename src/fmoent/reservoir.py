@@ -29,6 +29,7 @@ __all__ = [
     "ReservoirParams",
     "amplitude",
     "amplitude_ode_oracle",
+    "amplitude_ode_blocks",
     "survival",
     "population_difference",
     "damping",
@@ -190,6 +191,96 @@ def _map_power(p, q, n, b, c):
     return rp, rq
 
 
+def _interval_maps(h, n, b, c):
+    """Per entry, the map of ``n`` RK4 steps of length ``h``: one step map, powered where n > 1."""
+    p, q = _step_map(h, b, c)
+    multi = n > 1
+    p[multi], q[multi] = _map_power(p[multi], q[multi], n[multi], b, c)
+    return p, q
+
+
+def amplitude_ode_blocks(sets, size: int, points, *, max_step: float = 1e-4):
+    """Integrate u(t) for each reservoir of ``sets`` on one grid, a block at a time.
+
+    The grid has ``size`` points, and ``points(lo, hi)`` returns points
+    ``lo, ..., hi - 1`` of it.  They must be finite, strictly ascending and
+    start at t >= 0 (ps), else ValueError.  The grid is read in blocks of
+    ``_ORACLE_BLOCK`` points.  For each block, and for each reservoir in turn,
+    this yields ``(index into sets, block of t, u on that block)``, carrying
+    each reservoir's state to the next block, so only one reservoir's block of
+    u is alive at a time.  The block's intervals, their step counts and their
+    distinct lengths are computed once and shared by the reservoirs.  Each
+    reservoir's step maps are built only for the distinct lengths, then
+    gathered into place: a uniform grid has a few dozen distinct lengths
+    among thousands of intervals.  The method is described at
+    :func:`amplitude_ode_oracle`, which collects this for a single reservoir.
+    """
+    if not max_step > 0.0:
+        raise ValueError("max_step must be positive")
+    k = CM1_TO_RAD_PER_PS
+    # B and C of each reservoir's system
+    rates = [
+        ((p.delta_omega / 2.0 - 1j * p.delta) * k, (p.gamma0 * k) * (p.delta_omega * k) / 4.0) for p in sets
+    ]
+    # time, and each reservoir's state (u - 1, z), at the end of the previous block
+    t_in, states = 0.0, [(0j, 0j)] * len(rates)
+    for lo in range(0, size, _ORACLE_BLOCK):
+        t = np.asarray(points(lo, min(lo + _ORACLE_BLOCK, size)), dtype=float)
+        intervals = _block_intervals(t, t_in, lo == 0, max_step)
+        for i, (b, c) in enumerate(rates):
+            u, states[i] = _chain_block(intervals, states[i], b, c)
+            yield i, t, u[: t.size]
+        t_in = t[-1]
+
+
+def _block_intervals(t, t_in, first: bool, max_step: float):
+    """A block's intervals: (step length, step count) per distinct span, and each interval's index into them.
+
+    Interval ``j*w + i`` of the block sits at ``[i, j]`` of the ``(w, rows)``
+    index array, ``w = _ORACLE_WIDTH``; spans of 0 pad the block with identity
+    maps.  Refuses a block that is not finite, ascending and (the first one)
+    at t >= 0.
+    """
+    if not np.isfinite(t).all():
+        raise ValueError("t_grid must be finite")
+    spans = np.diff(t, prepend=t_in)
+    # only the first point of the grid may sit at t_in = 0
+    if np.any(spans[1:] <= 0.0) or not (spans[0] > 0.0 or (first and spans[0] == 0.0)):
+        raise ValueError("t_grid must be strictly ascending and start at t >= 0")
+    rows = -(-t.size // _ORACLE_WIDTH)
+    padded = np.zeros(rows * _ORACLE_WIDTH)
+    padded[: t.size] = spans
+    distinct, where = np.unique(padded, return_inverse=True)
+    # a step too long for the rates overflows, as the stepwise loop would
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.maximum(1.0, np.ceil(distinct / max_step))
+    if not steps.max() < 2.0**62:
+        raise ValueError("max_step is too small: an interval needs 2**62 RK4 steps or more")
+    n = steps.astype(np.int64)
+    return distinct / n, n, where.reshape(rows, _ORACLE_WIDTH).T
+
+
+def _chain_block(intervals, state, b, c):
+    """u over one block (padding included) and the state (u - 1, z) at its end, by the two-level scan."""
+    h, n, where = intervals
+    p_in, q_in = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = _interval_maps(h, n, b, c)
+        p, q = p[where], q[where]
+        # prefix within each run of consecutive intervals, one whole row per product
+        for i in range(1, _ORACLE_WIDTH):
+            p[i], q[i] = _map_product(p[i], q[i], p[i - 1], q[i - 1], b, c)
+        # doubling scan over the incoming state and the run totals
+        tp, tq = np.concatenate(([p_in], p[-1])), np.concatenate(([q_in], q[-1]))
+        shift = 1
+        while shift < tp.size:
+            tp[shift:], tq[shift:] = _map_product(tp[shift:], tq[shift:], tp[:-shift], tq[:-shift], b, c)
+            shift *= 2
+        # every run takes on the state at the end of the run before it
+        p, q = _map_product(p, q, tp[:-1], tq[:-1], b, c)
+    return 1.0 + p.T.ravel(), (tp[-1], tq[-1])
+
+
 def amplitude_ode_oracle(
     params: ReservoirParams,
     t_grid,
@@ -215,67 +306,28 @@ def amplitude_ode_oracle(
     p*I + q*A: the maps commute and multiply as pairs (p, q).  Applied to
     the initial state (1, 0), p*I + q*A gives (u, z) = (p, q), so the
     product of the maps up to a grid point is the state there.  The oracle
-    builds every interval's step map at once and raises it to its step count
-    by square-and-multiply where that count exceeds one.  It chains the maps
-    ``_ORACLE_BLOCK`` intervals at a time, carrying the state from block to
-    block, with a two-level scan: interval ``j*w + i`` of a block sits at
-    ``[i, j]`` of a ``(w, rows)`` array, ``w = _ORACLE_WIDTH``.  A running
-    product down the w rows, a doubling scan over the incoming state and the
-    run totals, and one product handing every run the state before it cost
-    about 3 map products per interval (12 for a doubling scan over every
-    interval).  No Python loop runs per step, so 10^7 steps in one interval
-    take a few dozen array operations.  Maps are stored as (p - 1, q): a
-    step's p is 1 - O(h^2), and rounding it would repeat the same error at
-    every step.
+    works ``_ORACLE_BLOCK`` intervals at a time, carrying the state from
+    block to block.  It builds the step map of each distinct interval length
+    in a block once and raises it to its step count by square-and-multiply
+    where that count exceeds one, then chains the block's maps with a
+    two-level scan: interval ``j*w + i`` of a block sits at ``[i, j]`` of a
+    ``(w, rows)`` array, ``w = _ORACLE_WIDTH``.  A running product down the w
+    rows, a doubling scan over the incoming state and the run totals, and
+    one product handing every run the state before it cost about 3 map
+    products per interval (12 for a doubling scan over every interval).  No
+    Python loop runs per step, so 10^7 steps in one interval take a few
+    dozen array operations.  Maps are stored as (p - 1, q): a step's p is
+    1 - O(h^2), and rounding it would repeat the same error at every step.
+
+    This collects :func:`amplitude_ode_blocks` for one reservoir; ``fmoent
+    check`` reads the blocks as they come instead, so its memory does not
+    grow with the grid.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
-    if not np.isfinite(grid).all():
-        raise ValueError("t_grid must be finite")
-    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("t_grid must be strictly ascending and start at t >= 0")
-    if not max_step > 0.0:
-        raise ValueError("max_step must be positive")
-
-    k = CM1_TO_RAD_PER_PS
-    b = (params.delta_omega / 2.0 - 1j * params.delta) * k
-    c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0
-    out = np.empty(grid.size, dtype=complex)
-    # time and state (u - 1, z) at the end of the previous block
-    t_in, p_in, q_in = 0.0, 0j, 0j
-    # a step too long for the rates overflows, as the stepwise loop would
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, grid.size, _ORACLE_BLOCK):
-            t = grid[lo : lo + _ORACLE_BLOCK]
-            rows = -(-t.size // _ORACLE_WIDTH)
-            # interval j*w + i sits at [i, j]; spans of 0 pad the block with identity maps
-            spans = np.zeros(rows * _ORACLE_WIDTH)
-            spans[: t.size] = np.diff(t, prepend=t_in)
-            spans = spans.reshape(rows, _ORACLE_WIDTH).T.copy()
-            steps = np.maximum(1.0, np.ceil(spans / max_step))
-            if not steps.max() < 2.0**62:
-                raise ValueError("max_step is too small: an interval needs 2**62 RK4 steps or more")
-            n = steps.astype(np.int64)
-            p, q = _step_map(spans / n, b, c)
-            multi = n > 1
-            p[multi], q[multi] = _map_power(p[multi], q[multi], n[multi], b, c)
-            # prefix within each run of consecutive intervals, one whole row per product
-            for i in range(1, _ORACLE_WIDTH):
-                p[i], q[i] = _map_product(p[i], q[i], p[i - 1], q[i - 1], b, c)
-            # doubling scan over the incoming state and the run totals
-            tp, tq = np.concatenate(([p_in], p[-1])), np.concatenate(([q_in], q[-1]))
-            shift = 1
-            while shift < tp.size:
-                tp[shift:], tq[shift:] = _map_product(
-                    tp[shift:], tq[shift:], tp[:-shift], tq[:-shift], b, c
-                )
-                shift *= 2
-            # every run takes on the state at the end of the run before it
-            p, q = _map_product(p, q, tp[:-1], tq[:-1], b, c)
-            out[lo : lo + t.size] = 1.0 + p.T.ravel()[: t.size]
-            t_in, p_in, q_in = t[-1], tp[-1], tq[-1]
-    return out
+    blocks = amplitude_ode_blocks([params], grid.size, lambda lo, hi: grid[lo:hi], max_step=max_step)
+    return np.concatenate([u for _, _, u in blocks])
 
 
 def survival(u):

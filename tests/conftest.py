@@ -14,11 +14,24 @@ point of most tests.
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 
 from fmoent import CM1_TO_RAD_PER_PS
+
+# Hypothesis imports its patch writer only when a test fails, and that import
+# raises a DeprecationWarning from a dependency; under ``-W error`` the
+# failure report then ended in a pytest INTERNALERROR instead of the
+# falsifying example.  Importing it here, with that warning ignored, keeps
+# the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def pt_by_bits(rho: np.ndarray, n_qubits: int, subset) -> np.ndarray:

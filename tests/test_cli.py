@@ -1,6 +1,5 @@
 import copy
 import io
-import itertools
 import math
 import operator
 import pickle
@@ -957,6 +956,12 @@ class TestMainEntrypoint:
         assert captured.out == ""
         assert captured.err == "fmoent: --step: must be a positive finite number, got -0.0001\n"
 
+    def test_q_closed_prints_the_published_value_above_one(self, capsys):
+        # the published form, not a bounded measure: it peaks at 1.125 (b^2 = 3/4, s = 1/2)
+        fixed = ["--b", "0.75", "--gamma0", "1", "--half-width", "0.01", "--t", "48"]
+        assert cli.main(["scan", "--observable", "q_closed", *fixed]) == 0
+        assert capsys.readouterr() == ("q\n1.00180541946\n", "")
+
     def test_check_subcommand_quick(self, capsys):
         assert cli.main(["check", "--t-max", "0.2", "--step", "0.001"]) == 0
         out = capsys.readouterr().out
@@ -986,7 +991,7 @@ class TestMainEntrypoint:
 
     def test_check_grid_at_the_limit(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_ROWS", 21)
-        assert cli._check_grid(2.0, 0.1).size == 21
+        assert cli._check_grid(2.0, 0.1) == 21
         assert np.arange(0.0, 2.0 + 0.095 / 2.0, 0.095).size == 22
         with pytest.raises(ConfigError, match="limit of 21"):
             cli._check_grid(2.0, 0.095)
@@ -1000,6 +1005,21 @@ class TestMainEntrypoint:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+        assert "overall max error" in capsys.readouterr().out
+
+    def test_check_memory_does_not_grow_with_the_grid(self, capsys):
+        # when the oracle returned each set's whole trajectory, 16 bytes a point,
+        # this grid of 200,001 points peaked at 8.4 MiB against 1.45 MiB
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                assert cli.main(["check", *argv]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        default = peak([])
+        assert peak(["--step", "1e-5"]) <= 1.1 * default
         assert "overall max error" in capsys.readouterr().out
 
     def test_check_blocks_do_not_change_the_errors(self, monkeypatch, capsys):
@@ -1037,18 +1057,21 @@ class TestMainEntrypoint:
         monkeypatch.setattr(cli, "amplitude", lambda params, t: calls.append((params, t)) or original(params, t))
         assert cli.main(["check"]) == 0
         assert max(t.size for _, t in calls) <= 4096
-        grid = cli._check_grid(2.0, 1e-4)
-        sets = [list(group) for _, group in itertools.groupby(calls, key=lambda call: call[0])]
+        grid = np.arange(0.0, 2.0 + 1e-4 / 2.0, 1e-4)
+        # the sets interleave block by block: group each set's calls in order
+        sets = {}
+        for params, t in calls:
+            sets.setdefault(params, []).append(t)
         assert len(sets) == 8
-        for group in sets:
-            assert np.array_equal(np.concatenate([t for _, t in group]), grid)
+        for group in sets.values():
+            assert np.array_equal(np.concatenate(group), grid)
 
     @pytest.mark.parametrize("gamma0, half_width", [(10.0, 20.0), (10.0, 40.0), (1000.0, 20.0), (1000.0, 40.0)])
     def test_check_blocks_give_the_values_of_small_calls(self, gamma0, half_width):
         # one 20,001-point call differs from 1,000-point calls in the last bit at
         # 1,711-2,572 points of each detuned set; check's blocks must not
         params = ReservoirParams.from_half_width(gamma0, half_width, 100.0)
-        grid = cli._check_grid(2.0, 1e-4)
+        grid = np.arange(0.0, 2.0 + 1e-4 / 2.0, 1e-4)
 
         def blocked(size):
             return np.concatenate([amplitude(params, grid[lo : lo + size]) for lo in range(0, grid.size, size)])

@@ -340,6 +340,12 @@ class TestMeyerWallach:
         assert ent.meyer_wallach_closed(1.0, 0.0, 0.37 + 0.1j) == 0.0
         assert ent.meyer_wallach_closed(0.6, 0.8, 1.0) == pytest.approx(2 * 0.36 * 0.64, abs=1e-15)
 
+    def test_published_form_exceeds_one(self):
+        # 2a^2 b^2 + 4 b^2 s (1 - s) peaks at 9/8, at b^2 = 3/4 and s = 1/2; the register reads 15/16 there
+        b = math.sqrt(0.75)
+        assert ent.meyer_wallach_closed(0.5, b, SQRT_HALF) == pytest.approx(1.125, abs=1e-15)
+        assert ent.meyer_wallach_register(0.5, b, SQRT_HALF) == pytest.approx(0.9375, abs=1e-15)
+
     def test_closed_matches_numeric_when_fully_excited_pair(self):
         # b = 1 is the regime where the closed form equals the register value
         rng = np.random.default_rng(42)

@@ -14,6 +14,7 @@ from fmoent.reservoir import (
     CM1_TO_RAD_PER_PS,
     ReservoirParams,
     amplitude,
+    amplitude_ode_blocks,
     amplitude_ode_oracle,
     damping,
     population_difference,
@@ -314,6 +315,13 @@ class TestOdeOracle:
 
 WEAK = ReservoirParams.from_half_width(10.0, 20.0, 100.0)
 STRONG = ReservoirParams.from_half_width(1000.0, 40.0, 100.0)
+CHECK_GRID = np.arange(0.0, 2.0 + 0.5e-4, 1e-4)
+
+
+def irregular_spans():
+    """600 interval lengths from 1e-6 to 5e-3 ps, log-uniform: 1 to 50 steps of 1e-4 ps."""
+    rng = np.random.default_rng(20070101)
+    return 10.0 ** rng.uniform(-6.0, math.log10(5e-3), size=600)
 
 
 class TestOracleMatchesStepwiseRk4:
@@ -328,11 +336,10 @@ class TestOracleMatchesStepwiseRk4:
 
     @pytest.mark.parametrize("params", [WEAK, STRONG], ids=["weak", "strong"])
     def test_check_grid(self, params):
-        self.assert_same(params, np.arange(0.0, 2.0 + 0.5e-4, 1e-4))
+        self.assert_same(params, CHECK_GRID)
 
     def test_irregular_grid(self):
-        rng = np.random.default_rng(20070101)
-        spans = 10.0 ** rng.uniform(-6.0, math.log10(5e-3), size=600)
+        spans = irregular_spans()
         steps = np.maximum(1, np.ceil(spans / 1e-4))
         assert steps.min() == 1 and steps.max() == 50
         for params in (WEAK, STRONG):
@@ -393,6 +400,64 @@ class TestOracleMatchesStepwiseRk4:
         assert time.perf_counter() - start < 1.0
         assert np.isfinite(u_end)
         assert abs(u_end - amplitude(params, 1e3)) < 1e-9
+
+
+class TestOracleBlocks:
+    """The streamed oracle: maps built per distinct interval length, sets interleaved per block."""
+
+    @pytest.mark.parametrize("params", [WEAK, STRONG], ids=["weak", "strong"])
+    @pytest.mark.parametrize("grid", [CHECK_GRID, np.cumsum(irregular_spans())], ids=["check", "irregular"])
+    def test_distinct_span_maps_equal_the_per_interval_maps(self, grid, params):
+        k = CM1_TO_RAD_PER_PS
+        b = (params.delta_omega / 2.0 - 1j * params.delta) * k
+        c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0
+        block, width = reservoir._ORACLE_BLOCK, reservoir._ORACLE_WIDTH
+        for lo in range(0, grid.size, block):
+            t, t_in = grid[lo : lo + block], grid[lo - 1] if lo else 0.0
+            h, n, where = reservoir._block_intervals(t, t_in, lo == 0, 1e-4)
+            p, q = reservoir._interval_maps(h, n, b, c)
+            # every interval's own map, as the oracle once built them
+            spans = np.zeros(where.size)
+            spans[: t.size] = np.diff(t, prepend=t_in)
+            spans = spans.reshape(-1, width).T.copy()
+            steps = np.maximum(1.0, np.ceil(spans / 1e-4)).astype(np.int64)
+            ep, eq = reservoir._step_map(spans / steps, b, c)
+            multi = steps > 1
+            ep[multi], eq[multi] = reservoir._map_power(ep[multi], eq[multi], steps[multi], b, c)
+            assert p[where].tobytes() == ep.tobytes()
+            assert q[where].tobytes() == eq.tobytes()
+
+    def test_the_check_grid_has_few_distinct_spans(self):
+        block = reservoir._ORACLE_BLOCK
+        for lo in range(0, CHECK_GRID.size, block):
+            t = CHECK_GRID[lo : lo + block]
+            h, _, _ = reservoir._block_intervals(t, CHECK_GRID[lo - 1] if lo else 0.0, lo == 0, 1e-4)
+            assert h.size <= 32 < t.size
+
+    def test_sets_interleave_by_block_and_keep_their_own_state(self):
+        grid = np.linspace(0.0, 0.5, 2 * reservoir._ORACLE_BLOCK + 3)
+        blocks = list(amplitude_ode_blocks([WEAK, STRONG], grid.size, lambda lo, hi: grid[lo:hi]))
+        assert [i for i, _, _ in blocks] == [0, 1, 0, 1, 0, 1]
+        assert np.array_equal(np.concatenate([t for i, t, _ in blocks if i == 0]), grid)
+        for i, params in enumerate((WEAK, STRONG)):
+            collected = np.concatenate([u for j, _, u in blocks if j == i])
+            assert collected.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
+
+    def test_numpy_error_state_is_untouched_between_blocks(self):
+        before = np.geterr()
+        for _ in amplitude_ode_blocks([WEAK, STRONG], 3, lambda lo, hi: np.arange(lo, hi) * 5.0, max_step=5.0):
+            assert np.geterr() == before
+
+    def test_bad_grid_refused_in_a_later_block(self):
+        block = reservoir._ORACLE_BLOCK
+        grid = np.linspace(0.0, 1.0, block + 2)
+        for bad, message in ((grid[block - 1], "strictly ascending"), (math.nan, "finite")):
+            broken = grid.copy()
+            broken[block] = bad
+            with pytest.raises(ValueError, match=message):
+                amplitude_ode_oracle(WEAK, broken)
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            next(amplitude_ode_blocks([WEAK], 2, lambda lo, hi: np.arange(lo, hi) * 0.1, max_step=-1.0))
 
 
 class TestDerivedObservables:
