@@ -15,8 +15,8 @@ axis is not a reservoir input and the inner sweep fits in a block.  Each
 observable is one array kernel of u and the parameters in
 ``_OBSERVABLE_TABLE``.  Every value takes numpy's array path, and a point's
 value does not depend on which parameters were swept or on the blocking.
-The CSV is written a block at a time, with each axis value formatted once
-from the grids the result carries.
+The CSV writer walks the same blocks (``_blocks``) over the result,
+formatting the axis values from the grids the result carries.
 
 Subcommands: ``scan`` (general observable scans), ``table`` (the exciton
 energy/amplitude table) and ``check`` (closed-form amplitude against the
@@ -87,10 +87,6 @@ _SCAN_KEYS = {
 MAX_GRID_ROWS = 10**7
 # Rows per kernel evaluation and per CSV write: bounds the temporaries.
 _BLOCK_ROWS = 1024
-# Points per amplitude evaluation in ``check``, within each of the oracle's
-# blocks (4,096 points, so one call per block): the comparison measured
-# fastest and smallest here (1.2-1.3x over 32,768-point calls).
-_CHECK_BLOCK = 4096
 
 
 # The library modules this module calls.  A subcommand imports one the first
@@ -374,6 +370,18 @@ def _resolve_dataset(name_or_path: str):
         ) from None
 
 
+def _blocks(outer: int, sweep: int):
+    """(outer slice, inner slice) of each block of an outer x sweep grid, in row order.
+
+    A block is k = ``_BLOCK_ROWS // sweep`` whole sweeps, or a slice of at
+    most ``_BLOCK_ROWS`` points of a longer sweep.
+    """
+    k, width = max(1, _BLOCK_ROWS // sweep), min(sweep, _BLOCK_ROWS)
+    for o in range(0, outer, k):
+        for i in range(0, sweep, width):
+            yield slice(o, o + k), slice(i, i + width)
+
+
 def run_scan(spec: ScanSpec) -> ScanResult:
     """Evaluate the observable over the grid; the first axis varies slowest."""
     observable = _OBSERVABLE_TABLE[spec.observable]
@@ -395,32 +403,25 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     # the grid is outer x inner; a scan of one axis or none has a single outer row
     outer = grids[0] if len(grids) == 2 else np.zeros(1)
     inner = grids[-1] if grids else np.zeros(1)
-    sweep = len(inner)
     header = [_AXIS_LABELS[name] for name in axis_names] + list(observable.columns)
-    rows = np.empty((len(outer) * sweep, len(header)))
-    # a block is k whole inner sweeps, or a slice of one sweep longer than a block
-    k, width = max(1, _BLOCK_ROWS // sweep), min(sweep, _BLOCK_ROWS)
-    # u is evaluated once and every block reuses it, unless the outer axis is
-    # a reservoir input or the inner sweep is sliced
-    reuse = (len(grids) < 2 or axis_names[0] not in _RES) and sweep <= _BLOCK_ROWS
-    u = None
-    for o in range(0, len(outer), k):
-        for i in range(0, sweep, width):
-            # the outer axis as (k, 1), the inner axis as (1, m)
-            axes = (outer[o : o + k, None], inner[None, i : i + width])[2 - len(grids) :]
-            p = {**base, **dict(zip(axis_names, axes))}
-            if u is None or not reuse:
-                reservoir = ReservoirParams.from_half_width(p["gamma0"], p["half_width"], p["delta"])
-                # t spans the block's distinct reservoir points, one per value of u
-                t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
-                t[...] = p["t"]
-                u = amplitude(reservoir, t)
-            outer_n, inner_n = min(k, len(outer) - o), min(width, sweep - i)
-            lo = o * sweep + i
-            block = rows[lo : lo + outer_n * inner_n].reshape(outer_n, inner_n, len(header))
-            for j, column in enumerate([*axes, *observable.kernel(u, p)]):
-                block[:, :, j] = column
-    return ScanResult(header=header, rows=rows, axes=tuple(grids))
+    rows = np.empty((len(outer), len(inner), len(header)))
+    # u is evaluated again only when the block's inner slice changes or the
+    # outer axis is a reservoir input
+    varies = len(grids) == 2 and axis_names[0] in _RES
+    u = last = None
+    for o, i in _blocks(len(outer), len(inner)):
+        # the outer axis as (k, 1), the inner axis as (1, m)
+        axes = (outer[o, None], inner[None, i])[2 - len(grids) :]
+        p = {**base, **dict(zip(axis_names, axes))}
+        if varies or i != last:
+            reservoir = ReservoirParams.from_half_width(p["gamma0"], p["half_width"], p["delta"])
+            # t spans the block's distinct reservoir points, one per value of u
+            t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
+            t[...] = p["t"]
+            u, last = amplitude(reservoir, t), i
+        for j, column in enumerate([*axes, *observable.kernel(u, p)]):
+            rows[o, i, j] = column
+    return ScanResult(header=header, rows=rows.reshape(-1, len(header)), axes=tuple(grids))
 
 
 def emit_csv(result: ScanResult, destination=None) -> None:
@@ -434,36 +435,26 @@ def emit_csv(result: ScanResult, destination=None) -> None:
 
 
 def _write_csv(result: ScanResult, out) -> None:
-    # "%.12g" % v gives the same bytes as format(v, ".12g").  An axis value
-    # repeats down the rows, so it is formatted once into the rows' template
-    # and the one "%" call per block formats only the other columns.  With
-    # two axes each outer value leads a run of one inner sweep.  The inner
-    # (or only) axis is kept as strings while a sweep fits in a block; a
-    # longer one is formatted with the values, one block at a time.
+    # "%.12g" % v gives the same bytes as format(v, ".12g").  The writer walks
+    # run_scan's blocks over the value columns, viewed as outer x inner (a
+    # result without axes as rows x 1, with no lead).  An axis value repeats
+    # down the rows, so it is formatted once into the block's template: one
+    # lead per outer value, and the inner slice's strings, formatted once
+    # per distinct slice.  The one "%" call per block formats the values.
     out.write(",".join(result.header) + "\n")
     rows, axes = result.rows, result.axes
     outer = axes[0] if len(axes) == 2 else None
-    sweep = len(axes[-1]) if outer is not None else max(1, len(rows))
-    inner = axes[-1] if axes and sweep <= _BLOCK_ROWS else None
-    # the leading axis columns that come from strings, not from the "%" call
-    kept = (outer is not None) + (inner is not None)
-    line = ",".join(["%.12g"] * (rows.shape[1] - kept)) + "\n"
-    runs = None if inner is None else ["%.12g," % v + line for v in inner.tolist()]
-    values = rows[:, kept:]
-    # whole sweeps per block while one fits, so each outer value leads once
-    step = sweep * (_BLOCK_ROWS // sweep) or _BLOCK_ROWS
-    for lo in range(0, len(rows), step):
-        hi = min(lo + step, len(rows))
-        template = []
-        start = lo
-        while start < hi:
-            o, i = divmod(start, sweep)
-            end = min(hi, start - i + sweep)
-            lead = "" if outer is None else "%.12g," % outer[o]
-            body = [line] * (end - start) if runs is None else runs[i : i + end - start]
-            template.append(lead + lead.join(body))
-            start = end
-        out.write("".join(template) % tuple(values[lo:hi].ravel().tolist()))
+    inner = axes[-1] if axes else None
+    shape = (len(rows) // len(inner), len(inner)) if axes else (len(rows), 1)
+    values = rows[:, len(axes) :].reshape(*shape, rows.shape[1] - len(axes))
+    line = ",".join(["%.12g"] * values.shape[2]) + "\n"
+    body, last = [line], None
+    for o, i in _blocks(*shape):
+        if inner is not None and i != last:
+            body, last = ["%.12g," % v + line for v in inner[i].tolist()], i
+        leads = [""] * len(values[o]) if outer is None else ["%.12g," % v for v in outer[o].tolist()]
+        template = "".join(lead + lead.join(body) for lead in leads)
+        out.write(template % tuple(values[o, i].ravel().tolist()))
 
 
 def _run_scan_command(args: argparse.Namespace) -> int:
@@ -508,12 +499,12 @@ def _run_check_command(args: argparse.Namespace) -> int:
     # point i of the grid is i * step, as np.arange makes it
     blocks = amplitude_ode_blocks(sets, size, lambda lo, hi: np.arange(lo, hi) * step, max_step=step)
     errors = np.full(len(sets), -np.inf)
+    # one amplitude call per oracle block, so the call size stays below the
+    # 16,384 points from which amplitude's last bit depends on it
     for i, t, integrated in blocks:
-        for lo in range(0, t.size, _CHECK_BLOCK):
-            closed = amplitude(sets[i], t[lo : lo + _CHECK_BLOCK])
-            error = np.abs(closed - integrated[lo : lo + _CHECK_BLOCK]).max()
-            # np.maximum, unlike max(), propagates a NaN from a diverged integration
-            errors[i] = np.maximum(errors[i], error)
+        error = np.abs(amplitude(sets[i], t) - integrated).max()
+        # np.maximum, unlike max(), propagates a NaN from a diverged integration
+        errors[i] = np.maximum(errors[i], error)
     for params, error in zip(sets, errors):
         print(
             f"gamma0={params.gamma0:g} half_width={params.half_width:g} delta={params.delta:g} cm^-1: "

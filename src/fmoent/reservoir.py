@@ -99,6 +99,14 @@ def _select(rate, mask):
     return rate[mask] if np.ndim(rate) else rate
 
 
+def _overflow(t) -> ValueError:
+    """The refusal of a point whose decay exponent overflows at time ``t``."""
+    return ValueError(
+        "t and the rates gamma0, delta_omega (twice half_width) and delta: the decay exponent "
+        f"B*t/2 or xi*t/2 overflows at t = {t:.12g} ps"
+    )
+
+
 def amplitude(params: ReservoirParams, t):
     """Survival amplitude u(t) of the excited qubit state; u(0) = 1, |u| <= 1.
 
@@ -126,10 +134,7 @@ def amplitude(params: ReservoirParams, t):
         x = xi * tt / 2.0
         finite = np.isfinite(x) & np.isfinite(b * tt)
     if not finite.all():
-        raise ValueError(
-            "t and the rates gamma0, delta_omega (twice half_width) and delta: the decay exponent "
-            f"B*t/2 or xi*t/2 overflows at t = {tt[np.argmin(finite)]:.12g} ps"
-        )
+        raise _overflow(tt[np.argmin(finite)])
     small = np.abs(x) < 5e-7
     big = ~small & (x.real > 350.0)
     mid = ~small & ~big
@@ -148,16 +153,20 @@ def amplitude(params: ReservoirParams, t):
         u[mid] = np.exp(-bm * tm / 2.0) * (np.cosh(xm) + (bm / _select(xi, mid)) * np.sinh(xm))
     if big.any():
         tb, bb, xib = tt[big], _select(b, big), _select(xi, big)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slow, fast = (xib - bb) * tb / 2.0, -(xib + bb) * tb / 2.0
+        finite = np.isfinite(slow) & np.isfinite(fast)
+        if not finite.all():
+            raise _overflow(tb[np.argmin(finite)])
         ratio = bb / xib
-        u[big] = 0.5 * (
-            (1.0 + ratio) * np.exp((xib - bb) * tb / 2.0)
-            + (1.0 - ratio) * np.exp(-(xib + bb) * tb / 2.0)
-        )
+        u[big] = 0.5 * ((1.0 + ratio) * np.exp(slow) + (1.0 - ratio) * np.exp(fast))
     return complex(u[0]) if not shape else u.reshape(shape)
 
 
 # Grid intervals per pass of the oracle's scan (bounds its temporaries), and
 # the run length of its first level, multiplied out one row at a time.
+# ``check`` evaluates amplitude once per block, so the block must stay below
+# 16,384 points, from which amplitude's last bit depends on the call size.
 _ORACLE_BLOCK = 4096
 _ORACLE_WIDTH = 8
 
@@ -189,14 +198,6 @@ def _map_power(p, q, n, b, c):
         rp, rq = np.where(odd, tp, rp), np.where(odd, tq, rq)
         n = n >> 1
     return rp, rq
-
-
-def _interval_maps(h, n, b, c):
-    """Per entry, the map of ``n`` RK4 steps of length ``h``: one step map, powered where n > 1."""
-    p, q = _step_map(h, b, c)
-    multi = n > 1
-    p[multi], q[multi] = _map_power(p[multi], q[multi], n[multi], b, c)
-    return p, q
 
 
 def amplitude_ode_blocks(sets, size: int, points, *, max_step: float = 1e-4):
@@ -265,7 +266,8 @@ def _chain_block(intervals, state, b, c):
     h, n, where = intervals
     p_in, q_in = state
     with np.errstate(over="ignore", invalid="ignore"):
-        p, q = _interval_maps(h, n, b, c)
+        # each distinct length's map of n steps; for n = 1, the step map itself
+        p, q = _map_power(*_step_map(h, b, c), n, b, c)
         p, q = p[where], q[where]
         # prefix within each run of consecutive intervals, one whole row per product
         for i in range(1, _ORACLE_WIDTH):

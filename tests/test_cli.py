@@ -690,6 +690,29 @@ class TestCsvWriterBytes:
         assert sink.rows == 6001 and sink.most <= cli._BLOCK_ROWS
 
 
+class TestBlockWalk:
+    """``_blocks`` is the one blocking of a scan: run_scan evaluates it and the writer writes it."""
+
+    @pytest.mark.parametrize("sweep", [1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("outer", [1, 2, 3])
+    def test_blocks_cover_the_grid_once_in_row_order(self, outer, sweep):
+        index = np.arange(outer * sweep).reshape(outer, sweep)
+        walked = [index[o, i].ravel() for o, i in cli._blocks(outer, sweep)]
+        assert max(block.size for block in walked) <= cli._BLOCK_ROWS
+        assert np.array_equal(np.concatenate(walked), np.arange(outer * sweep))
+
+    def test_writes_are_the_walks_blocks(self):
+        result = _scan("u_amplitude", AxisSpec("delta", -30.0, 30.0, 2), AxisSpec("t", 0.0, 5.0, 3000))
+        lines = []
+
+        class Sink:
+            def write(self, text):
+                lines.append(text.count("\n"))
+
+        cli._write_csv(result, Sink())
+        assert lines == [1, 1024, 1024, 952, 1024, 1024, 952]
+
+
 class TestMainEntrypoint:
     def test_one_parser_serves_every_call(self, capsys):
         argv = ["scan", "--observable", "f_ghz_tele", "--axis1", "n:2:5:4", "--axis2", "t:0:1:5",
@@ -913,6 +936,20 @@ class TestMainEntrypoint:
             "exponent B*t/2 or xi*t/2 overflows at t = 1e+200 ps\n"
         )
 
+    def test_split_branch_exponent_overflow_refused(self, capsys):
+        # once "|u| must not exceed 1, got nan", after three RuntimeWarnings
+        argv = ["scan", "--observable", "u_amplitude", "--gamma0", "1000", "--half-width", "20",
+                "--delta", "100", "--t", "3e306"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fmoent: t and the rates gamma0, delta_omega (twice half_width) and delta: the decay "
+            "exponent B*t/2 or xi*t/2 overflows at t = 3e+306 ps\n"
+        )
+
     @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     def test_amplitude_above_one_refused(self, observable, capsys):
         # at huge detuning amplitude() returns |u| = 6403 here (ROADMAP item 4);
@@ -1026,7 +1063,7 @@ class TestMainEntrypoint:
         argv = ["check", "--t-max", "0.2", "--step", "0.001"]
         assert cli.main(argv) == 0
         whole = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_CHECK_BLOCK", 7)
+        monkeypatch.setattr("fmoent.reservoir._ORACLE_BLOCK", 7)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
 
@@ -1076,7 +1113,18 @@ class TestMainEntrypoint:
         def blocked(size):
             return np.concatenate([amplitude(params, grid[lo : lo + size]) for lo in range(0, grid.size, size)])
 
-        assert np.array_equal(blocked(cli._CHECK_BLOCK), blocked(1000))
+        assert np.array_equal(blocked(fmoent.reservoir._ORACLE_BLOCK), blocked(1000))
+
+    def test_check_refuses_an_overflowing_exponent_without_warnings(self, capsys):
+        # reservoir 5 (gamma0 1000, half width 20, delta 100) reaches the split
+        # branch's overflow first; it once returned NaN with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", "--t-max", "1e308", "--step", "1e302"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("fmoent: t and the rates") and "overflows at t = " in captured.err
 
     def test_check_fails_when_the_integration_diverges(self, capsys):
         # RK4 steps of 5 ps overflow for every set: NaN errors must not pass

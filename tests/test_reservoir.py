@@ -235,6 +235,16 @@ class TestAmplitude:
                 with pytest.raises(ValueError, match=message):
                     observable(params, t)
 
+    def test_split_branch_exponent_overflow_refused(self):
+        # xi*t/2 and B*t are finite here, but (xi + B)*t/2 overflows: this returned nan+nanj
+        params = ReservoirParams.from_half_width(1000.0, 20.0, 100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflows at t = 3e\+306 ps$"):
+                amplitude(params, 3e306)
+            with pytest.raises(ValueError, match=r"overflows at t = 3e\+306 ps$"):
+                amplitude(params, np.array([0.5, 3e306]))
+
     def test_rates_below_the_overflow_stay_finite(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -415,7 +425,7 @@ class TestOracleBlocks:
         for lo in range(0, grid.size, block):
             t, t_in = grid[lo : lo + block], grid[lo - 1] if lo else 0.0
             h, n, where = reservoir._block_intervals(t, t_in, lo == 0, 1e-4)
-            p, q = reservoir._interval_maps(h, n, b, c)
+            p, q = reservoir._map_power(*reservoir._step_map(h, b, c), n, b, c)
             # every interval's own map, as the oracle once built them
             spans = np.zeros(where.size)
             spans[: t.size] = np.diff(t, prepend=t_in)
