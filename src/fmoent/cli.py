@@ -13,8 +13,10 @@ axis is a (k, 1) array, the inner axis a (1, m) array and each fixed value a
 (gamma0, half width, delta, t) of a block, and once per scan when the outer
 axis is not a reservoir input and the inner sweep fits in a block.  Each
 observable is one array kernel of u and the parameters in
-``_OBSERVABLE_TABLE``.  Every value takes numpy's array path, and a point's
-value does not depend on which parameters were swept or on the blocking.
+``_OBSERVABLE_TABLE``.  Every value takes numpy's array path; a point's
+printed value does not depend on which parameters were swept or on the
+blocking, but an ``f_ghz_*`` row's last bit can depend on whether ``n`` is
+the inner axis (numpy's ``power`` rounds a contiguous exponent differently).
 The CSV writer walks the same blocks (``_blocks``) over the result,
 formatting the axis values from the grids the result carries.
 

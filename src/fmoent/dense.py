@@ -45,14 +45,21 @@ class BipartitionSet:
         return {m: len(subsets) for m, subsets in self.groups.items()}
 
 
+def _qubit_count(n_qubits, low: int = 1, high: float = math.inf) -> int:
+    """``n_qubits`` as an int; a count that is not an integer in ``low..high`` is refused."""
+    # the bounds come first: they compare an int beyond the float range exactly
+    if not (low <= n_qubits <= high and float(n_qubits).is_integer()):
+        bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ValueError(f"n_qubits must be an integer {bounds}, got {n_qubits}")
+    return int(n_qubits)
+
+
 def enumerate_bipartitions(n_qubits: int) -> BipartitionSet:
     """All nonequivalent bipartitions of ``n_qubits`` qubits (2 <= N <= 12).
 
     The total count is 2**(N-1) - 1.
     """
-    n = int(n_qubits)
-    if not 2 <= n <= 12:
-        raise ValueError(f"n_qubits must be in 2..12, got {n_qubits}")
+    n = _qubit_count(n_qubits, 2, 12)
     groups: dict[int, list[tuple[int, ...]]] = {}
     for m in range(1, n // 2 + 1):
         subsets = list(combinations(range(n), m))
@@ -114,9 +121,7 @@ def global_entanglement(rho, n_qubits: int) -> float:
 
 def w_state(n_qubits: int) -> np.ndarray:
     """Single-excitation symmetric state over ``n_qubits`` qubits."""
-    n = int(n_qubits)
-    if n < 1:
-        raise ValueError("n_qubits must be >= 1")
+    n = _qubit_count(n_qubits)
     psi = np.zeros(2**n, dtype=complex)
     for q in range(n):
         psi[1 << (n - 1 - q)] = 1.0 / math.sqrt(n)
@@ -125,9 +130,7 @@ def w_state(n_qubits: int) -> np.ndarray:
 
 def ghz_state(n_qubits: int, alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt(2)) -> np.ndarray:
     """alpha |0...0> + beta |1...1> over ``n_qubits`` qubits."""
-    n = int(n_qubits)
-    if n < 1:
-        raise ValueError("n_qubits must be >= 1")
+    n = _qubit_count(n_qubits)
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     psi = np.zeros(2**n, dtype=complex)
@@ -144,8 +147,7 @@ class WStateParams:
     n_qubits: int = 4
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        _qubit_count(self.n_qubits)
         survival(self.u)
 
 

@@ -23,28 +23,27 @@ def _check_damping(p):
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("damping parameter p must lie in [0, 1]")
-    return p
+    return np.atleast_1d(p)
 
 
 def _check_parties(n_parties):
-    """An int, or a float array of integer values, all >= 2 (so finite)."""
-    if np.ndim(n_parties):
-        n = np.asarray(n_parties, dtype=float)
-        bad = ~np.isfinite(n) | (n != np.rint(n)) | (n < 2)
-        if bad.any():
-            raise ValueError(f"n_parties must be integers >= 2, got {n[bad].flat[0]:g}")
-        return n
-    try:
-        n = int(n_parties)
-    except (OverflowError, ValueError):  # inf, nan
-        n = None
-    if n is None or n != n_parties or n < 2:
-        raise ValueError(f"n_parties must be an integer >= 2, got {n_parties!r}")
-    return n
+    """Real numbers, all integers >= 2 (so finite), as a float array of at least one dimension."""
+    n = np.asarray(n_parties)
+    # a bool, a string or an int beyond 64 bits is not a count
+    count = n.astype(float) if n.dtype.kind in "iuf" else np.full(n.shape, np.nan)
+    bad = ~np.isfinite(count) | (count != np.rint(count)) | (count < 2)
+    if bad.any():
+        raise ValueError(f"n_parties must be integers >= 2, got {n[bad].tolist()[0]!r}")
+    return np.atleast_1d(count)
 
 
-def _maybe_scalar(value):
-    return value if np.ndim(value) else float(value)
+def _maybe_scalar(value, *inputs):
+    """The one point of ``value`` as a float when every input is a scalar.
+
+    The checks return their inputs at least 1-D, so a scalar call is a
+    one-point array call and takes the array arithmetic.
+    """
+    return value if any(np.ndim(x) for x in inputs) else float(value[0])
 
 
 def f_ghz_teleport(p, n_parties):
@@ -53,19 +52,18 @@ def f_ghz_teleport(p, n_parties):
     ``n_parties`` is an int or an array of integer values broadcasting
     against ``p``.
     """
-    n = _check_parties(n_parties)
-    p = _check_damping(p)
-    q = 1.0 - p
+    n, d = _check_parties(n_parties), _check_damping(p)
+    q = 1.0 - d
     # q**(n/2) as a real power of a non-negative base so odd N is defined
-    value = (2.0 + q ** (n - 1) * (2.0 - p) + 2.0 * q ** (n / 2.0) + p ** (n - 1) * (1.0 + p)) / 6.0
-    return _maybe_scalar(value)
+    value = (2.0 + q ** (n - 1) * (2.0 - d) + 2.0 * q ** (n / 2.0) + d ** (n - 1) * (1.0 + d)) / 6.0
+    return _maybe_scalar(value, p, n_parties)
 
 
 def f_w_teleport(p):
     """Teleportation fidelity with the (N+1)-qubit W-type resource."""
-    p = _check_damping(p)
-    value = (3.0 - 2.0 * p + p**2) / 3.0
-    return _maybe_scalar(value)
+    d = _check_damping(p)
+    value = (3.0 - 2.0 * d + d**2) / 3.0
+    return _maybe_scalar(value, p)
 
 
 def f_ghz_split(p, n_parties):
@@ -73,15 +71,14 @@ def f_ghz_split(p, n_parties):
 
     ``n_parties`` broadcasts against ``p`` as in :func:`f_ghz_teleport`.
     """
-    n = _check_parties(n_parties)
-    p = _check_damping(p)
-    q = 1.0 - p
-    value = (2.0 - p * q + q ** (n / 2.0)) / 3.0
-    return _maybe_scalar(value)
+    n, d = _check_parties(n_parties), _check_damping(p)
+    q = 1.0 - d
+    value = (2.0 - d * q + q ** (n / 2.0)) / 3.0
+    return _maybe_scalar(value, p, n_parties)
 
 
 def f_w_split(p):
     """Fidelity of splitting with the W-type resource: 1 - p/3."""
-    p = _check_damping(p)
-    value = 1.0 - p / 3.0
-    return _maybe_scalar(value)
+    d = _check_damping(p)
+    value = 1.0 - d / 3.0
+    return _maybe_scalar(value, p)

@@ -75,28 +75,23 @@ class ReservoirParams:
 def _decay_rates(params: ReservoirParams):
     """Return (B, xi) in rad/ps for the closed-form amplitude.
 
-    Scalar parameters give Python complex numbers; array parameters give
-    complex arrays of their broadcast shape.  Rates whose squares or product
-    overflow are refused.
+    Both are complex arrays of the parameters' broadcast shape, and of shape
+    (1,) for scalar parameters: every input takes numpy's array arithmetic,
+    so a point's rates do not depend on how its parameters were passed.
+    Rates whose squares or product overflow are refused.
     """
     k = CM1_TO_RAD_PER_PS
+    gamma0, delta_omega, delta = np.atleast_1d(params.gamma0, params.delta_omega, params.delta)
     # an overflow in B^2 or in the product of rates leaves disc non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (params.delta_omega / 2.0 - 1j * params.delta) * k
-        disc = b * b - (params.gamma0 * k) * (params.delta_omega * k)
+        b = (delta_omega / 2.0 - 1j * delta) * k
+        disc = b * b - (gamma0 * k) * (delta_omega * k)
     if not np.all(np.isfinite(disc)):
         raise ValueError(
             "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow "
             "(a rate above about 7e154 cm^-1, or gamma0 * delta_omega above about 5e309 cm^-2)"
         )
-    if np.ndim(disc):
-        return b, np.sqrt(disc)
-    return b, complex(np.sqrt(complex(disc)))
-
-
-def _select(rate, mask):
-    """The masked entries of a per-point rate; a scalar rate applies to all."""
-    return rate[mask] if np.ndim(rate) else rate
+    return b, np.sqrt(disc)
 
 
 def _overflow(t) -> ValueError:
@@ -112,7 +107,10 @@ def amplitude(params: ReservoirParams, t):
 
     ``t`` is in picoseconds (scalar or array, finite and >= 0) and broadcasts
     against array-valued ``params``; the result has the broadcast shape,
-    or is a Python complex when everything is scalar.  The evaluation
+    or is a Python complex when everything is scalar.  Scalar inputs take
+    the array arithmetic too: a point's u is the same, bit for bit, whether
+    it comes alone or inside an array call (of fewer than 16,384 points, see
+    ``_ORACLE_BLOCK``).  The evaluation
     is piecewise for numerical robustness: a series expansion around
     ``xi*t = 0`` (removable singularity), the hyperbolic closed form at
     moderate arguments, and a split-exponential form when cosh would
@@ -122,26 +120,23 @@ def amplitude(params: ReservoirParams, t):
     if not np.all((t_in >= 0.0) & (t_in < np.inf)):
         raise ValueError("t must be finite and non-negative")
     b, xi = _decay_rates(params)
-    # xi depends on every parameter, so its shape is theirs broadcast
-    shape = np.broadcast_shapes(t_in.shape, np.shape(xi))
-    tt = np.broadcast_to(t_in, shape).ravel()
-    if np.ndim(xi):
-        b = np.broadcast_to(b, shape).ravel()
-        xi = np.broadcast_to(xi, shape).ravel()
+    # the rates are at least 1-D, so every point takes the array arithmetic;
+    # they are broadcast as views, and each branch copies only its own points
+    tt, b, xi = np.broadcast_arrays(t_in, b, xi)
 
     # a rate times t beyond the double range leaves no exponent to evaluate
     with np.errstate(over="ignore", invalid="ignore"):
         x = xi * tt / 2.0
         finite = np.isfinite(x) & np.isfinite(b * tt)
     if not finite.all():
-        raise _overflow(tt[np.argmin(finite)])
+        raise _overflow(tt[~finite][0])
     small = np.abs(x) < 5e-7
     big = ~small & (x.real > 350.0)
     mid = ~small & ~big
 
-    u = np.empty(tt.shape, dtype=complex)
+    u = np.empty(x.shape, dtype=complex)
     if small.any():
-        ts, xs, bs, xis = tt[small], x[small], _select(b, small), _select(xi, small)
+        ts, xs, bs, xis = tt[small], x[small], b[small], xi[small]
         decay = np.exp(-bs * ts / 2.0)
         # cosh(x) ~ 1 + x^2/2, sinh(x)/xi ~ t/2 + xi^2 t^3/48; once the decay
         # has underflowed to 0 the cubic may overflow, and the limit is 0
@@ -149,10 +144,10 @@ def amplitude(params: ReservoirParams, t):
             series = decay * (1.0 + xs * xs / 2.0 + bs * (ts / 2.0 + xis * xis * ts**3 / 48.0))
         u[small] = np.where(decay == 0.0, 0.0, series)
     if mid.any():
-        tm, xm, bm = tt[mid], x[mid], _select(b, mid)
-        u[mid] = np.exp(-bm * tm / 2.0) * (np.cosh(xm) + (bm / _select(xi, mid)) * np.sinh(xm))
+        tm, xm, bm = tt[mid], x[mid], b[mid]
+        u[mid] = np.exp(-bm * tm / 2.0) * (np.cosh(xm) + (bm / xi[mid]) * np.sinh(xm))
     if big.any():
-        tb, bb, xib = tt[big], _select(b, big), _select(xi, big)
+        tb, bb, xib = tt[big], b[big], xi[big]
         with np.errstate(over="ignore", invalid="ignore"):
             slow, fast = (xib - bb) * tb / 2.0, -(xib + bb) * tb / 2.0
         finite = np.isfinite(slow) & np.isfinite(fast)
@@ -160,7 +155,8 @@ def amplitude(params: ReservoirParams, t):
             raise _overflow(tb[np.argmin(finite)])
         ratio = bb / xib
         u[big] = 0.5 * ((1.0 + ratio) * np.exp(slow) + (1.0 - ratio) * np.exp(fast))
-    return complex(u[0]) if not shape else u.reshape(shape)
+    # all-scalar inputs made a one-point call, whose point is returned
+    return u if np.broadcast(t_in, params.gamma0, params.delta_omega, params.delta).ndim else complex(u[0])
 
 
 # Grid intervals per pass of the oracle's scan (bounds its temporaries), and

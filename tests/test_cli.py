@@ -713,6 +713,36 @@ class TestBlockWalk:
         assert lines == [1, 1024, 1024, 952, 1024, 1024, 952]
 
 
+class TestSweptAxisOfN:
+    """The printed f_ghz_* values do not depend on which axis n is on.
+
+    Their last bits do: numpy's power rounds a contiguous exponent (n the
+    inner axis) differently from a broadcast one (n outer or fixed).
+    """
+
+    @pytest.mark.parametrize("observable", ["f_ghz_tele", "f_ghz_split"])
+    @pytest.mark.parametrize("gamma0", [300.0, 1000.0, 1500.0])
+    def test_n_outer_inner_and_fixed_print_the_same_values(self, observable, gamma0):
+        n_axis, t_axis = AxisSpec("n", 2.0, 7.0, 6), AxisSpec("t", 0.0, 1.0, 401)
+        fixed = {"gamma0": gamma0, "half_width": 40.0}
+
+        def printed(axes, **more):
+            """(n, t) -> the printed value columns of one scan."""
+            spec = ScanSpec(observable=observable, axes=axes, fixed={**fixed, **more})
+            rows = [line.split(",") for line in _csv(cli._write_csv, run_scan(spec)).splitlines()[1:]]
+            if not more:
+                return {(row[0], row[1]) if axes[0].name == "n" else (row[1], row[0]): row[2:] for row in rows}
+            return {("%.12g" % more["n"], row[0]): row[1:] for row in rows}
+
+        outer = printed((n_axis, t_axis))
+        assert len(outer) == 6 * 401
+        assert printed((t_axis, n_axis)) == outer
+        each_n = {}
+        for n in n_axis.values():
+            each_n.update(printed((t_axis,), n=n))
+        assert each_n == outer
+
+
 class TestMainEntrypoint:
     def test_one_parser_serves_every_call(self, capsys):
         argv = ["scan", "--observable", "f_ghz_tele", "--axis1", "n:2:5:4", "--axis2", "t:0:1:5",

@@ -60,6 +60,38 @@ class TestBipartitions:
             dense.enumerate_bipartitions(1)
         with pytest.raises(ValueError):
             dense.enumerate_bipartitions(13)
+        # an int beyond the float range
+        with pytest.raises(ValueError):
+            dense.enumerate_bipartitions(10**400)
+
+
+class TestQubitCounts:
+    """A qubit count is an integer: 4.5 once built a 4-qubit register with no error."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: dense.WStateParams(0.8, n_qubits=4.5),
+            lambda: dense.w_state(2.7),
+            lambda: dense.ghz_state(3.5),
+            lambda: dense.enumerate_bipartitions(4.9),
+            lambda: dense.w_state(np.float64(3.5)),
+            lambda: dense.ghz_state(np.inf),
+            lambda: dense.w_state(np.nan),
+        ],
+        ids=["WStateParams-4.5", "w_state-2.7", "ghz_state-3.5", "bipartitions-4.9", "float64-3.5", "inf", "nan"],
+    )
+    def test_non_integer_count_refused(self, build):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            build()
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0)], ids=["float", "float64"])
+    def test_integral_float_count_accepted(self, n):
+        assert np.array_equal(dense.w_state(n), dense.w_state(3))
+        assert np.array_equal(dense.ghz_state(n), dense.ghz_state(3))
+        assert dense.enumerate_bipartitions(n).groups == dense.enumerate_bipartitions(3).groups
+        rho = dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=n))
+        assert np.array_equal(rho, dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=3)))
 
 
 class TestNormalizedNegativity:

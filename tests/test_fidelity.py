@@ -84,6 +84,44 @@ class TestDampingDomain:
             with pytest.raises(ValueError, match="n_parties must be"):
                 protocol(0.5, n)
 
+
+class TestPartyCount:
+    """One rule for a party count, whatever its spelling: integer values >= 2."""
+
+    P_POINTS = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("protocol", [fid.f_ghz_teleport, fid.f_ghz_split])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_spellings_of_a_count_give_identical_values(self, protocol, n):
+        spellings = [n, np.int64(n), float(n), np.array(n), np.array([n])]
+        # p scalar, one call per point (a (1,) count makes a (1,) result), and p an array
+        for p in [*self.P_POINTS[::50], self.P_POINTS]:
+            values = [np.asarray(protocol(p, count)).ravel() for count in spellings]
+            for value in values[1:]:
+                assert value.tobytes() == values[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, shown",
+        [
+            (4.5, "4.5"),
+            (np.array(4.5), "4.5"),
+            (np.inf, "inf"),
+            (np.nan, "nan"),
+            (1, "1"),
+            (True, "True"),
+            ("4", "'4'"),
+            (10**400, str(10**400)),
+            (np.array([4.0, 2.5]), "2.5"),
+        ],
+        ids=["4.5", "0-d-4.5", "inf", "nan", "one", "True", "str", "10**400", "array"],
+    )
+    def test_refused_with_the_one_message(self, n, shown):
+        # np.array(4.5) once showed as "array(4.5)", and 10**400 escaped as OverflowError
+        for protocol in (fid.f_ghz_teleport, fid.f_ghz_split):
+            with pytest.raises(ValueError, match=f"^n_parties must be integers >= 2, got {shown}$"):
+                protocol(0.3, n)
+
+
 class TestWSplit:
     def test_boundaries(self):
         assert fid.f_w_split(0.0) == 1.0

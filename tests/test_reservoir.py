@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 import time
@@ -258,10 +259,38 @@ class TestAmplitude:
         singles = np.array([amplitude(NON_MARKOVIAN, float(x)) for x in t])
         assert np.array_equal(batch, singles)
 
+    def test_scalar_calls_are_one_point_array_calls(self):
+        # a derandomized sample (detuned points included), plus points on
+        # the series (t = 0, xi = 0) and split-exponential branches; scalar
+        # parameters once took Python's arithmetic for B and xi
+        rng = np.random.default_rng(16)
+        size = 4000
+        gamma0, half_width = rng.uniform(1.0, 2000.0, size), rng.uniform(1.0, 200.0, size)
+        delta, t = rng.uniform(-300.0, 300.0, size), rng.uniform(0.0, 3.0, size)
+        extra = [(1000.0, 40.0, 50.0, 0.0), (10.0, 20.0, 0.0, 0.7), (10.0, 4000.0, 0.0, 1.0), (10.0, 4000.0, 30.0, 2.0)]
+        gamma0, half_width, delta, t = (np.append(v, e) for v, e in zip((gamma0, half_width, delta, t), zip(*extra)))
+        whole = amplitude(ReservoirParams.from_half_width(gamma0, half_width, delta), t)
+        for point in zip(gamma0.tolist(), half_width.tolist(), delta.tolist(), t.tolist(), whole.tolist()):
+            *rates, time_ps, expected = point
+            scalar = amplitude(ReservoirParams.from_half_width(*rates), time_ps)
+            zero_d = amplitude(ReservoirParams.from_half_width(*map(np.array, rates)), np.array(time_ps))
+            assert type(scalar) is complex and type(zero_d) is complex
+            assert scalar == expected and zero_d == expected, point
+
+    def test_check_shaped_calls_equal_scan_shaped_calls(self):
+        # check passes scalar parameters with a block of t, a scan passes
+        # parameter arrays: on the default check grid they agree bit for bit
+        grid = np.arange(20001) * 1e-4
+        for gamma0, half_width, delta in itertools.product((10.0, 1000.0), (20.0, 40.0), (0.0, 100.0)):
+            for lo in range(0, grid.size, reservoir._ORACLE_BLOCK):
+                t = grid[lo : lo + reservoir._ORACLE_BLOCK]
+                scalar = amplitude(ReservoirParams.from_half_width(gamma0, half_width, delta), t)
+                full = [np.full(t.shape, value) for value in (gamma0, half_width, delta)]
+                assert np.array_equal(scalar, amplitude(ReservoirParams.from_half_width(*full), t))
+
     def test_parameters_broadcast_against_time(self):
         # every branch (series at xi = 0, hyperbolic, split-exponential) and
-        # a detuned point; array arithmetic may round the last bits
-        # differently from the scalar Python arithmetic
+        # a detuned point; a row of the grid is the row's own call, bit for bit
         gamma0 = np.array([20.0, 1000.0, 10.0, 777.0])[:, None]
         half_width = np.array([40.0, 40.0, 4000.0, 33.0])[:, None]
         delta = np.array([0.0, 0.0, 0.0, 21.0])[:, None]
@@ -273,7 +302,7 @@ class TestAmplitude:
             row = ReservoirParams.from_half_width(
                 float(gamma0[i, 0]), float(half_width[i, 0]), float(delta[i, 0])
             )
-            np.testing.assert_allclose(grid[i], amplitude(row, t), rtol=0, atol=1e-13)
+            assert np.array_equal(grid[i], amplitude(row, t))
         fixed_t = amplitude(params, 0.3)
         assert fixed_t.shape == (4, 1)
         assert np.array_equal(fixed_t[:, 0], grid[:, 1])
