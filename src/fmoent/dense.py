@@ -14,8 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from . import qlin
-from .entanglement import _NORM_ATOL
-from .reservoir import _AMP_SLACK, damping, survival
+from .entanglement import _NORM_ATOL, _coefficients
+from .reservoir import _AMP_SLACK, _counts, damping, survival
 
 __all__ = [
     "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
@@ -46,12 +46,8 @@ class BipartitionSet:
 
 
 def _qubit_count(n_qubits, low: int = 1, high: float = math.inf) -> int:
-    """``n_qubits`` as an int; a count that is not an integer in ``low..high`` is refused."""
-    # the bounds come first: they compare an int beyond the float range exactly
-    if not (low <= n_qubits <= high and float(n_qubits).is_integer()):
-        bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
-        raise ValueError(f"n_qubits must be an integer {bounds}, got {n_qubits}")
-    return int(n_qubits)
+    """The one count ``n_qubits`` as an int, refused unless an integer in ``low..high``."""
+    return int(_counts(n_qubits, "n_qubits", low, high).item())
 
 
 def enumerate_bipartitions(n_qubits: int) -> BipartitionSet:
@@ -189,8 +185,7 @@ class XStateParams:
     u2: complex
 
     def __post_init__(self):
-        if np.any(np.abs(self.a**2 + self.b**2 - 1.0) > 1e-12):
-            raise ValueError("a^2 + b^2 must equal 1")
+        _coefficients(self.a, self.b)
         for label, u in (("u1", self.u1), ("u2", self.u2)):
             modulus = np.max(np.abs(u))
             if not modulus <= 1.0 + _AMP_SLACK:

@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reservoir import survival
+from .reservoir import _counts, _maybe_scalar, _weights, survival
 
 __all__ = ["w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"]
 
 _NORM_ATOL = 1e-9  # largest accepted departure of a register's norm from 1
+
+
+def _coefficients(a, b):
+    """``a`` and ``b`` at least 1-D, refused unless a^2 + b^2 = 1 to 1e-12 everywhere (a NaN is refused)."""
+    a, b = np.atleast_1d(a, b)
+    if not np.all(np.abs(a * a + b * b - 1.0) <= 1e-12):
+        raise ValueError("a^2 + b^2 must equal 1")
+    return a, b
 
 
 def w_mixture_entanglement(s, n_qubits):
@@ -26,17 +34,12 @@ def w_mixture_entanglement(s, n_qubits):
     evaluated in the cancellation-free form ``2 s^2 c / (sqrt(...) + (1-s))``,
     scaled by ``2 / (2^m - 1)`` and averaged over m = 1 .. floor(N/2) exactly
     as the dense route averages.  ``s`` in [0, 1] and the integer
-    ``n_qubits`` in 2..12 broadcast against each other; the reservoir side of
-    a decaying W register is the same mixture with s -> 1 - s.
+    ``n_qubits`` in 2..12 broadcast against each other, and all-scalar
+    arguments give a float; the reservoir side of a decaying W register is
+    the same mixture with s -> 1 - s.
     """
-    s = np.asarray(s, dtype=float)
-    n_in = np.asarray(n_qubits, dtype=float)
-    n = np.rint(n_in)
-    bad = (n != n_in) | (n < 2) | (n > 12)
-    if bad.any():
-        raise ValueError(f"n_qubits must be integers in 2..12, got {n_in[bad].flat[0]:g}")
-    if not np.all((s >= 0.0) & (s <= 1.0)):
-        raise ValueError("s must lie in [0, 1]")
+    inputs = (s, n_qubits)
+    n, s = _counts(n_qubits, "n_qubits", 2, 12), _weights(s, "s")
     q = 1.0 - s
     half = n // 2
     total = np.zeros(np.broadcast_shapes(s.shape, n.shape))
@@ -46,8 +49,7 @@ def w_mixture_entanglement(s, n_qubits):
         c = np.where(has_cut, m * (n - m), 1.0) / (n * n)
         cut = 2.0 * s * s * c / (np.sqrt(q * q + 4.0 * s * s * c) + q)
         total += np.where(has_cut, 2.0 / (2.0**m - 1.0) * cut, 0.0)
-    value = total / half
-    return value if value.ndim else float(value)
+    return _maybe_scalar(total / half, *inputs)
 
 
 def meyer_wallach_register(a, b, u):
@@ -60,12 +62,12 @@ def meyer_wallach_register(a, b, u):
     619 (2003)) is 2 b^2 [s (1 - b^2 s) + (1 - s)(1 - b^2 (1 - s))], evaluated
     without cancellation as 2 b^2 (1 - b^2) + 4 b^4 s (1 - s).  It refuses
     what the register route (``dense.meyer_wallach_numeric``) refuses:
-    |a^2 + b^2 - 1| > 1e-12, a non-finite ``u`` or |u| > 1 + 1e-9, and a
-    register norm off 1 by more than 1e-9.  Arguments broadcast; all-scalar
-    arguments give a float.
+    a^2 + b^2 off 1 by more than 1e-12 (or NaN), a non-finite ``u`` or
+    |u| > 1 + 1e-9, and a register norm off 1 by more than 1e-9.  Arguments
+    broadcast; all-scalar arguments give a float.
     """
-    if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
-        raise ValueError("a^2 + b^2 must equal 1")
+    inputs = (a, b, u)
+    (a, b), u = _coefficients(a, b), np.atleast_1d(u)
     s = survival(u)
     # the register's norm a^2 + b^2 (|u|^2 + |v|^2)^2, |v|^2 = 1 - s, reads |u|^2 uncapped
     norm = np.sqrt(a * a + b * b * (np.abs(u) ** 2 + (1.0 - s)) ** 2)
@@ -73,8 +75,7 @@ def meyer_wallach_register(a, b, u):
     if not worst <= _NORM_ATOL:
         raise ValueError(f"state is not normalized (norm off by {worst:.3g})")
     bb = b * b
-    value = 2.0 * bb * (1.0 - bb) + 4.0 * bb * bb * s * (1.0 - s)
-    return value if np.ndim(value) else float(value)
+    return _maybe_scalar(2.0 * bb * (1.0 - bb) + 4.0 * bb * bb * s * (1.0 - s), *inputs)
 
 
 def meyer_wallach_closed(a, b, u):
@@ -87,12 +88,11 @@ def meyer_wallach_closed(a, b, u):
     plotted case.  Unlike a Meyer-Wallach measure it is not bounded by 1:
     it peaks at 9/8 = 1.125, at b^2 = 3/4 and s = 1/2, and ``q_closed``
     prints such values as they are (1.00180541946 at b = 0.75, gamma0 = 1,
-    half width 0.01 cm^-1, t = 48 ps).  It refuses the ``u`` the register
-    refuses: a non-finite ``u`` or |u| > 1 + 1e-9.  Arguments broadcast;
-    all-scalar arguments give a float.
+    half width 0.01 cm^-1, t = 48 ps).  It refuses the ``a``, ``b`` and ``u``
+    the register refuses: a^2 + b^2 off 1 by more than 1e-12 (or NaN), a
+    non-finite ``u`` or |u| > 1 + 1e-9.  Arguments broadcast; all-scalar
+    arguments give a float.
     """
-    if np.any(np.abs(a**2 + b**2 - 1.0) > 1e-12):
-        raise ValueError("a^2 + b^2 must equal 1")
-    s = survival(u)
-    value = 2.0 * a**2 * b**2 + 4.0 * b**2 * s * (1.0 - s)
-    return value if np.ndim(value) else float(value)
+    aa, bb = (c * c for c in _coefficients(a, b))
+    s = survival(np.atleast_1d(u))
+    return _maybe_scalar(2.0 * aa * bb + 4.0 * bb * s * (1.0 - s), a, b, u)

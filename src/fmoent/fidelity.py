@@ -9,7 +9,7 @@ reservoir damping p(t) = 1 - |u(t)|^2 turns them into time traces.
 
 from __future__ import annotations
 
-import numpy as np
+from .reservoir import _counts, _maybe_scalar, _weights
 
 __all__ = [
     "f_ghz_teleport",
@@ -19,40 +19,13 @@ __all__ = [
 ]
 
 
-def _check_damping(p):
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError("damping parameter p must lie in [0, 1]")
-    return np.atleast_1d(p)
-
-
-def _check_parties(n_parties):
-    """Real numbers, all integers >= 2 (so finite), as a float array of at least one dimension."""
-    n = np.asarray(n_parties)
-    # a bool, a string or an int beyond 64 bits is not a count
-    count = n.astype(float) if n.dtype.kind in "iuf" else np.full(n.shape, np.nan)
-    bad = ~np.isfinite(count) | (count != np.rint(count)) | (count < 2)
-    if bad.any():
-        raise ValueError(f"n_parties must be integers >= 2, got {n[bad].tolist()[0]!r}")
-    return np.atleast_1d(count)
-
-
-def _maybe_scalar(value, *inputs):
-    """The one point of ``value`` as a float when every input is a scalar.
-
-    The checks return their inputs at least 1-D, so a scalar call is a
-    one-point array call and takes the array arithmetic.
-    """
-    return value if any(np.ndim(x) for x in inputs) else float(value[0])
-
-
 def f_ghz_teleport(p, n_parties):
     """Teleportation fidelity with an N-party GHZ resource, input-averaged.
 
     ``n_parties`` is an int or an array of integer values broadcasting
     against ``p``.
     """
-    n, d = _check_parties(n_parties), _check_damping(p)
+    n, d = _counts(n_parties, "n_parties", 2), _weights(p, "damping parameter p")
     q = 1.0 - d
     # q**(n/2) as a real power of a non-negative base so odd N is defined
     value = (2.0 + q ** (n - 1) * (2.0 - d) + 2.0 * q ** (n / 2.0) + d ** (n - 1) * (1.0 + d)) / 6.0
@@ -61,7 +34,7 @@ def f_ghz_teleport(p, n_parties):
 
 def f_w_teleport(p):
     """Teleportation fidelity with the (N+1)-qubit W-type resource."""
-    d = _check_damping(p)
+    d = _weights(p, "damping parameter p")
     value = (3.0 - 2.0 * d + d**2) / 3.0
     return _maybe_scalar(value, p)
 
@@ -71,7 +44,7 @@ def f_ghz_split(p, n_parties):
 
     ``n_parties`` broadcasts against ``p`` as in :func:`f_ghz_teleport`.
     """
-    n, d = _check_parties(n_parties), _check_damping(p)
+    n, d = _counts(n_parties, "n_parties", 2), _weights(p, "damping parameter p")
     q = 1.0 - d
     value = (2.0 - d * q + q ** (n / 2.0)) / 3.0
     return _maybe_scalar(value, p, n_parties)
@@ -79,6 +52,6 @@ def f_ghz_split(p, n_parties):
 
 def f_w_split(p):
     """Fidelity of splitting with the W-type resource: 1 - p/3."""
-    d = _check_damping(p)
+    d = _weights(p, "damping parameter p")
     value = 1.0 - d / 3.0
     return _maybe_scalar(value, p)

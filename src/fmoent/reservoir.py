@@ -15,6 +15,10 @@ that times are in picoseconds.
 The broad-reservoir limit (``delta_omega >> gamma0``) gives memoryless
 exponential decay; the opposite regime gives oscillatory decay where |u|
 crosses zero and revives.
+
+This module also owns the closed forms' input rules: what |u| means
+(:func:`survival`), what a count and a weight in [0, 1] are, and that a
+scalar call is a one-point array call.
 """
 
 from __future__ import annotations
@@ -328,18 +332,46 @@ def amplitude_ode_oracle(
     return np.concatenate([u for _, _, u in blocks])
 
 
+def _real(x):
+    """``x`` as an array, and as floats, NaN where not a real number (a bool, a string, an int beyond 64 bits)."""
+    x = np.asarray(x)
+    return x, (np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else np.full(x.shape, np.nan))
+
+
+def _counts(n, name: str, low: int, high: float = np.inf):
+    """The counts ``n`` as a float array of at least 1-D; refuses any value not a finite integer in ``low..high``."""
+    n, count = _real(n)
+    bad = ~np.isfinite(count) | (count != np.rint(count)) | (count < low) | (count > high)
+    if bad.any():
+        bounds = f">= {low}" if high == np.inf else f"in {low}..{high}"
+        raise ValueError(f"{name} must be integers {bounds}, got {n[bad].tolist()[0]!r}")
+    return np.atleast_1d(count)
+
+
+def _weights(x, name: str):
+    """The weights ``x`` as a float array of at least 1-D; refuses any value not a real number in [0, 1]."""
+    weight = _real(x)[1]
+    if not np.all((weight >= 0.0) & (weight <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return np.atleast_1d(weight)
+
+
+def _maybe_scalar(value, *inputs):
+    """``value`` computed on inputs made at least 1-D, or its one point as a float when every input is a scalar."""
+    return value if any(np.ndim(x) for x in inputs) else float(value[0])
+
+
 def survival(u):
     """Survival probability s = |u|^2 of the amplitude ``u``, capped at 1.
 
     Every observable reads ``u`` through s.  Refuses a non-finite ``u`` or
-    |u| > 1 + 1e-9; a scalar ``u`` gives a float.
+    |u| > 1 + 1e-9; a scalar ``u`` is a one-point call and gives a float.
     """
-    modulus = np.abs(u)
+    modulus = np.abs(np.atleast_1d(u))
     worst = np.max(modulus, initial=0.0)
     if not worst <= 1.0 + _AMP_SLACK:
         raise ValueError(f"|u| must not exceed 1, got {worst:.12g}")
-    s = np.minimum(1.0, modulus**2)
-    return s if np.ndim(s) else float(s)
+    return _maybe_scalar(np.minimum(1.0, modulus**2), u)
 
 
 def population_difference(u):

@@ -82,7 +82,7 @@ class TestQubitCounts:
         ids=["WStateParams-4.5", "w_state-2.7", "ghz_state-3.5", "bipartitions-4.9", "float64-3.5", "inf", "nan"],
     )
     def test_non_integer_count_refused(self, build):
-        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        with pytest.raises(ValueError, match=r"^n_qubits must be integers (>= 1|in 2\.\.12), got "):
             build()
 
     @pytest.mark.parametrize("n", [3.0, np.float64(3.0)], ids=["float", "float64"])
