@@ -15,7 +15,7 @@ import numpy as np
 
 from . import qlin
 from .entanglement import _NORM_ATOL, _coefficients
-from .reservoir import _AMP_SLACK, _counts, damping, survival
+from .reservoir import _counts, damping, survival
 
 __all__ = [
     "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
@@ -187,9 +187,11 @@ class XStateParams:
     def __post_init__(self):
         _coefficients(self.a, self.b)
         for label, u in (("u1", self.u1), ("u2", self.u2)):
-            modulus = np.max(np.abs(u))
-            if not modulus <= 1.0 + _AMP_SLACK:
-                raise ValueError(f"|{label}| must not exceed 1, got {modulus:.12g}")
+            try:
+                survival(u)
+            except ValueError as refusal:
+                # survival owns the |u| rule; the message names the field
+                raise ValueError(str(refusal).replace("|u|", f"|{label}|")) from None
 
     def emitted(self):
         return np.sqrt(damping(self.u1)), np.sqrt(damping(self.u2))

@@ -114,44 +114,43 @@ def amplitude(params: ReservoirParams, t):
     or is a Python complex when everything is scalar.  Scalar inputs take
     the array arithmetic too: a point's u is the same, bit for bit, whether
     it comes alone or inside an array call (of fewer than 16,384 points, see
-    ``_ORACLE_BLOCK``).  The evaluation
-    is piecewise for numerical robustness: a series expansion around
-    ``xi*t = 0`` (removable singularity), the hyperbolic closed form at
-    moderate arguments, and a split-exponential form when cosh would
-    overflow (both exponents then have non-positive real part).
+    ``_ORACLE_BLOCK``).  The hyperbolic closed form is evaluated at every
+    point, with -B and B/xi formed once per rate; for numerical robustness
+    two branches then overwrite their own points: a series expansion around
+    ``xi*t = 0`` (removable singularity), and a split-exponential form where
+    cosh would overflow (both exponents then have non-positive real part).
     """
     t_in = np.asarray(t, dtype=float)
     if not np.all((t_in >= 0.0) & (t_in < np.inf)):
         raise ValueError("t must be finite and non-negative")
     b, xi = _decay_rates(params)
     # the rates are at least 1-D, so every point takes the array arithmetic;
-    # they are broadcast as views, and each branch copies only its own points
-    tt, b, xi = np.broadcast_arrays(t_in, b, xi)
+    # the views serve the branches that copy out their own points
+    tt, bv, xiv = np.broadcast_arrays(t_in, b, xi)
 
     # a rate times t beyond the double range leaves no exponent to evaluate
     with np.errstate(over="ignore", invalid="ignore"):
-        x = xi * tt / 2.0
-        finite = np.isfinite(x) & np.isfinite(b * tt)
+        x, bt = xi * tt / 2.0, -b * tt
+        finite = np.isfinite(x) & np.isfinite(bt)
     if not finite.all():
         raise _overflow(tt[~finite][0])
     small = np.abs(x) < 5e-7
-    big = ~small & (x.real > 350.0)
-    mid = ~small & ~big
+    big = x.real > 350.0  # so |x| > 350: never small
 
-    u = np.empty(x.shape, dtype=complex)
+    decay = np.exp(bt / 2.0)
+    # the hyperbolic form is inf or nan at some points the other branches
+    # take (B/xi at xi = 0, cosh beyond 350); where every point is small, skip it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = np.empty_like(decay) if small.all() else decay * (np.cosh(x) + (b / xi) * np.sinh(x))
     if small.any():
-        ts, xs, bs, xis = tt[small], x[small], b[small], xi[small]
-        decay = np.exp(-bs * ts / 2.0)
+        ts, xs, bs, xis, ds = tt[small], x[small], bv[small], xiv[small], decay[small]
         # cosh(x) ~ 1 + x^2/2, sinh(x)/xi ~ t/2 + xi^2 t^3/48; once the decay
         # has underflowed to 0 the cubic may overflow, and the limit is 0
         with np.errstate(over="ignore", invalid="ignore"):
-            series = decay * (1.0 + xs * xs / 2.0 + bs * (ts / 2.0 + xis * xis * ts**3 / 48.0))
-        u[small] = np.where(decay == 0.0, 0.0, series)
-    if mid.any():
-        tm, xm, bm = tt[mid], x[mid], b[mid]
-        u[mid] = np.exp(-bm * tm / 2.0) * (np.cosh(xm) + (bm / xi[mid]) * np.sinh(xm))
+            series = ds * (1.0 + xs * xs / 2.0 + bs * (ts / 2.0 + xis * xis * ts**3 / 48.0))
+        u[small] = np.where(ds == 0.0, 0.0, series)
     if big.any():
-        tb, bb, xib = tt[big], b[big], xi[big]
+        tb, bb, xib = tt[big], bv[big], xiv[big]
         with np.errstate(over="ignore", invalid="ignore"):
             slow, fast = (xib - bb) * tb / 2.0, -(xib + bb) * tb / 2.0
         finite = np.isfinite(slow) & np.isfinite(fast)
@@ -171,33 +170,36 @@ _ORACLE_BLOCK = 4096
 _ORACLE_WIDTH = 8
 
 
-def _map_product(p1, q1, p2, q2, b, c):
-    """Product of two maps ``I + p*I + q*A`` as the pair (p, q), with A^2 = -b*A - c*I."""
-    qq = q1 * q2
-    return p1 + p2 + (p1 * p2 - c * qq), q1 + q2 + (p1 * q2 + p2 * q1 - b * qq)
+def _map_product(m1, m2, rates):
+    """Product of two maps ``I + p*I + q*A``, each stacked as ``[p, q]``; A^2 = -b*A - c*I, ``rates = [c, b]``."""
+    qq = m1[1] * m2[1]
+    pq = m1[0] * m2
+    pq[1] += m2[0] * m1[1]
+    return m1 + m2 + (pq - rates * qq)
 
 
-def _step_map(h, b, c):
+def _step_map(h, rates):
     """One RK4 step of length ``h``, T(h*A) - I with T(x) = 1 + x + ... + x^4/24, by Horner."""
+    # C is stored complex beside B; as a float it keeps the real arithmetic of p
+    c, b = rates[0].real, rates[1]
     p, q = 0.0, h / 4.0
     for k in (3.0, 2.0, 1.0):
         s = h / k
         p, q = -c * s * q, s * (1.0 + p - b * q)
-    return p, q
+    return np.stack((p, q))
 
 
-def _map_power(p, q, n, b, c):
+def _map_power(m, n, rates):
     """Each map raised to its own step count ``n``, by square-and-multiply."""
-    odd = (n & 1).astype(bool)
-    rp, rq = np.where(odd, p, 0.0), np.where(odd, q, 0.0)
+    if np.all(n == 1):
+        return m
+    r = np.where((n & 1).astype(bool), m, 0.0)
     n = n >> 1
     while n.any():
-        p, q = _map_product(p, q, p, q, b, c)
-        odd = (n & 1).astype(bool)
-        tp, tq = _map_product(rp, rq, p, q, b, c)
-        rp, rq = np.where(odd, tp, rp), np.where(odd, tq, rq)
+        m = _map_product(m, m, rates)
+        r = np.where((n & 1).astype(bool), _map_product(r, m, rates), r)
         n = n >> 1
-    return rp, rq
+    return r
 
 
 def amplitude_ode_blocks(sets, size: int, points, *, max_step: float = 1e-4):
@@ -210,26 +212,32 @@ def amplitude_ode_blocks(sets, size: int, points, *, max_step: float = 1e-4):
     this yields ``(index into sets, block of t, u on that block)``, carrying
     each reservoir's state to the next block, so only one reservoir's block of
     u is alive at a time.  The block's intervals, their step counts and their
-    distinct lengths are computed once and shared by the reservoirs.  Each
-    reservoir's step maps are built only for the distinct lengths, then
-    gathered into place: a uniform grid has a few dozen distinct lengths
-    among thousands of intervals.  The method is described at
+    distinct lengths are computed once, and the step maps of every reservoir
+    are built together, for the distinct lengths only, then gathered into
+    place for each reservoir in turn: a uniform grid has a few dozen distinct
+    lengths among thousands of intervals.  The method is described at
     :func:`amplitude_ode_oracle`, which collects this for a single reservoir.
     """
     if not max_step > 0.0:
         raise ValueError("max_step must be positive")
     k = CM1_TO_RAD_PER_PS
-    # B and C of each reservoir's system
-    rates = [
-        ((p.delta_omega / 2.0 - 1j * p.delta) * k, (p.gamma0 * k) * (p.delta_omega * k) / 4.0) for p in sets
-    ]
-    # time, and each reservoir's state (u - 1, z), at the end of the previous block
-    t_in, states = 0.0, [(0j, 0j)] * len(rates)
+    # [C, B] of each reservoir's system, one (2, 1) column per reservoir
+    rates = np.empty((2, len(sets), 1), dtype=complex)
+    for i, p in enumerate(sets):
+        rates[0, i] = (p.gamma0 * k) * (p.delta_omega * k) / 4.0
+        rates[1, i] = (p.delta_omega / 2.0 - 1j * p.delta) * k
+    # time, and each reservoir's state [u - 1, z], at the end of the previous block
+    t_in, states = 0.0, [np.zeros(2, dtype=complex)] * len(sets)
     for lo in range(0, size, _ORACLE_BLOCK):
         t = np.asarray(points(lo, min(lo + _ORACLE_BLOCK, size)), dtype=float)
-        intervals = _block_intervals(t, t_in, lo == 0, max_step)
-        for i, (b, c) in enumerate(rates):
-            u, states[i] = _chain_block(intervals, states[i], b, c)
+        h, n, where = _block_intervals(t, t_in, lo == 0, max_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each distinct length's map of n steps; for n = 1, the step map itself
+            maps = _map_power(_step_map(h, rates), n, rates)
+        # each interval's [p, q] in one reservoir's (2, distinct) maps, a row's p and q side by side
+        index = where[:, None, :] + h.size * np.arange(2)[:, None]
+        for i, state in enumerate(states):
+            u, states[i] = _chain_block(maps[:, i].take(index), state, rates[:, i])
             yield i, t, u[: t.size]
         t_in = t[-1]
 
@@ -261,26 +269,26 @@ def _block_intervals(t, t_in, first: bool, max_step: float):
     return distinct / n, n, where.reshape(rows, _ORACLE_WIDTH).T
 
 
-def _chain_block(intervals, state, b, c):
-    """u over one block (padding included) and the state (u - 1, z) at its end, by the two-level scan."""
-    h, n, where = intervals
-    p_in, q_in = state
+def _chain_block(maps, state, rates):
+    """u over one block (padding included) and the state [u - 1, z] at its end, by the two-level scan.
+
+    ``maps`` holds the ``[p, q]`` of each row of the ``(w, rows)`` layout, as ``(w, 2, rows)``,
+    and is chained in place; of the last product only p, which is u - 1, is formed.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        # each distinct length's map of n steps; for n = 1, the step map itself
-        p, q = _map_power(*_step_map(h, b, c), n, b, c)
-        p, q = p[where], q[where]
         # prefix within each run of consecutive intervals, one whole row per product
         for i in range(1, _ORACLE_WIDTH):
-            p[i], q[i] = _map_product(p[i], q[i], p[i - 1], q[i - 1], b, c)
+            maps[i] = _map_product(maps[i], maps[i - 1], rates)
         # doubling scan over the incoming state and the run totals
-        tp, tq = np.concatenate(([p_in], p[-1])), np.concatenate(([q_in], q[-1]))
+        totals = np.concatenate((state[:, None], maps[-1]), axis=1)
         shift = 1
-        while shift < tp.size:
-            tp[shift:], tq[shift:] = _map_product(tp[shift:], tq[shift:], tp[:-shift], tq[:-shift], b, c)
+        while shift < totals.shape[1]:
+            totals[:, shift:] = _map_product(totals[:, shift:], totals[:, :-shift], rates)
             shift *= 2
         # every run takes on the state at the end of the run before it
-        p, q = _map_product(p, q, tp[:-1], tq[:-1], b, c)
-    return 1.0 + p.T.ravel(), (tp[-1], tq[-1])
+        (p, q), (tp, tq) = maps.transpose(1, 0, 2), totals[:, :-1]
+        p = p + tp + (p * tp - rates[0] * (q * tq))
+    return 1.0 + p.T.ravel(), totals[:, -1].copy()  # a view would keep totals alive
 
 
 def amplitude_ode_oracle(
@@ -311,15 +319,17 @@ def amplitude_ode_oracle(
     works ``_ORACLE_BLOCK`` intervals at a time, carrying the state from
     block to block.  It builds the step map of each distinct interval length
     in a block once and raises it to its step count by square-and-multiply
-    where that count exceeds one, then chains the block's maps with a
+    where that count exceeds one, for every reservoir of a block together,
+    then chains each reservoir's maps of the block in turn with a
     two-level scan: interval ``j*w + i`` of a block sits at ``[i, j]`` of a
     ``(w, rows)`` array, ``w = _ORACLE_WIDTH``.  A running product down the w
     rows, a doubling scan over the incoming state and the run totals, and
     one product handing every run the state before it cost about 3 map
     products per interval (12 for a doubling scan over every interval).  No
     Python loop runs per step, so 10^7 steps in one interval take a few
-    dozen array operations.  Maps are stored as (p - 1, q): a step's p is
-    1 - O(h^2), and rounding it would repeat the same error at every step.
+    dozen array operations.  Maps are stored as (p - 1, q), since a step's
+    p is 1 - O(h^2) and rounding it would repeat the same error at every
+    step; the two halves are stacked, so one array operation serves both.
 
     This collects :func:`amplitude_ode_blocks` for one reservoir; ``fmoent
     check`` reads the blocks as they come instead, so its memory does not

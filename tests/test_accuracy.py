@@ -1,15 +1,19 @@
 """Accuracy of the closed forms against high-precision evaluations.
 
-The reference is mpmath at 40 digits, fed the same double inputs as the
-library, so the test measures the library's rounding and nothing else.
+The reference is mpmath at 40 digits (50 for the amplitude at long times),
+fed the same double inputs as the library, so the test measures the
+library's rounding and nothing else.
 mpmath is imported directly: without it this module fails to collect rather
 than skipping.
 """
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from fmoent import CM1_TO_RAD_PER_PS
 from fmoent.entanglement import meyer_wallach_register
 from fmoent.reservoir import ReservoirParams, amplitude
 
@@ -48,3 +52,39 @@ def test_register_closed_form_over_the_benchmark_grids(grid):
     # 1.7e-15 absolute and 3e-9 relative on the same points
     assert worst_abs <= 4e-16
     assert worst_rel <= 2e-15
+
+
+def closed_form_u(gamma0: float, delta_omega: float, t: float):
+    """exp(-B t/2) [cosh(xi t/2) + (B/xi) sinh(xi t/2)] at delta = 0, in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(CM1_TO_RAD_PER_PS)
+        b = mpmath.mpf(delta_omega) / 2 * k
+        xi = mpmath.sqrt(mpmath.mpc(b * b - (mpmath.mpf(gamma0) * k) * (mpmath.mpf(delta_omega) * k)))
+        x = xi * mpmath.mpf(t) / 2
+        return mpmath.exp(-b * mpmath.mpf(t) / 2) * (mpmath.cosh(x) + b / xi * mpmath.sinh(x))
+
+
+# (gamma0, half width, t_max, bound): R = 4 gamma0 / delta_omega is 50 and
+# 1.25; the bounds are the measured worst relative errors, 3.27e-14 and
+# 1.14e-13, with a small margin
+REVIVAL_PEAKS = {"R=50": (1000.0, 40.0, 60.0, 4e-14), "R=1.25": (25.0, 40.0, 167.0, 1.3e-13)}
+
+
+@pytest.mark.parametrize("case", REVIVAL_PEAKS.values(), ids=REVIVAL_PEAKS)
+def test_amplitude_at_the_revival_peaks(case):
+    # at delta = 0, u(t_k) = (-1)^k exp(-k pi / sqrt(R - 1)) at t_k = 2 pi k / omega,
+    # omega = K sqrt(gamma0 delta_omega - delta_omega^2 / 4): a long-time
+    # guard, far past check's 2 ps, against the closed form at the same doubles
+    gamma0, half_width, t_max, bound = case
+    delta_omega = 2.0 * half_width
+    omega = CM1_TO_RAD_PER_PS * math.sqrt(gamma0 * delta_omega - delta_omega**2 / 4.0)
+    t = 2.0 * math.pi * np.arange(1, int(t_max * omega / (2.0 * math.pi)) + 1) / omega
+    u = amplitude(ReservoirParams.from_half_width(gamma0, half_width), t)
+    decrement = math.pi / math.sqrt(4.0 * gamma0 / delta_omega - 1.0)
+    worst = 0.0
+    for k, (t_k, u_k) in enumerate(zip(t.tolist(), u.tolist()), start=1):
+        exact = closed_form_u(gamma0, delta_omega, t_k)
+        with mpmath.workdps(50):
+            assert abs(exact / ((-1) ** k * mpmath.exp(-k * mpmath.mpf(decrement))) - 1) < 1e-9
+            worst = max(worst, float(abs(mpmath.mpc(u_k) - exact) / abs(exact)))
+    assert worst <= bound

@@ -288,6 +288,43 @@ class TestAmplitude:
                 full = [np.full(t.shape, value) for value in (gamma0, half_width, delta)]
                 assert np.array_equal(scalar, amplitude(ReservoirParams.from_half_width(*full), t))
 
+    @pytest.mark.parametrize("shape", ["check", "scan"])
+    def test_mixed_branch_blocks_equal_one_point_calls(self, shape):
+        # one block meets the series branch (t = 0, and every t where xi = 0),
+        # the hyperbolic form and the split-exponential branch (xi*t/2 > 350
+        # on the broad reservoirs); the hyperbolic form, evaluated at every
+        # point, is inf or nan on the others, and none of it may warn
+        rates = [(10.0, 4000.0, 0.0), (10.0, 4000.0, 30.0), (10.0, 20.0, 0.0), (1000.0, 40.0, 100.0)]
+        t = np.array([0.0, 1e-10, 0.05, 0.3, 0.9, 1.0, 2.0, 7.5])
+        xi_re = np.array([reservoir._decay_rates(ReservoirParams.from_half_width(*r))[1][0].real for r in rates])
+        assert (xi_re[:2] * t[-1] / 2.0 > 350.0).all() and xi_re[2] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if shape == "check":
+                blocks = [amplitude(ReservoirParams.from_half_width(*r), t) for r in rates]
+            else:
+                columns = [np.array(column)[:, None] for column in zip(*rates)]
+                full = np.empty((len(rates), t.size))
+                full[...] = t
+                blocks = amplitude(ReservoirParams.from_half_width(*columns), full)
+            for r, block in zip(rates, blocks):
+                points = [amplitude(ReservoirParams.from_half_width(*r), time_ps) for time_ps in t.tolist()]
+                assert block.tobytes() == np.array(points).tobytes(), r
+
+    def test_critically_damped_check_grid_without_warning(self):
+        # check's own set gamma0 = 10, half width 20 has xi = 0, so B/xi = inf:
+        # every point of its grid takes the series branch, with no warning
+        params = ReservoirParams.from_half_width(10.0, 20.0)
+        grid, block = np.arange(20001) * 1e-4, reservoir._ORACLE_BLOCK
+        b = reservoir._decay_rates(params)[0][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo in range(0, grid.size, block):
+                t = grid[lo : lo + block]
+                # the limit xi -> 0 of the closed form: exp(-B t/2) (1 + B t/2)
+                limit = np.exp(-b * t / 2.0) * (1.0 + b * t / 2.0)
+                np.testing.assert_allclose(amplitude(params, t), limit, rtol=1e-14, atol=0)
+
     def test_parameters_broadcast_against_time(self):
         # every branch (series at xi = 0, hyperbolic, split-exponential) and
         # a detuned point; a row of the grid is the row's own call, bit for bit
@@ -417,19 +454,21 @@ class TestOracleMatchesStepwiseRk4:
             self.assert_same(params, grid)
 
     def test_map_products_per_interval_on_the_check_grid(self, monkeypatch):
-        # work-efficient scan: about 3 map products per interval (a doubling
-        # scan over every interval takes about 12)
+        # work-efficient scan: about 3 map products per interval, the last
+        # one formed inline (a doubling scan over every interval takes about
+        # 12); the lower bound shows that the count sees the scan's products
         work = []
         product = reservoir._map_product
 
-        def counted(p1, q1, p2, q2, b, c):
-            work.append(np.broadcast(p1, q1, p2, q2).size)
-            return product(p1, q1, p2, q2, b, c)
+        def counted(m1, m2, rates):
+            # maps are stacked [p, q]: a product of size 2k multiplies k pairs
+            work.append(np.broadcast(m1, m2).size // 2)
+            return product(m1, m2, rates)
 
         monkeypatch.setattr(reservoir, "_map_product", counted)
         grid = np.arange(0.0, 2.0 + 0.5e-4, 1e-4)
         amplitude_ode_oracle(STRONG, grid)
-        assert sum(work) <= 4 * grid.size
+        assert grid.size <= sum(work) <= 4 * grid.size
 
     def test_ten_million_steps_in_one_interval(self):
         # 1e7 steps: about 30 s for the stepwise loop, 24 squarings for the step maps
@@ -450,21 +489,23 @@ class TestOracleBlocks:
         k = CM1_TO_RAD_PER_PS
         b = (params.delta_omega / 2.0 - 1j * params.delta) * k
         c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0
+        # one reservoir's scalar C and B, stacked as the helpers take them
+        rates = np.array([[c], [b]])
         block, width = reservoir._ORACLE_BLOCK, reservoir._ORACLE_WIDTH
         for lo in range(0, grid.size, block):
             t, t_in = grid[lo : lo + block], grid[lo - 1] if lo else 0.0
             h, n, where = reservoir._block_intervals(t, t_in, lo == 0, 1e-4)
-            p, q = reservoir._map_power(*reservoir._step_map(h, b, c), n, b, c)
+            maps = reservoir._map_power(reservoir._step_map(h, rates), n, rates)
             # every interval's own map, as the oracle once built them
             spans = np.zeros(where.size)
             spans[: t.size] = np.diff(t, prepend=t_in)
             spans = spans.reshape(-1, width).T.copy()
             steps = np.maximum(1.0, np.ceil(spans / 1e-4)).astype(np.int64)
-            ep, eq = reservoir._step_map(spans / steps, b, c)
+            each = reservoir._step_map(spans / steps, rates)
             multi = steps > 1
-            ep[multi], eq[multi] = reservoir._map_power(ep[multi], eq[multi], steps[multi], b, c)
-            assert p[where].tobytes() == ep.tobytes()
-            assert q[where].tobytes() == eq.tobytes()
+            each[:, multi] = reservoir._map_power(each[:, multi], steps[multi], rates)
+            assert maps[0][where].tobytes() == each[0].tobytes()
+            assert maps[1][where].tobytes() == each[1].tobytes()
 
     def test_the_check_grid_has_few_distinct_spans(self):
         block = reservoir._ORACLE_BLOCK
@@ -481,6 +522,24 @@ class TestOracleBlocks:
         for i, params in enumerate((WEAK, STRONG)):
             collected = np.concatenate([u for j, _, u in blocks if j == i])
             assert collected.tobytes() == amplitude_ode_oracle(params, grid).tobytes()
+
+    def test_check_sets_stream_their_own_oracle(self):
+        # the eight reservoirs of check, on its default grid: the step maps
+        # built for all of them at once give each one its own integration
+        rates = itertools.product((10.0, 1000.0), (20.0, 40.0), (0.0, 100.0))
+        sets = [ReservoirParams.from_half_width(*r) for r in rates]
+        blocks = list(amplitude_ode_blocks(sets, 20001, lambda lo, hi: np.arange(lo, hi) * 1e-4))
+        assert [i for i, _, _ in blocks] == list(range(8)) * 5
+        for i, params in enumerate(sets):
+            collected = np.concatenate([u for j, _, u in blocks if j == i])
+            assert collected.tobytes() == amplitude_ode_oracle(params, np.arange(20001) * 1e-4).tobytes()
+
+    def test_one_element_array_reservoir_is_its_scalar(self):
+        # the rates of every reservoir are stacked into one array: a
+        # one-element array parameter still makes one reservoir
+        single = ReservoirParams.from_half_width(np.array([1000.0]), 40.0, np.array([100.0]))
+        grid = np.linspace(0.0, 0.5, 101)
+        assert amplitude_ode_oracle(single, grid).tobytes() == amplitude_ode_oracle(STRONG, grid).tobytes()
 
     def test_numpy_error_state_is_untouched_between_blocks(self):
         before = np.geterr()
