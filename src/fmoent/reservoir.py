@@ -191,8 +191,6 @@ def _step_map(h, rates):
 
 def _map_power(m, n, rates):
     """Each map raised to its own step count ``n``, by square-and-multiply."""
-    if np.all(n == 1):
-        return m
     r = np.where((n & 1).astype(bool), m, 0.0)
     n = n >> 1
     while n.any():
