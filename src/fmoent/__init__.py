@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 CM1_TO_RAD_PER_PS = 0.18836515673
 
 # The one table of where each name lives: the public names of each module
-# (its ``__all__``), and public name -> the module that defines it.
+# (each module's ``__all__`` is its row), and public name -> its module.
 _PUBLIC = {
     "qlin": ("partial_trace", "partial_transpose"),
     "fmo": (
@@ -33,9 +33,9 @@ _PUBLIC = {
     ),
     "entanglement": ("w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"),
     "dense": (
-        "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
-        "normalized_negativity", "global_entanglement", "w_state", "ghz_state", "w_state_exciton_rho",
-        "w_state_reservoir_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
+        "WStateParams", "XStateParams", "enumerate_bipartitions", "normalized_negativity",
+        "global_entanglement", "w_state", "ghz_state", "w_state_exciton_rho", "w_state_reservoir_rho",
+        "x_state_rho", "x_state_register", "meyer_wallach_numeric",
     ),
     "fidelity": ("f_ghz_teleport", "f_w_teleport", "f_ghz_split", "f_w_split"),
 }

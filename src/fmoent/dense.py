@@ -13,36 +13,11 @@ from itertools import combinations
 
 import numpy as np
 
-from . import qlin
+from . import _PUBLIC, qlin
 from .entanglement import _NORM_ATOL, _coefficients
 from .reservoir import _counts, damping, survival
 
-__all__ = [
-    "BipartitionSet", "WStateParams", "XStateParams", "enumerate_bipartitions",
-    "normalized_negativity", "global_entanglement", "w_state", "ghz_state", "w_state_exciton_rho",
-    "w_state_reservoir_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
-]
-
-
-@dataclass(frozen=True)
-class BipartitionSet:
-    """Canonical nonequivalent bipartitions of an N-qubit register.
-
-    ``groups[m]`` lists the size-m subsets (tuples of qubit indices); for
-    the even split m = N/2 only subsets containing qubit 0 are kept, which
-    halves the count to C(N, N/2)/2 and removes the double counting of
-    complementary cuts.
-    """
-
-    n_qubits: int
-    groups: dict[int, list[tuple[int, ...]]]
-
-    @property
-    def total(self) -> int:
-        return sum(len(subsets) for subsets in self.groups.values())
-
-    def counts(self) -> dict[int, int]:
-        return {m: len(subsets) for m, subsets in self.groups.items()}
+__all__ = _PUBLIC["dense"]
 
 
 def _qubit_count(n_qubits, low: int = 1, high: float = math.inf) -> int:
@@ -50,10 +25,13 @@ def _qubit_count(n_qubits, low: int = 1, high: float = math.inf) -> int:
     return int(_counts(n_qubits, "n_qubits", low, high).item())
 
 
-def enumerate_bipartitions(n_qubits: int) -> BipartitionSet:
-    """All nonequivalent bipartitions of ``n_qubits`` qubits (2 <= N <= 12).
+def enumerate_bipartitions(n_qubits: int) -> dict[int, list[tuple[int, ...]]]:
+    """Nonequivalent bipartitions of ``n_qubits`` qubits (2 <= N <= 12) as ``{m: size-m subsets}``.
 
-    The total count is 2**(N-1) - 1.
+    ``result[m]`` lists the size-m subsets (tuples of qubit indices) for
+    m = 1 .. N//2; for the even split m = N/2 only subsets containing qubit 0
+    are kept, which halves the count to C(N, N/2)/2 and removes the double
+    counting of complementary cuts.  The total count is 2**(N-1) - 1.
     """
     n = _qubit_count(n_qubits, 2, 12)
     groups: dict[int, list[tuple[int, ...]]] = {}
@@ -62,7 +40,7 @@ def enumerate_bipartitions(n_qubits: int) -> BipartitionSet:
         if 2 * m == n:
             subsets = [s for s in subsets if 0 in s]
         groups[m] = subsets
-    return BipartitionSet(n_qubits=n, groups=groups)
+    return groups
 
 
 def _require_density(rho, n_qubits: int) -> np.ndarray:
@@ -109,7 +87,7 @@ def global_entanglement(rho, n_qubits: int) -> float:
     cuts = enumerate_bipartitions(n_qubits)
     rho = _require_density(rho, n_qubits)
     size_means = []
-    for subsets in cuts.groups.values():
+    for subsets in cuts.values():
         values = [normalized_negativity(rho, n_qubits, s) for s in subsets]
         size_means.append(sum(values) / len(values))
     return sum(size_means) / len(size_means)
@@ -124,14 +102,11 @@ def w_state(n_qubits: int) -> np.ndarray:
     return psi
 
 
-def ghz_state(n_qubits: int, alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt(2)) -> np.ndarray:
-    """alpha |0...0> + beta |1...1> over ``n_qubits`` qubits."""
+def ghz_state(n_qubits: int) -> np.ndarray:
+    """(|0...0> + |1...1>) / sqrt(2) over ``n_qubits`` qubits."""
     n = _qubit_count(n_qubits)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
-        raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     psi = np.zeros(2**n, dtype=complex)
-    psi[0] = alpha
-    psi[-1] = beta
+    psi[0] = psi[-1] = 1 / math.sqrt(2)
     return psi
 
 

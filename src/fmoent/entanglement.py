@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _PUBLIC
 from .reservoir import _counts, _maybe_scalar, _weights, survival
 
-__all__ = ["w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"]
+__all__ = _PUBLIC["entanglement"]
 
 _NORM_ATOL = 1e-9  # largest accepted departure of a register's norm from 1
 

@@ -9,14 +9,10 @@ reservoir damping p(t) = 1 - |u(t)|^2 turns them into time traces.
 
 from __future__ import annotations
 
+from . import _PUBLIC
 from .reservoir import _counts, _maybe_scalar, _weights
 
-__all__ = [
-    "f_ghz_teleport",
-    "f_w_teleport",
-    "f_ghz_split",
-    "f_w_split",
-]
+__all__ = _PUBLIC["fidelity"]
 
 
 def f_ghz_teleport(p, n_parties):

@@ -13,16 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "SiteDataset",
-    "ExcitonTable",
-    "COUPLINGS_CM1",
-    "builtin_datasets",
-    "dataset",
-    "load_site_energies",
-    "build_hamiltonian",
-    "exciton_table",
-]
+from . import _PUBLIC
+
+__all__ = _PUBLIC["fmo"]
 
 N_SITES = 7
 

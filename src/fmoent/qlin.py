@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["partial_trace", "partial_transpose"]
+from . import _PUBLIC
+
+__all__ = _PUBLIC["qlin"]
 
 
 def _as_register_operator(mat, n_qubits: int) -> np.ndarray:

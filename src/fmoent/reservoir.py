@@ -27,17 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CM1_TO_RAD_PER_PS
+from . import _PUBLIC, CM1_TO_RAD_PER_PS
 
-__all__ = [
-    "ReservoirParams",
-    "amplitude",
-    "amplitude_ode_oracle",
-    "amplitude_ode_blocks",
-    "survival",
-    "population_difference",
-    "damping",
-]
+__all__ = _PUBLIC["reservoir"]
 
 _AMP_SLACK = 1e-9  # |u| may exceed 1 by rounding in amplitude(); beyond that it is refused
 
@@ -68,8 +60,14 @@ class ReservoirParams:
 
     @classmethod
     def from_half_width(cls, gamma0: float, half_width: float, delta: float = 0.0) -> "ReservoirParams":
-        """Build from the half width delta_omega/2 used on most figure axes."""
-        return cls(gamma0=gamma0, delta_omega=2.0 * half_width, delta=delta)
+        """Build from the half width delta_omega/2 of most figure axes: positive, with 2 * half_width finite."""
+        with np.errstate(over="ignore"):
+            delta_omega = 2.0 * half_width
+        bad = ~(np.isfinite(delta_omega) & (delta_omega > 0.0))
+        if bad.any():
+            value = np.asarray(half_width, dtype=float)[bad].flat[0]
+            raise ValueError(f"half_width must be positive, with 2 * half_width finite, got {value}")
+        return cls(gamma0=gamma0, delta_omega=delta_omega, delta=delta)
 
     @property
     def half_width(self) -> float:
@@ -158,8 +156,7 @@ def amplitude(params: ReservoirParams, t):
             raise _overflow(tb[np.argmin(finite)])
         ratio = bb / xib
         u[big] = 0.5 * ((1.0 + ratio) * np.exp(slow) + (1.0 - ratio) * np.exp(fast))
-    # all-scalar inputs made a one-point call, whose point is returned
-    return u if np.broadcast(t_in, params.gamma0, params.delta_omega, params.delta).ndim else complex(u[0])
+    return _maybe_scalar(u, t_in, params.gamma0, params.delta_omega, params.delta)
 
 
 # Grid intervals per pass of the oracle's scan (bounds its temporaries), and
@@ -222,6 +219,10 @@ def amplitude_ode_blocks(sets, size: int, points, *, max_step: float = 1e-4):
     # [C, B] of each reservoir's system, one (2, 1) column per reservoir
     rates = np.empty((2, len(sets), 1), dtype=complex)
     for i, p in enumerate(sets):
+        for name in ("gamma0", "delta_omega", "delta"):
+            shape = np.shape(getattr(p, name))
+            if np.prod(shape) != 1:
+                raise ValueError(f"the RK4 oracle integrates one reservoir per set, got {name} of shape {shape}")
         rates[0, i] = (p.gamma0 * k) * (p.delta_omega * k) / 4.0
         rates[1, i] = (p.delta_omega / 2.0 - 1j * p.delta) * k
     # time, and each reservoir's state [u - 1, z], at the end of the previous block
@@ -365,8 +366,8 @@ def _weights(x, name: str):
 
 
 def _maybe_scalar(value, *inputs):
-    """``value`` computed on inputs made at least 1-D, or its one point as a float when every input is a scalar."""
-    return value if any(np.ndim(x) for x in inputs) else float(value[0])
+    """``value`` on inputs made at least 1-D, or its one point as a Python scalar when every input is a scalar."""
+    return value if any(np.ndim(x) for x in inputs) else value[0].item()
 
 
 def survival(u):

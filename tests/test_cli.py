@@ -948,6 +948,21 @@ class TestMainEntrypoint:
         assert captured.out == ""
         assert "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow" in captured.err
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("1e308", "1e+308"), ("-1e308", "-1e+308"), ("-5", "-5.0")],
+        ids=["overflow", "negative-overflow", "negative"],
+    )
+    def test_bad_half_width_refused_as_given(self, value, shown, capsys):
+        # 1e308 once printed "RuntimeWarning: overflow encountered in multiply",
+        # and -5 was refused as "delta_omega must be positive, got -10.0"
+        argv = ["scan", "--observable", "delta_p", "--t", "0.5", "--gamma0", "1000", f"--half-width={value}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        message = f"fmoent: half_width must be positive, with 2 * half_width finite, got {shown}\n"
+        assert capsys.readouterr() == ("", message)
+
     @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     @pytest.mark.parametrize("flag", ["--half-width", "--delta"])
     def test_overflowing_exponents_refused(self, observable, flag, capsys):

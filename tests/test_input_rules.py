@@ -67,8 +67,8 @@ class TestOneCountRule:
             assert all(value.tobytes() == values[0].tobytes() for value in values)
         for build in (dense.w_state, dense.ghz_state):
             assert all(np.array_equal(build(count), build(n)) for count in spellings)
-        groups = dense.enumerate_bipartitions(n).groups
-        assert all(dense.enumerate_bipartitions(count).groups == groups for count in spellings)
+        groups = dense.enumerate_bipartitions(n)
+        assert all(dense.enumerate_bipartitions(count) == groups for count in spellings)
         rho = dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=n))
         for count in spellings:
             assert np.array_equal(dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=count)), rho)

@@ -82,6 +82,27 @@ class TestParams:
         assert params.delta_omega == 80.0
         assert params.half_width == 40.0
 
+    @pytest.mark.parametrize(
+        "half_width, shown",
+        [
+            (1e308, "1e+308"), (-1e308, "-1e+308"), (np.array([40.0, 1e308]), "1e+308"),
+            (np.float64(-1e308), "-1e+308"), (-5.0, "-5.0"), (0.0, "0.0"), (math.inf, "inf"), (math.nan, "nan"),
+        ],
+        ids=["overflow", "negative-overflow", "array-overflow", "float64-overflow", "negative", "zero", "inf", "nan"],
+    )
+    def test_bad_half_width_refused_by_its_own_name(self, half_width, shown):
+        # 2 * half_width once overflowed with a RuntimeWarning, and a negative
+        # half width was refused as the doubled "delta_omega"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refusal:
+                ReservoirParams.from_half_width(1000.0, half_width)
+        assert str(refusal.value) == f"half_width must be positive, with 2 * half_width finite, got {shown}"
+
+    def test_largest_half_width_accepted(self):
+        largest = np.finfo(float).max / 2.0
+        assert ReservoirParams.from_half_width(1000.0, largest).delta_omega == np.finfo(float).max
+
 
 class TestSpectralDensity:
     @pytest.mark.parametrize("gamma0", [111.0 / CM1_TO_RAD_PER_PS, 589.0, 42.0])
@@ -541,6 +562,23 @@ class TestOracleBlocks:
         single = ReservoirParams.from_half_width(np.array([1000.0]), 40.0, np.array([100.0]))
         grid = np.linspace(0.0, 0.5, 101)
         assert amplitude_ode_oracle(single, grid).tobytes() == amplitude_ode_oracle(STRONG, grid).tobytes()
+
+    @pytest.mark.parametrize("field", ["gamma0", "half_width", "delta"])
+    def test_array_reservoir_refused_before_the_first_block(self, field):
+        # numpy's "could not broadcast input array from shape (2,) into
+        # shape (1,)" once said nothing of the oracle's one reservoir per set
+        values = {"gamma0": 1000.0, "half_width": 40.0, "delta": 100.0}
+        values[field] = np.array([values[field], 10.0])
+        params = ReservoirParams.from_half_width(**values)
+        name = "delta_omega" if field == "half_width" else field
+        message = f"the RK4 oracle integrates one reservoir per set, got {name} of shape (2,)"
+        read = []
+        blocks = amplitude_ode_blocks([STRONG, params], 11, lambda lo, hi: read.append(lo) or np.arange(lo, hi) * 0.1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(blocks)
+        assert read == []
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            amplitude_ode_oracle(params, np.linspace(0.0, 1.0, 11))
 
     def test_numpy_error_state_is_untouched_between_blocks(self):
         before = np.geterr()

@@ -86,3 +86,11 @@ def test_each_module_lists_what_the_package_maps_to_it():
     # the package's map is the only route to a name: entanglement forwards none
     with pytest.raises(AttributeError, match="no attribute 'global_entanglement'"):
         fmoent.entanglement.global_entanglement
+
+
+@pytest.mark.parametrize("module", list(fmoent._PUBLIC))
+def test_star_import_binds_exactly_the_modules_row(module):
+    namespace: dict = {}
+    exec(f"from fmoent.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(fmoent._PUBLIC[module])
