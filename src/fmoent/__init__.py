@@ -27,10 +27,8 @@ _PUBLIC = {
         "SiteDataset", "ExcitonTable", "COUPLINGS_CM1", "builtin_datasets", "dataset",
         "load_site_energies", "build_hamiltonian", "exciton_table",
     ),
-    "reservoir": (
-        "ReservoirParams", "amplitude", "amplitude_ode_oracle", "amplitude_ode_blocks", "survival",
-        "population_difference", "damping",
-    ),
+    "reservoir": ("ReservoirParams", "amplitude", "survival", "population_difference", "damping"),
+    "ode": ("amplitude_ode_oracle", "amplitude_ode_blocks"),
     "entanglement": ("w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"),
     "dense": (
         "WStateParams", "XStateParams", "enumerate_bipartitions", "normalized_negativity",

@@ -34,7 +34,8 @@ import math
 import re
 import sys
 import types
-from collections.abc import Callable, Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,7 +97,7 @@ _BLOCK_ROWS = 1024
 # binds that module's public names (its ``_PUBLIC`` row) as attributes here.
 # The kernels look them up by name when they run, so a wrapper set on an
 # attribute (a profiler's, say) sees each call.
-_LIBRARY = ("reservoir", "entanglement", "fidelity", "fmo")
+_LIBRARY = ("reservoir", "ode", "entanglement", "fidelity", "fmo")
 _loaded: set[str] = set()
 
 
@@ -211,6 +212,11 @@ class ScanResult:
     axes: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
+        shape = np.shape(self.rows)
+        if len(shape) != 2 or shape[1] != len(self.header):
+            raise ValueError(
+                f"rows: expected a 2-D array, one column per header name ({len(self.header)}), got shape {shape}"
+            )
         if len(self.axes) > 2:
             raise ValueError(f"axes: at most 2 grids, got {len(self.axes)}")
         if self.axes and math.prod(len(grid) for grid in self.axes) != len(self.rows):
@@ -305,20 +311,13 @@ def _u_columns(u):
     return u.real, u.imag, np.abs(u) ** 2
 
 
-@dataclass(frozen=True)
-class _Observable:
-    """Value columns, consumed parameters, array kernel and library modules of one observable.
-
-    The kernel maps the block's survival amplitude ``u`` and its parameters
-    (name -> array broadcasting over the block) to one array per value
-    column, reading |u| through ``reservoir.survival``, which refuses a bad
-    ``u``; ``modules`` are the library modules the kernel and the amplitude call need.
-    """
-
-    columns: tuple[str, ...]
-    needs: tuple[str, ...]
-    kernel: Callable[[np.ndarray, dict], tuple]
-    modules: tuple[str, ...]
+# Value columns, consumed parameters, array kernel and library modules of one
+# observable.  The kernel maps the block's survival amplitude ``u`` and its
+# parameters (name -> array broadcasting over the block) to one array per
+# value column, reading |u| through ``reservoir.survival``, which refuses a
+# bad ``u``; ``modules`` are the library modules the kernel and the amplitude
+# call need.  A namedtuple: a frozen dataclass costs about 1-2 ms at start-up.
+_Observable = namedtuple("_Observable", "columns needs kernel modules")
 
 
 _RES = ("gamma0", "half_width", "delta", "t")
@@ -491,7 +490,7 @@ def _check_grid(t_max: float, step: float) -> int:
 
 def _run_check_command(args: argparse.Namespace) -> int:
     size, step = _check_grid(args.t_max, args.step), args.step
-    _need("reservoir")
+    _need("reservoir", "ode")
     sets = [
         ReservoirParams.from_half_width(gamma0, half_width, delta)
         for gamma0 in (10.0, 1000.0)

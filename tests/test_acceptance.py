@@ -15,7 +15,8 @@ from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent import qlin
 from fmoent.fmo import build_hamiltonian, dataset, exciton_table
-from fmoent.reservoir import ReservoirParams, amplitude, amplitude_ode_oracle, damping
+from fmoent.ode import amplitude_ode_oracle
+from fmoent.reservoir import ReservoirParams, amplitude, damping
 
 from conftest import (
     decayed_w_register,

@@ -661,6 +661,12 @@ class TestCsvWriterBytes:
             ScanResult(["t_ps", "delta_p"], np.zeros((5, 2)), (np.arange(4.0),))
         with pytest.raises(ValueError, match="axes: at most 2"):
             ScanResult(["x", "y", "z", "v"], np.zeros((8, 4)), (np.arange(2.0),) * 3)
+        # a header that does not name each column, and rows that are not 2-D
+        expected = r"^rows: expected a 2-D array, one column per header name \(1\), got shape "
+        with pytest.raises(ValueError, match=expected + r"\(3, 2\)$"):
+            ScanResult(["a"], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=expected + r"\(3,\)$"):
+            ScanResult(["a"], np.zeros(3))
 
     def test_writes_are_bounded_by_the_block(self):
         # 200,000 rows of 2 columns: a whole-grid template and argument tuple
@@ -1108,7 +1114,7 @@ class TestMainEntrypoint:
         argv = ["check", "--t-max", "0.2", "--step", "0.001"]
         assert cli.main(argv) == 0
         whole = capsys.readouterr().out
-        monkeypatch.setattr("fmoent.reservoir._ORACLE_BLOCK", 7)
+        monkeypatch.setattr("fmoent.ode._ORACLE_BLOCK", 7)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
 
@@ -1158,7 +1164,7 @@ class TestMainEntrypoint:
         def blocked(size):
             return np.concatenate([amplitude(params, grid[lo : lo + size]) for lo in range(0, grid.size, size)])
 
-        assert np.array_equal(blocked(fmoent.reservoir._ORACLE_BLOCK), blocked(1000))
+        assert np.array_equal(blocked(fmoent.ode._ORACLE_BLOCK), blocked(1000))
 
     def test_check_refuses_an_overflowing_exponent_without_warnings(self, capsys):
         # reservoir 5 (gamma0 1000, half width 20, delta 100) reaches the split

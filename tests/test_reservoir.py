@@ -10,13 +10,12 @@ import pytest
 from conftest import lorentzian_density, rk4_stepwise
 from scipy.integrate import quad
 
-from fmoent import reservoir
+from fmoent import ode, reservoir
+from fmoent.ode import amplitude_ode_blocks, amplitude_ode_oracle
 from fmoent.reservoir import (
     CM1_TO_RAD_PER_PS,
     ReservoirParams,
     amplitude,
-    amplitude_ode_blocks,
-    amplitude_ode_oracle,
     damping,
     population_difference,
     survival,
@@ -87,17 +86,36 @@ class TestParams:
         [
             (1e308, "1e+308"), (-1e308, "-1e+308"), (np.array([40.0, 1e308]), "1e+308"),
             (np.float64(-1e308), "-1e+308"), (-5.0, "-5.0"), (0.0, "0.0"), (math.inf, "inf"), (math.nan, "nan"),
+            (True, "True"), ("40", "'40'"), (10**400, str(10**400)), (np.array(["40"]), "'40'"),
         ],
-        ids=["overflow", "negative-overflow", "array-overflow", "float64-overflow", "negative", "zero", "inf", "nan"],
+        ids=[
+            "overflow", "negative-overflow", "array-overflow", "float64-overflow", "negative", "zero", "inf", "nan",
+            "True", "str", "big-int", "str-array",
+        ],
     )
     def test_bad_half_width_refused_by_its_own_name(self, half_width, shown):
         # 2 * half_width once overflowed with a RuntimeWarning, and a negative
-        # half width was refused as the doubled "delta_omega"
+        # half width was refused as the doubled "delta_omega"; True built
+        # delta_omega = 2.0, and "40" and 10**400 raised TypeError and OverflowError
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as refusal:
                 ReservoirParams.from_half_width(1000.0, half_width)
         assert str(refusal.value) == f"half_width must be positive, with 2 * half_width finite, got {shown}"
+
+    @pytest.mark.parametrize("field", ["gamma0", "delta_omega", "delta"])
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [("1000", "'1000'"), (True, "True"), (10**400, str(10**400)), (1j, "1j"), (np.array(["80.0"]), "'80.0'")],
+        ids=["str", "True", "big-int", "complex", "str-array"],
+    )
+    def test_a_rate_that_is_not_a_real_number_is_refused(self, field, bad, shown):
+        # gamma0="1000" was kept as the string, True read as 1.0, and 10**400
+        # and 1j raised OverflowError and TypeError
+        values = {"gamma0": 100.0, "delta_omega": 80.0, "delta": 0.0, field: bad}
+        with pytest.raises(ValueError) as refusal:
+            ReservoirParams(**values)
+        assert str(refusal.value) == f"{field} must be finite and real, got {shown}"
 
     def test_largest_half_width_accepted(self):
         largest = np.finfo(float).max / 2.0
@@ -303,8 +321,8 @@ class TestAmplitude:
         # parameter arrays: on the default check grid they agree bit for bit
         grid = np.arange(20001) * 1e-4
         for gamma0, half_width, delta in itertools.product((10.0, 1000.0), (20.0, 40.0), (0.0, 100.0)):
-            for lo in range(0, grid.size, reservoir._ORACLE_BLOCK):
-                t = grid[lo : lo + reservoir._ORACLE_BLOCK]
+            for lo in range(0, grid.size, ode._ORACLE_BLOCK):
+                t = grid[lo : lo + ode._ORACLE_BLOCK]
                 scalar = amplitude(ReservoirParams.from_half_width(gamma0, half_width, delta), t)
                 full = [np.full(t.shape, value) for value in (gamma0, half_width, delta)]
                 assert np.array_equal(scalar, amplitude(ReservoirParams.from_half_width(*full), t))
@@ -336,7 +354,7 @@ class TestAmplitude:
         # check's own set gamma0 = 10, half width 20 has xi = 0, so B/xi = inf:
         # every point of its grid takes the series branch, with no warning
         params = ReservoirParams.from_half_width(10.0, 20.0)
-        grid, block = np.arange(20001) * 1e-4, reservoir._ORACLE_BLOCK
+        grid, block = np.arange(20001) * 1e-4, ode._ORACLE_BLOCK
         b = reservoir._decay_rates(params)[0][0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -447,14 +465,14 @@ class TestOracleMatchesStepwiseRk4:
         for grid in ([0.37], [0.25, 0.5, 1.0]):
             self.assert_same(STRONG, np.array(grid))
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1, reservoir._ORACLE_WIDTH + 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, ode._ORACLE_WIDTH + 3])
     def test_grid_sizes_at_a_block_edge(self, offset):
-        size = reservoir._ORACLE_BLOCK + offset
+        size = ode._ORACLE_BLOCK + offset
         self.assert_same(STRONG, np.linspace(0.0, 0.5, size))
         self.assert_same(WEAK, np.linspace(0.0, 0.5, size), max_step=3e-4)
 
     @pytest.mark.parametrize(
-        "size", [1, 2, reservoir._ORACLE_WIDTH - 1, reservoir._ORACLE_WIDTH, reservoir._ORACLE_WIDTH + 1]
+        "size", [1, 2, ode._ORACLE_WIDTH - 1, ode._ORACLE_WIDTH, ode._ORACLE_WIDTH + 1]
     )
     def test_grid_sizes_at_a_run_edge(self, size):
         grid = np.linspace(0.0, 2e-3, size + 1)[1:]
@@ -464,7 +482,7 @@ class TestOracleMatchesStepwiseRk4:
     def test_powered_intervals_either_side_of_a_carry(self):
         # single-step intervals except a few of four steps, placed on both
         # sides of a run edge and of the block edge the state is carried over
-        block, width = reservoir._ORACLE_BLOCK, reservoir._ORACLE_WIDTH
+        block, width = ode._ORACLE_BLOCK, ode._ORACLE_WIDTH
         spans = np.full(2 * block + 5, 0.5e-4)
         powered = [0, width - 1, width, 3 * width - 1, block - 2, block - 1, block, block + 1]
         spans[powered] = 3.7e-4
@@ -480,14 +498,14 @@ class TestOracleMatchesStepwiseRk4:
         # inline, so the helper sees about 2 of them, and the lower bound
         # shows that the count sees the scan's products
         work = []
-        product = reservoir._map_product
+        product = ode._map_product
 
         def counted(m1, m2, rates):
             # maps are stacked [p, q]: a product of size 2k multiplies k pairs
             work.append(np.broadcast(m1, m2).size // 2)
             return product(m1, m2, rates)
 
-        monkeypatch.setattr(reservoir, "_map_product", counted)
+        monkeypatch.setattr(ode, "_map_product", counted)
         grid = np.arange(0.0, 2.0 + 0.5e-4, 1e-4)
         amplitude_ode_oracle(STRONG, grid)
         assert grid.size <= sum(work) <= 3 * grid.size
@@ -513,31 +531,31 @@ class TestOracleBlocks:
         c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0
         # one reservoir's scalar C and B, stacked as the helpers take them
         rates = np.array([[c], [b]])
-        block, width = reservoir._ORACLE_BLOCK, reservoir._ORACLE_WIDTH
+        block, width = ode._ORACLE_BLOCK, ode._ORACLE_WIDTH
         for lo in range(0, grid.size, block):
             t, t_in = grid[lo : lo + block], grid[lo - 1] if lo else 0.0
-            h, n, where = reservoir._block_intervals(t, t_in, lo == 0, 1e-4)
-            maps = reservoir._map_power(reservoir._step_map(h, rates), n, rates)
+            h, n, where = ode._block_intervals(t, t_in, lo == 0, 1e-4)
+            maps = ode._map_power(ode._step_map(h, rates), n, rates)
             # every interval's own map, as the oracle once built them
             spans = np.zeros(where.size)
             spans[: t.size] = np.diff(t, prepend=t_in)
             spans = spans.reshape(-1, width).T.copy()
             steps = np.maximum(1.0, np.ceil(spans / 1e-4)).astype(np.int64)
-            each = reservoir._step_map(spans / steps, rates)
+            each = ode._step_map(spans / steps, rates)
             multi = steps > 1
-            each[:, multi] = reservoir._map_power(each[:, multi], steps[multi], rates)
+            each[:, multi] = ode._map_power(each[:, multi], steps[multi], rates)
             assert maps[0][where].tobytes() == each[0].tobytes()
             assert maps[1][where].tobytes() == each[1].tobytes()
 
     def test_the_check_grid_has_few_distinct_spans(self):
-        block = reservoir._ORACLE_BLOCK
+        block = ode._ORACLE_BLOCK
         for lo in range(0, CHECK_GRID.size, block):
             t = CHECK_GRID[lo : lo + block]
-            h, _, _ = reservoir._block_intervals(t, CHECK_GRID[lo - 1] if lo else 0.0, lo == 0, 1e-4)
+            h, _, _ = ode._block_intervals(t, CHECK_GRID[lo - 1] if lo else 0.0, lo == 0, 1e-4)
             assert h.size <= 32 < t.size
 
     def test_sets_interleave_by_block_and_keep_their_own_state(self):
-        grid = np.linspace(0.0, 0.5, 2 * reservoir._ORACLE_BLOCK + 3)
+        grid = np.linspace(0.0, 0.5, 2 * ode._ORACLE_BLOCK + 3)
         blocks = list(amplitude_ode_blocks([WEAK, STRONG], grid.size, lambda lo, hi: grid[lo:hi]))
         assert [i for i, _, _ in blocks] == [0, 1, 0, 1, 0, 1]
         assert np.array_equal(np.concatenate([t for i, t, _ in blocks if i == 0]), grid)
@@ -586,7 +604,7 @@ class TestOracleBlocks:
             assert np.geterr() == before
 
     def test_bad_grid_refused_in_a_later_block(self):
-        block = reservoir._ORACLE_BLOCK
+        block = ode._ORACLE_BLOCK
         grid = np.linspace(0.0, 1.0, block + 2)
         for bad, message in ((grid[block - 1], "strictly ascending"), (math.nan, "finite")):
             broken = grid.copy()

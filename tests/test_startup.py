@@ -47,8 +47,11 @@ SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", 
     [
         ("import fmoent", (), {"fmoent"}),
         ("import fmoent.cli", (), {"fmoent", "cli"}),
+        # the RK4 oracle imports nothing of the closed form it checks
+        ("import fmoent.reservoir", (), {"fmoent", "reservoir"}),
+        ("import fmoent.ode", (), {"fmoent", "ode"}),
         (_RUN_MAIN, ("--version",), {"fmoent", "cli"}),
-        (_RUN_MAIN, ("check", "--t-max", "0.01"), {"fmoent", "cli", "reservoir"}),
+        (_RUN_MAIN, ("check", "--t-max", "0.01"), {"fmoent", "cli", "reservoir", "ode"}),
         (_RUN_MAIN, ("table",), {"fmoent", "cli", "fmo"}),
         (_RUN_MAIN, (*SCAN, "delta_p"), {"fmoent", "cli", "reservoir"}),
         (_RUN_MAIN, (*SCAN, "f_w_split"), {"fmoent", "cli", "reservoir", "fidelity"}),
@@ -61,8 +64,8 @@ SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", 
          {"fmoent", "entanglement", "dense", "qlin", "reservoir"}),
     ],
     ids=[
-        "import-fmoent", "import-cli", "version", "check", "table", "scan-delta_p", "scan-f_w_split",
-        "scan-e_exciton", "scan-q_numeric", "entanglement-dense-name",
+        "import-fmoent", "import-cli", "import-reservoir", "import-ode", "version", "check", "table",
+        "scan-delta_p", "scan-f_w_split", "scan-e_exciton", "scan-q_numeric", "entanglement-dense-name",
     ],
 )
 def test_entry_loads_only_what_it_runs(code, argv, expected):
@@ -94,3 +97,11 @@ def test_star_import_binds_exactly_the_modules_row(module):
     exec(f"from fmoent.{module} import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(fmoent._PUBLIC[module])
+
+
+def test_the_rk4_oracle_lives_only_in_ode():
+    # a scan loads reservoir and never compiles the oracle; no alias is left there
+    assert fmoent.amplitude_ode_oracle is fmoent.ode.amplitude_ode_oracle
+    assert fmoent.amplitude_ode_blocks is fmoent.ode.amplitude_ode_blocks
+    for name in ("amplitude_ode_oracle", "amplitude_ode_blocks", "_ORACLE_BLOCK", "_map_product"):
+        assert not hasattr(fmoent.reservoir, name), name
