@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _EXPORTS, _PUBLIC, CM1_TO_RAD_PER_PS, __version__
+from . import _PUBLIC, CM1_TO_RAD_PER_PS, __version__
 
 __all__ = [
     "ConfigError",
@@ -55,8 +55,6 @@ __all__ = [
 ]
 
 AXIS_NAMES = ("t", "gamma0", "half_width", "delta", "b", "n")
-# the numbers a scan takes: every axis, swept or fixed, and the fixed-only `a`
-_PARAMETERS = AXIS_NAMES + ("a",)
 
 _AXIS_LABELS = {
     "t": "t_ps",
@@ -79,8 +77,7 @@ _SCAN_KEYS = {
     "gamma0": "reservoir strength (cm^-1)",
     "half_width": "Lorentzian half width (cm^-1)",
     "delta": "peak detuning (cm^-1), default 0",
-    "a": "ground-pair coefficient (default sqrt(1-b^2))",
-    "b": "excited-pair coefficient",
+    "b": "excited-pair coefficient in [0, 1]; the ground pair's is sqrt(1-b^2)",
     "n": "qubit/party count, default 4",
     "t": "time (ps) when not swept",
     "output": "CSV destination path, '-' for stdout",
@@ -92,12 +89,12 @@ MAX_GRID_ROWS = 10**7
 _BLOCK_ROWS = 1024
 
 
-# The library modules this module calls.  A subcommand imports one the first
-# time it needs it (``_need``), so a process loads only what it runs, and
-# binds that module's public names (its ``_PUBLIC`` row) as attributes here.
-# The kernels look them up by name when they run, so a wrapper set on an
-# attribute (a profiler's, say) sees each call.
-_LIBRARY = ("reservoir", "ode", "entanglement", "fidelity", "fmo")
+# A subcommand imports each library module it calls the first time it needs
+# it (``_need``), so a process loads only what it runs, and binds that
+# module's public names (its ``_PUBLIC`` row) as attributes here.  The
+# kernels look them up by name when they run, so a wrapper set on an
+# attribute (a profiler's, say) sees each call; a module is bound once, so a
+# later ``_need`` does not undo such a wrapper.
 _loaded: set[str] = set()
 
 
@@ -108,14 +105,6 @@ def _need(*modules: str) -> None:
             library = importlib.import_module(f"{__package__}.{module}")
             globals().update({name: getattr(library, name) for name in _PUBLIC[module]})
             _loaded.add(module)
-
-
-def __getattr__(name: str):
-    """A library name not bound yet is bound, with its module's, on first access."""
-    if _EXPORTS.get(name) not in _LIBRARY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _need(_EXPORTS[name])
-    return globals()[name]
 
 
 class ConfigError(ValueError):
@@ -177,14 +166,12 @@ class ScanSpec:
         if len(set(names)) < len(names):
             raise ConfigError(f"axis2: duplicates axis1 ({names[0]!r})")
         for key, value in self.fixed.items():
-            if key not in _PARAMETERS:
-                raise ConfigError(f"{key}: not a scan parameter; use one of {_PARAMETERS}")
+            if key not in AXIS_NAMES:
+                raise ConfigError(f"{key}: not a scan parameter; use one of {AXIS_NAMES}")
             if key in names:
                 raise ConfigError(f"{key}: given both as an axis and a fixed value")
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: expected a finite number, got {value}")
-        if "a" in self.fixed and "b" in names:
-            raise ConfigError("a: cannot be fixed while sweeping b (a is derived as sqrt(1 - b^2))")
         if "n" in self.fixed and not float(self.fixed["n"]).is_integer():
             raise ConfigError(f"n: must be an integer, got {self.fixed['n']}")
         total = math.prod(axis.steps for axis in self.axes)
@@ -203,8 +190,10 @@ class ScanResult:
     """CSV header, a float64 array with one row per grid point, and the grids.
 
     ``axes`` holds the 1-D grid of each swept axis, outer first; the leading
-    columns of ``rows`` are those axes over the flattened grid in C order.
-    A result with no axes (a scalar scan, the exciton table) has ``()``.
+    columns of ``rows`` must be those axes over the flattened grid in C order,
+    and are refused otherwise, since the CSV writer prints the grids, not
+    those columns.  A result with no axes (a scalar scan, the exciton table)
+    has ``()``.
     """
 
     header: list[str]
@@ -219,8 +208,15 @@ class ScanResult:
             )
         if len(self.axes) > 2:
             raise ValueError(f"axes: at most 2 grids, got {len(self.axes)}")
-        if self.axes and math.prod(len(grid) for grid in self.axes) != len(self.rows):
+        grid_shape = tuple(len(grid) for grid in self.axes)
+        if self.axes and math.prod(grid_shape) != len(self.rows):
             raise ValueError("axes: the grids do not span the rows")
+        # each axis column, viewed over the grid, against its grid broadcast along the other axis
+        rows = np.asarray(self.rows)
+        for j, grid in enumerate(self.axes):
+            along = np.reshape(grid, (-1,) + (1,) * (len(grid_shape) - 1 - j))
+            if not (rows[:, j].reshape(grid_shape) == along).all():
+                raise ValueError(f"rows: column {j} ({self.header[j]}) is not axis {j}'s grid in C order")
 
 
 def _parse_axis(key: str, text: str) -> AxisSpec:
@@ -281,7 +277,7 @@ def build_scan_spec(mapping: dict[str, str]) -> ScanSpec:
     if observable is None:
         raise ConfigError("observable: missing required key")
     axes = tuple(_parse_axis(key, mapping[key]) for key in ("axis1", "axis2") if key in mapping)
-    fixed = {key: _number(key, text) for key, text in mapping.items() if key in _PARAMETERS}
+    fixed = {key: _number(key, text) for key, text in mapping.items() if key in AXIS_NAMES}
     return ScanSpec(observable=observable, axes=axes, fixed=fixed)
 
 
@@ -291,13 +287,11 @@ def load_config(path) -> ScanSpec:
 
 
 def _ab(p):
-    """(a, b): a fixed a as given, else a = sqrt(1 - b^2) for b in [0, 1]."""
+    """(a, b) with a = sqrt(1 - b^2), for b in [0, 1]."""
     b = p["b"]
-    if "a" in p:
-        return p["a"], b
     inside = (b >= 0.0) & (b <= 1.0)
     if not inside.all():
-        raise ValueError(f"b: must lie in [0, 1] when a is derived, got {b[~inside][0]}")
+        raise ValueError(f"b: must lie in [0, 1], got {b[~inside][0]}")
     return np.sqrt(1.0 - b * b), b
 
 
@@ -397,8 +391,6 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         if value is None:
             raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
         base[name] = np.full((1, 1), value)
-    if "b" in observable.needs and "a" in spec.fixed:
-        base["a"] = np.full((1, 1), spec.fixed["a"])
 
     grids = [axis.values() for axis in spec.axes]
     # the grid is outer x inner; a scan of one axis or none has a single outer row
@@ -500,8 +492,6 @@ def _run_check_command(args: argparse.Namespace) -> int:
     # point i of the grid is i * step, as np.arange makes it
     blocks = amplitude_ode_blocks(sets, size, lambda lo, hi: np.arange(lo, hi) * step, max_step=step)
     errors = np.full(len(sets), -np.inf)
-    # one amplitude call per oracle block, so the call size stays below the
-    # 16,384 points from which amplitude's last bit depends on it
     for i, t, integrated in blocks:
         error = np.abs(amplitude(sets[i], t) - integrated).max()
         # np.maximum, unlike max(), propagates a NaN from a diverged integration
@@ -554,10 +544,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--t-max", type=float, default=2.0, help="time horizon (ps)")
     check.add_argument("--step", type=float, default=1e-4, help="integration step (ps)")
-    # argparse's own pattern has no exponent, infinity or NaN, so it took
-    # "-1e3" and "-inf" for flags
+    # argparse's own pattern has no exponent, infinity, NaN or underscore
+    # between digits, so it took "-1e3", "-inf" and "-1_000" for flags
+    digits = r"\d(_?\d)*"
     scan._negative_number_matcher = check._negative_number_matcher = re.compile(
-        r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        rf"^-(({digits}(\.({digits})?)?|\.{digits})(e[-+]?{digits})?|inf|infinity|nan)$", re.IGNORECASE
     )
     return parser
 

@@ -21,8 +21,6 @@ __all__ = _PUBLIC["ode"]
 
 # Grid intervals per pass of the oracle's scan (bounds its temporaries), and
 # the run length of its first level, multiplied out one row at a time.
-# ``check`` evaluates amplitude once per block, so the block must stay below
-# 16,384 points, from which amplitude's last bit depends on the call size.
 _ORACLE_BLOCK = 4096
 _ORACLE_WIDTH = 8
 

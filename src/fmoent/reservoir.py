@@ -32,6 +32,13 @@ from . import _PUBLIC, CM1_TO_RAD_PER_PS
 __all__ = _PUBLIC["reservoir"]
 
 _AMP_SLACK = 1e-9  # |u| may exceed 1 by rounding in amplitude(); beyond that it is refused
+_SHOWN = 500  # characters of a refused value shown in its refusal
+
+# The closed form's array arithmetic calls the ufuncs by name, never through
+# an operator: from 256 KiB (16,384 complex values) up, numpy computes an
+# operator expression in place in its temporaries, whose complex loops can
+# round the last bit differently, so a point's u would depend on the call size.
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,9 @@ class ReservoirParams:
             given, value = _real(getattr(self, name))
             finite = np.isfinite(value)
             if not finite.all():
-                raise ValueError(f"{name} must be finite and real, got {given[~finite].tolist()[0]!r}")
+                raise ValueError(f"{name} must be finite and real, got {_shown(given, ~finite)}")
             if name != "delta" and not (value > 0).all():
-                raise ValueError(f"{name} must be positive, got {given[value <= 0].tolist()[0]!r}")
+                raise ValueError(f"{name} must be positive, got {_shown(given, value <= 0)}")
 
     @classmethod
     def from_half_width(cls, gamma0: float, half_width: float, delta: float = 0.0) -> "ReservoirParams":
@@ -69,8 +76,7 @@ class ReservoirParams:
             delta_omega = 2.0 * value
         bad = ~(np.isfinite(delta_omega) & (delta_omega > 0.0))
         if bad.any():
-            value = given[bad].tolist()[0]
-            raise ValueError(f"half_width must be positive, with 2 * half_width finite, got {value!r}")
+            raise ValueError(f"half_width must be positive, with 2 * half_width finite, got {_shown(given, bad)}")
         return cls(gamma0=gamma0, delta_omega=delta_omega, delta=delta)
 
     @property
@@ -90,8 +96,8 @@ def _decay_rates(params: ReservoirParams):
     gamma0, delta_omega, delta = np.atleast_1d(params.gamma0, params.delta_omega, params.delta)
     # an overflow in B^2 or in the product of rates leaves disc non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (delta_omega / 2.0 - 1j * delta) * k
-        disc = b * b - (gamma0 * k) * (delta_omega * k)
+        b = _mul(_sub(_div(delta_omega, 2.0), _mul(1j, delta)), k)
+        disc = _sub(_mul(b, b), _mul(_mul(gamma0, k), _mul(delta_omega, k)))
     if not np.all(np.isfinite(disc)):
         raise ValueError(
             "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow "
@@ -115,12 +121,12 @@ def amplitude(params: ReservoirParams, t):
     against array-valued ``params``; the result has the broadcast shape,
     or is a Python complex when everything is scalar.  Scalar inputs take
     the array arithmetic too: a point's u is the same, bit for bit, whether
-    it comes alone or inside an array call (of fewer than 16,384 points, see
-    ``ode._ORACLE_BLOCK``).  The hyperbolic closed form is evaluated at every
-    point, with -B and B/xi formed once per rate; for numerical robustness
-    two branches then overwrite their own points: a series expansion around
-    ``xi*t = 0`` (removable singularity), and a split-exponential form where
-    cosh would overflow (both exponents then have non-positive real part).
+    it comes alone or inside an array call of any size.  The hyperbolic
+    closed form is evaluated at every point, with -B and B/xi formed once
+    per rate; for numerical robustness two branches then overwrite their
+    own points: a series expansion around ``xi*t = 0`` (removable
+    singularity), and a split-exponential form where cosh would overflow
+    (both exponents then have non-positive real part).
     """
     t_in = np.asarray(t, dtype=float)
     if not np.all((t_in >= 0.0) & (t_in < np.inf)):
@@ -132,34 +138,35 @@ def amplitude(params: ReservoirParams, t):
 
     # a rate times t beyond the double range leaves no exponent to evaluate
     with np.errstate(over="ignore", invalid="ignore"):
-        x, bt = xi * tt / 2.0, -b * tt
+        x, bt = _div(_mul(xi, tt), 2.0), _mul(np.negative(b), tt)
         finite = np.isfinite(x) & np.isfinite(bt)
     if not finite.all():
         raise _overflow(tt[~finite][0])
     small = np.abs(x) < 5e-7
     big = x.real > 350.0  # so |x| > 350: never small
 
-    decay = np.exp(bt / 2.0)
+    decay = np.exp(_div(bt, 2.0))
     # the hyperbolic form is inf or nan at some points the other branches
     # take (B/xi at xi = 0, cosh beyond 350); where every point is small, skip it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = np.empty_like(decay) if small.all() else decay * (np.cosh(x) + (b / xi) * np.sinh(x))
+        u = np.empty_like(decay) if small.all() else _mul(decay, _add(np.cosh(x), _mul(_div(b, xi), np.sinh(x))))
     if small.any():
         ts, xs, bs, xis, ds = tt[small], x[small], bv[small], xiv[small], decay[small]
         # cosh(x) ~ 1 + x^2/2, sinh(x)/xi ~ t/2 + xi^2 t^3/48; once the decay
         # has underflowed to 0 the cubic may overflow, and the limit is 0
         with np.errstate(over="ignore", invalid="ignore"):
-            series = ds * (1.0 + xs * xs / 2.0 + bs * (ts / 2.0 + xis * xis * ts**3 / 48.0))
+            cubic = _div(_mul(_mul(xis, xis), np.power(ts, 3)), 48.0)
+            series = _mul(ds, _add(_add(1.0, _div(_mul(xs, xs), 2.0)), _mul(bs, _add(_div(ts, 2.0), cubic))))
         u[small] = np.where(ds == 0.0, 0.0, series)
     if big.any():
         tb, bb, xib = tt[big], bv[big], xiv[big]
         with np.errstate(over="ignore", invalid="ignore"):
-            slow, fast = (xib - bb) * tb / 2.0, -(xib + bb) * tb / 2.0
+            slow, fast = _div(_mul(_sub(xib, bb), tb), 2.0), _div(_mul(np.negative(_add(xib, bb)), tb), 2.0)
         finite = np.isfinite(slow) & np.isfinite(fast)
         if not finite.all():
             raise _overflow(tb[np.argmin(finite)])
-        ratio = bb / xib
-        u[big] = 0.5 * ((1.0 + ratio) * np.exp(slow) + (1.0 - ratio) * np.exp(fast))
+        ratio = _div(bb, xib)
+        u[big] = _mul(0.5, _add(_mul(_add(1.0, ratio), np.exp(slow)), _mul(_sub(1.0, ratio), np.exp(fast))))
     return _maybe_scalar(u, t_in, params.gamma0, params.delta_omega, params.delta)
 
 
@@ -169,13 +176,26 @@ def _real(x):
     return x, (np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else np.full(x.shape, np.nan))
 
 
+def _shown(given, bad) -> str:
+    """The first value of ``given`` where ``bad``, for a refusal: its ``repr``, cut after ``_SHOWN`` characters.
+
+    An int of more than ``3 * _SHOWN`` bits (so more than about 450 digits)
+    shows its size instead: ``repr`` refuses an int of over 4,300 digits.
+    """
+    value = given[bad].tolist()[0]
+    if isinstance(value, int) and value.bit_length() > 3 * _SHOWN:
+        return f"an int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
 def _counts(n, name: str, low: int, high: float = np.inf):
     """The counts ``n`` as a float array of at least 1-D; refuses any value not a finite integer in ``low..high``."""
     n, count = _real(n)
     bad = ~np.isfinite(count) | (count != np.rint(count)) | (count < low) | (count > high)
     if bad.any():
         bounds = f">= {low}" if high == np.inf else f"in {low}..{high}"
-        raise ValueError(f"{name} must be integers {bounds}, got {n[bad].tolist()[0]!r}")
+        raise ValueError(f"{name} must be integers {bounds}, got {_shown(n, bad)}")
     return np.atleast_1d(count)
 
 

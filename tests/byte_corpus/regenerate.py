@@ -91,7 +91,7 @@ INVOCATIONS = {
     ),
     "delta_p-long_t": _scan("delta_p", "t:0:2:1025", gamma0=1000, half_width=40, delta=10),
     "delta_p-scalar": _scan("delta_p", t=0.5, gamma0=1000, half_width=40, delta=-1e3),
-    "q_closed-scalar-fixed_a": _scan("q_closed", t=0.3, gamma0=900, half_width=30, a=0.6, b=0.8),
+    "q_closed-scalar": _scan("q_closed", t=0.3, gamma0=900, half_width=30, b=0.8),
     "f_ghz_split-scalar-n12": _scan("f_ghz_split", t=0.7, gamma0=1200, half_width=35, n=12),
     "e_exciton-n13-refused": _scan("e_exciton", "t:0:1:5", gamma0=1000, half_width=40, n=13),
     "check": ["check"],

@@ -212,13 +212,19 @@ class TestRunScan:
         # q at b = 0 vanishes; q at b = 1 is 4 u^2 v^2
         assert result.rows[0][1] == 0.0
 
-    def test_fixed_a_conflicts_with_b_sweep(self):
-        with pytest.raises(ValueError, match="a: cannot be fixed"):
-            ScanSpec(
-                observable="q_closed",
-                axes=(AxisSpec("b", 0.0, 1.0, 5),),
-                fixed={"gamma0": 800.0, "half_width": 40.0, "t": 0.1, "a": 0.0},
-            )
+    def test_a_is_not_a_scan_input(self, tmp_path, capsys):
+        # b fixes a = sqrt(1 - b^2): a is neither a parameter, a flag nor a config key
+        with pytest.raises(ConfigError, match="^a: not a scan parameter"):
+            ScanSpec("q_closed", fixed={"gamma0": 900.0, "half_width": 30.0, "t": 0.3, "a": 0.6, "b": 0.8})
+        argv = ["scan", "--observable", "q_closed", "--t", "0.3", "--gamma0", "900", "--half-width", "30"]
+        with pytest.raises(SystemExit) as usage:
+            cli.main([*argv, "--a", "0.6", "--b", "0.8"])
+        assert usage.value.code == 2
+        # argparse reads "--a" as an abbreviation that matches --axis1 and --axis2
+        assert "fmoent scan: error: ambiguous option: --a" in capsys.readouterr().err
+        config = write_config(tmp_path, "observable = q_closed\na = 0.6\n")
+        assert cli.main(["scan", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.endswith("unknown key 'a'\n")
 
     def test_q_closed_and_numeric_agree_at_b_one(self):
         common = {"gamma0": 800.0, "half_width": 40.0, "b": 1.0}
@@ -303,6 +309,7 @@ class TestRunScan:
     @staticmethod
     def _record_amplitude_calls(monkeypatch):
         sizes = []
+        cli._need("reservoir")
         original = cli.amplitude
 
         def recording(params, t):
@@ -324,7 +331,7 @@ class TestRunScan:
         ],
     )
     def test_amplitude_calls_stay_within_a_block(self, monkeypatch, observable, axes):
-        # amplitude's last bit depends on the call size from 16,384 points up
+        # the block bounds the kernel's temporaries
         sizes = self._record_amplitude_calls(monkeypatch)
         result = _scan(observable, *axes)
         assert sizes and max(sizes) <= cli._BLOCK_ROWS
@@ -463,11 +470,6 @@ class TestRunScan:
                          "dleta", id="unknown-parameter"),
             pytest.param(lambda: ScanSpec("delta_p", fixed={"gamma0": math.inf}),
                          ["--t", "0.5", "--gamma0", "inf"], "gamma0", id="non-finite-fixed"),
-            pytest.param(
-                lambda: ScanSpec("q_closed", axes=(AxisSpec("b", 0.0, 1.0, 5),), fixed={"a": 0.0}),
-                ["--observable", "q_closed", "--axis1", "b:0:1:5", "--a", "0"], "a",
-                id="a-fixed-b-swept",
-            ),
             pytest.param(
                 lambda: ScanSpec("delta_p", axes=(AxisSpec("t", 0.0, 1.0, 10**4),
                                                   AxisSpec("delta", 1.0, 2.0, 1001))),
@@ -667,6 +669,25 @@ class TestCsvWriterBytes:
             ScanResult(["a"], np.zeros((3, 2)))
         with pytest.raises(ValueError, match=expected + r"\(3,\)$"):
             ScanResult(["a"], np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "rows, axes, column",
+        [
+            # the writer printed "5,1" and "6,2": the grid, over rows that hold 0 and 1
+            ([[0.0, 1.0], [1.0, 2.0]], ([5.0, 6.0],), 0),
+            # each axis column right, the outer one flattened in F order
+            ([[1.0, 3.0, 0.0], [2.0, 3.0, 0.0], [1.0, 4.0, 0.0], [2.0, 4.0, 0.0]], ([1.0, 2.0], [3.0, 4.0]), 0),
+            ([[1.0, 3.0, 0.0], [1.0, 3.0, 0.0], [2.0, 4.0, 0.0], [2.0, 4.0, 0.0]], ([1.0, 2.0], [3.0, 4.0]), 1),
+        ],
+        ids=["one-axis", "outer", "inner"],
+    )
+    def test_axis_columns_must_be_the_grids(self, rows, axes, column):
+        header = ["x", "y", "v"][-len(rows[0]) :]
+        with pytest.raises(ValueError, match=rf"^rows: column {column} \({header[column]}\) is not axis {column}'s grid"):
+            ScanResult(header, np.array(rows), tuple(np.array(grid) for grid in axes))
+        # the same grids over the rows they describe are accepted
+        grid = np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1).T
+        ScanResult(header, np.hstack([grid, np.zeros((len(grid), 1))]), tuple(np.array(g) for g in axes))
 
     def test_writes_are_bounded_by_the_block(self):
         # 200,000 rows of 2 columns: a whole-grid template and argument tuple
@@ -931,9 +952,8 @@ class TestMainEntrypoint:
         [
             # a half width this large would give a non-finite amplitude
             (["--half-width", "1e200", "--b", "0.5"], "fmoent: "),
-            (["--half-width", "40", "--a", "0.5", "--b", "0.5"], "fmoent: a^2 + b^2 must equal 1"),
         ],
-        ids=["non-finite-amplitude", "a-and-b-off-the-unit-circle"],
+        ids=["non-finite-amplitude"],
     )
     def test_q_numeric_refusals(self, flags, message, capsys):
         argv = ["scan", "--observable", "q_numeric", "--gamma0", "1000", "--t", "0.5", *flags]
@@ -1028,6 +1048,8 @@ class TestMainEntrypoint:
     @pytest.mark.parametrize("flag, value", [
         ("--delta", "-1e3"), ("--delta", "-2.5E+2"), ("--delta", "-.5e2"), ("--t", "-1e-3"),
         ("--delta", "-inf"), ("--delta", "-Infinity"), ("--delta", "-NaN"),
+        # float() reads an underscore between digits; argparse once took these for flags
+        ("--delta", "-1_000"), ("--delta", "-1_0.2_5e0_1"),
     ])
     def test_negative_numbers_in_exponent_notation(self, flag, value, capsys):
         argv = ["scan", "--observable", "delta_p", "--gamma0", "1000", "--half-width", "40"]
@@ -1129,18 +1151,43 @@ class TestMainEntrypoint:
         assert peak < 2 * 2**20
         assert "overall max error" in capsys.readouterr().out
 
-    def test_library_names_are_bound_from_the_packages_map(self):
-        for module in cli._LIBRARY:
-            library = getattr(fmoent, module)
-            for name in fmoent._PUBLIC[module]:
-                assert getattr(cli, name) is getattr(library, name)
-        # cli binds only the modules it runs: not the dense route
-        with pytest.raises(AttributeError, match="no attribute 'global_entanglement'"):
-            cli.global_entanglement
+    def test_library_names_are_bound_from_the_packages_map(self, monkeypatch):
+        # each subcommand, run on a cli that has bound no library module yet,
+        # binds exactly the _PUBLIC rows of the modules it loads
+        scan = ["scan", "--t", "0.5", "--gamma0", "1000", "--half-width", "40", "--b", "0.6", "--observable"]
+        cases = [
+            (["table", "--dataset", "wend"], ["fmo"]),
+            (["check", "--t-max", "0.01", "--step", "0.001"], ["reservoir", "ode"]),
+            ([*scan, "delta_p"], ["reservoir"]),
+            ([*scan, "q_numeric"], ["reservoir", "entanglement"]),
+            ([*scan, "f_w_split"], ["reservoir", "fidelity"]),
+        ]
+        exports = set(fmoent._EXPORTS)
+
+        def unbind():
+            for name in exports & vars(cli).keys():
+                monkeypatch.delattr(cli, name)
+            monkeypatch.setattr(cli, "_loaded", set())
+
+        try:
+            for argv, modules in cases:
+                unbind()
+                assert cli.main(argv) == 0
+                bound = {name: value for name, value in vars(cli).items() if name in exports}
+                assert set(bound) == {name for module in modules for name in fmoent._PUBLIC[module]}, argv
+                for module in modules:
+                    library = getattr(fmoent, module)
+                    assert all(bound[name] is getattr(library, name) for name in fmoent._PUBLIC[module])
+                # a library name resolves through fmoent and its own module, not through cli
+                with pytest.raises(AttributeError, match="no attribute 'global_entanglement'"):
+                    cli.global_entanglement
+        finally:
+            unbind()
 
     def test_default_check_compares_in_blocks_of_4096_points(self, monkeypatch, capsys):
         # one 20,001-point call per set was slower than 4,096-point calls, not faster
         calls = []
+        cli._need("reservoir")
         original = cli.amplitude
         monkeypatch.setattr(cli, "amplitude", lambda params, t: calls.append((params, t)) or original(params, t))
         assert cli.main(["check"]) == 0
@@ -1156,8 +1203,7 @@ class TestMainEntrypoint:
 
     @pytest.mark.parametrize("gamma0, half_width", [(10.0, 20.0), (10.0, 40.0), (1000.0, 20.0), (1000.0, 40.0)])
     def test_check_blocks_give_the_values_of_small_calls(self, gamma0, half_width):
-        # one 20,001-point call differs from 1,000-point calls in the last bit at
-        # 1,711-2,572 points of each detuned set; check's blocks must not
+        # check compares in blocks: they give the values of 1,000-point calls
         params = ReservoirParams.from_half_width(gamma0, half_width, 100.0)
         grid = np.arange(0.0, 2.0 + 1e-4 / 2.0, 1e-4)
 

@@ -48,8 +48,11 @@ class TestOneCountRule:
             (math.inf, "inf"),
             (math.nan, "nan"),
             (np.array(4.5), "4.5"),
+            # repr refuses an int of over 4,300 digits; a refusal shows at most 500 characters of a value
+            (10**5000, "an int of 16610 bits"),
+            ("4" * 600, f"'{'4' * 499}... (602 characters)"),
         ],
-        ids=["str", "10**400", "True", "4.5", "inf", "nan", "0-d-4.5"],
+        ids=["str", "10**400", "True", "4.5", "inf", "nan", "0-d-4.5", "10**5000", "long-str"],
     )
     def test_refused_with_the_one_message(self, n, shown):
         # w_mixture_entanglement once read "4" as 4, w_state("4") raised a

@@ -87,10 +87,11 @@ class TestParams:
             (1e308, "1e+308"), (-1e308, "-1e+308"), (np.array([40.0, 1e308]), "1e+308"),
             (np.float64(-1e308), "-1e+308"), (-5.0, "-5.0"), (0.0, "0.0"), (math.inf, "inf"), (math.nan, "nan"),
             (True, "True"), ("40", "'40'"), (10**400, str(10**400)), (np.array(["40"]), "'40'"),
+            (-(10**5000), "an int of 16610 bits"), ("4" * 600, f"'{'4' * 499}... (602 characters)"),
         ],
         ids=[
             "overflow", "negative-overflow", "array-overflow", "float64-overflow", "negative", "zero", "inf", "nan",
-            "True", "str", "big-int", "str-array",
+            "True", "str", "big-int", "str-array", "int-beyond-repr", "long-str",
         ],
     )
     def test_bad_half_width_refused_by_its_own_name(self, half_width, shown):
@@ -106,12 +107,16 @@ class TestParams:
     @pytest.mark.parametrize("field", ["gamma0", "delta_omega", "delta"])
     @pytest.mark.parametrize(
         "bad, shown",
-        [("1000", "'1000'"), (True, "True"), (10**400, str(10**400)), (1j, "1j"), (np.array(["80.0"]), "'80.0'")],
-        ids=["str", "True", "big-int", "complex", "str-array"],
+        [
+            ("1000", "'1000'"), (True, "True"), (10**400, str(10**400)), (1j, "1j"), (np.array(["80.0"]), "'80.0'"),
+            (10**5000, "an int of 16610 bits"), ("8" * 600, f"'{'8' * 499}... (602 characters)"),
+        ],
+        ids=["str", "True", "big-int", "complex", "str-array", "int-beyond-repr", "long-str"],
     )
     def test_a_rate_that_is_not_a_real_number_is_refused(self, field, bad, shown):
-        # gamma0="1000" was kept as the string, True read as 1.0, and 10**400
-        # and 1j raised OverflowError and TypeError
+        # gamma0="1000" was kept as the string, True read as 1.0, 10**400
+        # and 1j raised OverflowError and TypeError, and 10**5000 raised repr's
+        # "Exceeds the limit (4300 digits)", which names neither field nor rule
         values = {"gamma0": 100.0, "delta_omega": 80.0, "delta": 0.0, field: bad}
         with pytest.raises(ValueError) as refusal:
             ReservoirParams(**values)
@@ -315,6 +320,42 @@ class TestAmplitude:
             zero_d = amplitude(ReservoirParams.from_half_width(*map(np.array, rates)), np.array(time_ps))
             assert type(scalar) is complex and type(zero_d) is complex
             assert scalar == expected and zero_d == expected, point
+
+    @pytest.mark.parametrize(
+        "rates, t, branch",
+        [
+            *[
+                pytest.param(rates, np.arange(20001) * 1e-4, "series" if rates == (10.0, 20.0, 0.0) else "hyperbolic",
+                             id=f"check-{rates[0]:g}-{rates[1]:g}-{rates[2]:g}")
+                for rates in itertools.product((10.0, 1000.0), (20.0, 40.0), (0.0, 100.0))
+            ],
+            # xi is tiny but not 0, so the series branch takes complex arithmetic
+            pytest.param((10.0, 20.0, 1e-14), np.linspace(0.0, 2.0, 20001), "series", id="series-detuned"),
+            pytest.param((10.0, 40.0, 30.0), np.linspace(150.0, 250.0, 20001), "split", id="split"),
+            pytest.param(
+                tuple(np.random.default_rng(21).uniform(lo, hi, 20001) for lo, hi in ((1, 2000), (5, 100), (-200, 200))),
+                0.7, "hyperbolic", id="rate-arrays",
+            ),
+        ],
+    )
+    def test_one_call_of_any_size_equals_small_calls(self, rates, t, branch):
+        # numpy evaluates an operator expression in place in its temporaries
+        # from 16,384 complex values up; before amplitude called the ufuncs by
+        # name, one 20,001-point call on the check grid differed from
+        # 1,000-point calls at 6,520-11,740 points of each detuned set
+        b, xi = reservoir._decay_rates(ReservoirParams.from_half_width(*rates))
+        x = xi * t / 2.0
+        small, big = np.abs(x) < 5e-7, x.real > 350.0
+        assert np.count_nonzero({"series": small, "split": big, "hyperbolic": ~small & ~big}[branch]) >= 16384
+
+        def calls(size):
+            cut = lambda v, lo: v[lo : lo + size] if np.ndim(v) else v
+            return np.concatenate([
+                amplitude(ReservoirParams.from_half_width(*(cut(r, lo) for r in rates)), cut(t, lo))
+                for lo in range(0, 20001, size)
+            ])
+
+        assert calls(20001).tobytes() == calls(1000).tobytes()
 
     def test_check_shaped_calls_equal_scan_shaped_calls(self):
         # check passes scalar parameters with a block of t, a scan passes
