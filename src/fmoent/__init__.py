@@ -31,9 +31,8 @@ _PUBLIC = {
     "ode": ("amplitude_ode_oracle", "amplitude_ode_blocks"),
     "entanglement": ("w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"),
     "dense": (
-        "WStateParams", "XStateParams", "enumerate_bipartitions", "normalized_negativity",
-        "global_entanglement", "w_state", "ghz_state", "w_state_exciton_rho", "w_state_reservoir_rho",
-        "x_state_rho", "x_state_register", "meyer_wallach_numeric",
+        "enumerate_bipartitions", "normalized_negativity", "global_entanglement", "w_state",
+        "ghz_state", "w_mixture_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
     ),
     "fidelity": ("f_ghz_teleport", "f_w_teleport", "f_ghz_split", "f_w_split"),
 }

@@ -138,8 +138,13 @@ class AxisSpec:
             rounded = np.round(grid)
             if np.abs(grid - rounded).max() > 1e-9:
                 raise ConfigError(f"axis n: values must be integers, got {grid.tolist()}")
-            return rounded
+            return _integers(rounded)
         return grid
+
+
+def _integers(values: np.ndarray) -> np.ndarray:
+    """Integral floats as int64 where all fit, so a refused count shows the integer typed (13, not 13.0)."""
+    return values.astype(np.int64) if np.all(np.abs(values) < 2.0**63) else values
 
 
 @dataclass(frozen=True)
@@ -391,6 +396,8 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         if value is None:
             raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
         base[name] = np.full((1, 1), value)
+    if "n" in base:
+        base["n"] = _integers(base["n"])
 
     grids = [axis.values() for axis in spec.axes]
     # the grid is outer x inner; a scan of one axis or none has a single outer row
@@ -529,18 +536,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scan = sub.add_parser("scan", help="evaluate an observable over a parameter grid")
+    # flags only by their full names: a flag added later could make an accepted prefix ambiguous
+    scan = sub.add_parser("scan", allow_abbrev=False, help="evaluate an observable over a parameter grid")
     scan.add_argument("--config", help="key = value configuration file; flags win on conflict")
     for key, text in _SCAN_KEYS.items():
         choices = OBSERVABLES if key == "observable" else None
         scan.add_argument("--" + key.replace("_", "-"), choices=choices, help=text)
 
-    table = sub.add_parser("table", help="print the exciton energy/amplitude table")
+    table = sub.add_parser("table", allow_abbrev=False, help="print the exciton energy/amplitude table")
     table.add_argument("--dataset", default="reng", help="reng (default), lorenExpt, wend or a site-energy file")
     table.add_argument("--output", help="CSV destination path, '-' for stdout")
 
     check = sub.add_parser(
-        "check", help="compare the closed-form amplitude against the ODE integrator"
+        "check", allow_abbrev=False, help="compare the closed-form amplitude against the ODE integrator"
     )
     check.add_argument("--t-max", type=float, default=2.0, help="time horizon (ps)")
     check.add_argument("--step", type=float, default=1e-4, help="integration step (ps)")

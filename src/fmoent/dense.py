@@ -8,14 +8,13 @@ values from single-qubit purities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import _PUBLIC, qlin
 from .entanglement import _NORM_ATOL, _coefficients
-from .reservoir import _counts, damping, survival
+from .reservoir import _counts, _weights, damping
 
 __all__ = _PUBLIC["dense"]
 
@@ -110,102 +109,72 @@ def ghz_state(n_qubits: int) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class WStateParams:
-    """Survival amplitude shared by every qubit of a decaying W register."""
+def w_mixture_rho(s, n_qubits=4) -> np.ndarray:
+    """The state s|W><W| + (1 - s)|0...0><0...0| of :func:`fmoent.entanglement.w_mixture_entanglement`.
 
-    u: complex
-    n_qubits: int = 4
-
-    def __post_init__(self):
-        _qubit_count(self.n_qubits)
-        survival(self.u)
-
-
-def _w_mixture(on_w: float, on_ground: float, n_qubits: int) -> np.ndarray:
-    w = w_state(n_qubits)
-    rho = on_w * np.outer(w, w.conj())
-    rho[0, 0] = on_ground  # |W> has no |0...0> component
+    A W register of ``n_qubits`` qubits that all decay with amplitude u
+    leaves this mixture on its excitons with s = ``survival(u)``, and on its
+    reservoirs with s = ``damping(u)``: distinct single-excitation reservoir
+    states are orthogonal.  ``s`` is one weight in [0, 1] and ``n_qubits``
+    an integer in 2..12, refused as the closed form refuses them, before
+    the matrix is built.
+    """
+    n, weight = _qubit_count(n_qubits, 2, 12), _weights(s, "s")
+    if weight.size != 1:
+        raise ValueError(f"s must be one weight, got {weight.size} values")
+    s = weight[0]
+    w = w_state(n)
+    rho = s * np.outer(w, w.conj())
+    rho[0, 0] = 1.0 - s  # |W> has no |0...0> component
     return rho
 
 
-def w_state_exciton_rho(params: WStateParams) -> np.ndarray:
-    """Reduced exciton state of a W register with every qubit decaying.
+def _x_state(a, b, u1, u2):
+    """Broadcast shape, and v1, v2 = sqrt(1 - |u_i|^2), of a|00> + b|11> decaying with u1, u2.
 
-    Tracing the reservoirs out of the evolved register leaves the mixture
-    |u|^2 |W><W| + (1 - |u|^2) |0...0><0...0| because distinct
-    single-excitation reservoir states are orthogonal.
+    Refuses a^2 + b^2 off 1 and each u as :func:`fmoent.reservoir.survival`
+    does, naming it.  The v_i are taken real and non-negative: no computed
+    observable depends on their phase.
     """
-    return _w_mixture(survival(params.u), damping(params.u), params.n_qubits)
+    _coefficients(a, b)
+    v = []
+    for label, u in (("u1", u1), ("u2", u2)):
+        try:
+            v.append(np.sqrt(damping(u)))
+        except ValueError as refusal:
+            # survival owns the |u| rule; the message names the argument
+            raise ValueError(str(refusal).replace("|u|", f"|{label}|")) from None
+    return np.broadcast_shapes(*(np.shape(x) for x in (a, b, u1, u2))), *v
 
 
-def w_state_reservoir_rho(params: WStateParams) -> np.ndarray:
-    """Reduced reservoir state: the exciton mixture with |u|^2 <-> 1 - |u|^2."""
-    return _w_mixture(damping(params.u), survival(params.u), params.n_qubits)
+def x_state_rho(a, b, u1, u2) -> np.ndarray:
+    """Two-qubit X-form density matrix of a|00> + b|11> with per-qubit amplitudes u1, u2.
 
-
-@dataclass(frozen=True)
-class XStateParams:
-    """Two-exciton superposition a|00> + b|11> with per-qubit amplitudes u1, u2.
-
-    ``a`` and ``b`` are real with a^2 + b^2 = 1; the emitted amplitudes
-    v_i = sqrt(1 - |u_i|^2) are taken real and non-negative (no computed
-    observable depends on their phase).  Fields may be broadcastable arrays,
-    one state per element, for :func:`x_state_register`.
+    ``a`` and ``b`` are real with a^2 + b^2 = 1.  Populations f1..f4 mix
+    the squared moduli of the survival and emission amplitudes; the only
+    coherence sits on the |00><11| corner and carries conj(u1*u2).  The
+    zero pattern (the X form) is preserved for all times.  Arguments
+    broadcast, one 4x4 matrix per element: shape ``(..., 4, 4)``.
     """
-
-    a: float
-    b: float
-    u1: complex
-    u2: complex
-
-    def __post_init__(self):
-        _coefficients(self.a, self.b)
-        for label, u in (("u1", self.u1), ("u2", self.u2)):
-            try:
-                survival(u)
-            except ValueError as refusal:
-                # survival owns the |u| rule; the message names the field
-                raise ValueError(str(refusal).replace("|u|", f"|{label}|")) from None
-
-    def emitted(self):
-        return np.sqrt(damping(self.u1)), np.sqrt(damping(self.u2))
-
-
-def x_state_rho(params: XStateParams) -> np.ndarray:
-    """Two-qubit X-form density matrix of the decaying two-exciton state.
-
-    Populations f1..f4 mix the squared moduli of the survival and emission
-    amplitudes; the only coherence sits on the |00><11| corner and carries
-    conj(u1*u2).  The zero pattern (the X form) is preserved for all times.
-    """
-    v1, v2 = params.emitted()
-    a, b, u1, u2 = params.a, params.b, params.u1, params.u2
-    f1 = a**2 + b**2 * v1**2 * v2**2
-    f2 = b**2 * v1**2 * abs(u2) ** 2
-    f3 = b**2 * abs(u1) ** 2 * v2**2
-    f4 = b**2 * abs(u1) ** 2 * abs(u2) ** 2
-    f5 = a * b * (u1 * u2).conjugate()
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = f1
-    rho[1, 1] = f2
-    rho[2, 2] = f3
-    rho[3, 3] = f4
-    rho[0, 3] = f5
-    rho[3, 0] = f5.conjugate()
+    shape, v1, v2 = _x_state(a, b, u1, u2)
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = a**2 + b**2 * v1**2 * v2**2
+    rho[..., 1, 1] = b**2 * v1**2 * abs(u2) ** 2
+    rho[..., 2, 2] = b**2 * abs(u1) ** 2 * v2**2
+    rho[..., 3, 3] = b**2 * abs(u1) ** 2 * abs(u2) ** 2
+    rho[..., 0, 3] = a * b * np.conj(u1 * u2)
+    rho[..., 3, 0] = np.conj(rho[..., 0, 3])
     return rho
 
 
-def x_state_register(params: XStateParams) -> np.ndarray:
-    """Four-qubit purification (e1, e2, r1, r2) of the X-form state.
+def x_state_register(a, b, u1, u2) -> np.ndarray:
+    """Four-qubit purification (e1, e2, r1, r2) of :func:`x_state_rho`'s state.
 
     Each excited component sheds amplitude into its own reservoir qubit;
-    tracing out qubits 2 and 3 recovers :func:`x_state_rho`.  Array-valued
-    params give one register per element along the leading axes.
+    tracing out qubits 2 and 3 recovers :func:`x_state_rho`.  Arguments
+    broadcast, one register per element: shape ``(..., 16)``.
     """
-    v1, v2 = params.emitted()
-    a, b, u1, u2 = params.a, params.b, params.u1, params.u2
-    shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, u1, u2)))
+    shape, v1, v2 = _x_state(a, b, u1, u2)
     psi = np.zeros(shape + (16,), dtype=complex)
     psi[..., 0b0000] = a
     psi[..., 0b1100] = b * u1 * u2

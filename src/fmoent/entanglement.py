@@ -37,7 +37,8 @@ def w_mixture_entanglement(s, n_qubits):
     as the dense route averages.  ``s`` in [0, 1] and the integer
     ``n_qubits`` in 2..12 broadcast against each other, and all-scalar
     arguments give a float; the reservoir side of a decaying W register is
-    the same mixture with s -> 1 - s.
+    the same mixture with s -> 1 - s.  The dense route's state is
+    ``dense.w_mixture_rho(s, n_qubits)``, which refuses as this form does.
     """
     inputs = (s, n_qubits)
     n, s = _counts(n_qubits, "n_qubits", 2, 12), _weights(s, "s")
@@ -62,7 +63,8 @@ def meyer_wallach_register(a, b, u):
     entropy (Meyer & Wallach, J. Math. Phys. 43, 4273 (2002); Brennen, QIC 3,
     619 (2003)) is 2 b^2 [s (1 - b^2 s) + (1 - s)(1 - b^2 (1 - s))], evaluated
     without cancellation as 2 b^2 (1 - b^2) + 4 b^4 s (1 - s).  It refuses
-    what the register route (``dense.meyer_wallach_numeric``) refuses:
+    what the register route, ``dense.meyer_wallach_numeric`` of
+    ``dense.x_state_register(a, b, u, u)``, refuses:
     a^2 + b^2 off 1 by more than 1e-12 (or NaN), a non-finite ``u`` or
     |u| > 1 + 1e-9, and a register norm off 1 by more than 1e-9.  Arguments
     broadcast; all-scalar arguments give a float.

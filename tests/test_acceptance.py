@@ -16,7 +16,7 @@ from fmoent import fidelity as fid
 from fmoent import qlin
 from fmoent.fmo import build_hamiltonian, dataset, exciton_table
 from fmoent.ode import amplitude_ode_oracle
-from fmoent.reservoir import ReservoirParams, amplitude, damping
+from fmoent.reservoir import ReservoirParams, amplitude, damping, survival
 
 from conftest import (
     decayed_w_register,
@@ -111,7 +111,7 @@ def test_criterion_5_closed_form_vs_register_oracle():
         register = decayed_w_register(4, u)
         rho_full = np.outer(register, register.conj())
         traced = qlin.partial_trace(rho_full, 8, {0, 1, 2, 3})
-        closed = dense.w_state_exciton_rho(dense.WStateParams(u=u))
+        closed = dense.w_mixture_rho(survival(u), 4)
         assert np.abs(closed - traced).max() < 1e-12
 
 
@@ -119,7 +119,7 @@ def test_criterion_5_closed_form_vs_register_oracle():
 def test_criterion_6_meyer_wallach_anchors():
     half = 1 / math.sqrt(2)
     assert abs(ent.meyer_wallach_closed(0.0, 1.0, half) - 1.0) < 1e-12
-    register = dense.x_state_register(dense.XStateParams(a=0.0, b=1.0, u1=half, u2=half))
+    register = dense.x_state_register(0.0, 1.0, half, half)
     assert abs(dense.meyer_wallach_numeric(register) - 1.0) < 1e-12
     rng = np.random.default_rng(66)
     for n in (2, 3, 4):
@@ -132,7 +132,7 @@ def test_criterion_6_meyer_wallach_anchors():
     for radius in np.linspace(0.0, 1.0, 11):
         for phase in (0.0, 1.1, 2.7, 4.4):
             u = radius * complex(math.cos(phase), math.sin(phase))
-            register = dense.x_state_register(dense.XStateParams(a=0.0, b=1.0, u1=u, u2=u))
+            register = dense.x_state_register(0.0, 1.0, u, u)
             numeric = dense.meyer_wallach_numeric(register)
             closed = ent.meyer_wallach_closed(0.0, 1.0, u)
             assert abs(numeric - closed) < 1e-12
@@ -170,10 +170,9 @@ def test_criterion_8_density_matrix_sanity():
             params = ReservoirParams.from_half_width(gamma0, 40.0, delta)
             for t in time_grid:
                 u = amplitude(params, t)
-                w_params = dense.WStateParams(u=u)
                 for rho in (
-                    dense.w_state_exciton_rho(w_params),
-                    dense.w_state_reservoir_rho(w_params),
+                    dense.w_mixture_rho(survival(u), 4),
+                    dense.w_mixture_rho(damping(u), 4),
                 ):
                     _assert_density(rho)
                     produced += 1
@@ -182,7 +181,7 @@ def test_criterion_8_density_matrix_sanity():
     for b in np.linspace(0.0, 1.0, 21):
         a = math.sqrt(1.0 - b * b)
         for u in amplitudes:
-            rho = dense.x_state_rho(dense.XStateParams(a=a, b=b, u1=u, u2=u))
+            rho = dense.x_state_rho(a, b, u, u)
             _assert_density(rho)
             produced += 1
     assert produced >= 1000, f"sweep produced only {produced} states"

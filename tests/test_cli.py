@@ -26,7 +26,7 @@ from fmoent.cli import (
     run_scan,
 )
 from fmoent.fmo import build_hamiltonian, dataset, exciton_table
-from fmoent.reservoir import ReservoirParams, amplitude, damping, population_difference
+from fmoent.reservoir import ReservoirParams, amplitude, damping, population_difference, survival
 
 from conftest import write_csv_reference
 
@@ -40,15 +40,14 @@ def scalar_route(observable, point):
     if observable == "u_amplitude":
         return [u.real, u.imag, abs(u) ** 2]
     if observable in ("e_exciton", "e_reservoir"):
-        params = dense.WStateParams(u=u, n_qubits=n)
-        build = dense.w_state_exciton_rho if observable == "e_exciton" else dense.w_state_reservoir_rho
-        return [dense.global_entanglement(build(params), n)]
+        s = survival(u) if observable == "e_exciton" else damping(u)
+        return [dense.global_entanglement(dense.w_mixture_rho(s, n), n)]
     if observable in ("q_closed", "q_numeric"):
         b = point["b"]
         a = math.sqrt(1.0 - b * b)
         if observable == "q_closed":
             return [ent.meyer_wallach_closed(a, b, u)]
-        return [dense.meyer_wallach_numeric(dense.x_state_register(dense.XStateParams(a, b, u, u)))]
+        return [dense.meyer_wallach_numeric(dense.x_state_register(a, b, u, u))]
     p = damping(amplitude(res, t))
     if observable in ("f_ghz_tele", "f_ghz_split"):
         formula = fid.f_ghz_teleport if observable == "f_ghz_tele" else fid.f_ghz_split
@@ -220,8 +219,8 @@ class TestRunScan:
         with pytest.raises(SystemExit) as usage:
             cli.main([*argv, "--a", "0.6", "--b", "0.8"])
         assert usage.value.code == 2
-        # argparse reads "--a" as an abbreviation that matches --axis1 and --axis2
-        assert "fmoent scan: error: ambiguous option: --a" in capsys.readouterr().err
+        # a flag is read only by its full name: "--a" is no abbreviation of --axis1 or --axis2
+        assert "fmoent: error: unrecognized arguments: --a 0.6" in capsys.readouterr().err
         config = write_config(tmp_path, "observable = q_closed\na = 0.6\n")
         assert cli.main(["scan", "--config", str(config)]) == 1
         assert capsys.readouterr().err.endswith("unknown key 'a'\n")
@@ -946,6 +945,47 @@ class TestMainEntrypoint:
                 "--half-width", "40", "--n", "13"]
         assert cli.main(argv) == 1
         assert "2..12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--observable", "e_exciton", "--n", "13"], "n_qubits must be integers in 2..12, got 13"),
+            (["--observable", "f_ghz_tele", "--n", "1"], "n_parties must be integers >= 2, got 1"),
+            (["--observable", "e_reservoir", "--axis2", "n:2:13:12"], "n_qubits must be integers in 2..12, got 13"),
+            (["--observable", "f_ghz_split", "--axis2", "n:0:3:4"], "n_parties must be integers >= 2, got 0"),
+        ],
+        ids=["e_exciton-fixed", "f_ghz_tele-fixed", "e_reservoir-axis", "f_ghz_split-axis"],
+    )
+    def test_refused_count_shows_the_integer_typed(self, flags, message, capsys):
+        # the scan once passed counts as floats: "got 13.0" for --n 13
+        argv = ["scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", *flags]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"fmoent: {message}\n"
+
+    def test_counts_beyond_int64_are_still_read(self, capsys):
+        # a count passes as int64 only where every value fits; these stay floats
+        argv = ["scan", "--observable", "f_ghz_split", "--axis1", "n:2:1e300:3", "--t", "0.5",
+                "--gamma0", "1000", "--half-width", "40"]
+        assert cli.main(argv) == 0
+        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()] == ["n", "2", "5e+299", "1e+300"]
+
+    @pytest.mark.parametrize(
+        "argv, given",
+        [
+            (["scan", "--observable", "delta_p", "--t", "0.5", "--half-width", "40", "--gam", "1000"], "--gam 1000"),
+            (["check", "--t-m", "0.01"], "--t-m 0.01"),
+            (["table", "--data", "wend"], "--data wend"),
+        ],
+        ids=["scan", "check", "table"],
+    )
+    def test_flags_only_by_their_full_names(self, argv, given, capsys):
+        # argparse once read an unambiguous prefix as the flag: --gam as --gamma0
+        with pytest.raises(SystemExit) as usage:
+            cli.main(argv)
+        assert usage.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"fmoent: error: unrecognized arguments: {given}\n")
 
     @pytest.mark.parametrize(
         "flags, message",

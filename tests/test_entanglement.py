@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from fmoent import dense
 from fmoent import entanglement as ent
 from fmoent import qlin
-from fmoent.reservoir import ReservoirParams, amplitude
+from fmoent.reservoir import ReservoirParams, amplitude, damping, survival
 
 from conftest import (
     decayed_pair_register,
@@ -71,7 +72,7 @@ class TestQubitCounts:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: dense.WStateParams(0.8, n_qubits=4.5),
+            lambda: dense.w_mixture_rho(0.64, 4.5),
             lambda: dense.w_state(2.7),
             lambda: dense.ghz_state(3.5),
             lambda: dense.enumerate_bipartitions(4.9),
@@ -79,7 +80,7 @@ class TestQubitCounts:
             lambda: dense.ghz_state(np.inf),
             lambda: dense.w_state(np.nan),
         ],
-        ids=["WStateParams-4.5", "w_state-2.7", "ghz_state-3.5", "bipartitions-4.9", "float64-3.5", "inf", "nan"],
+        ids=["w_mixture_rho-4.5", "w_state-2.7", "ghz_state-3.5", "bipartitions-4.9", "float64-3.5", "inf", "nan"],
     )
     def test_non_integer_count_refused(self, build):
         with pytest.raises(ValueError, match=r"^n_qubits must be integers (>= 1|in 2\.\.12), got "):
@@ -90,8 +91,7 @@ class TestQubitCounts:
         assert np.array_equal(dense.w_state(n), dense.w_state(3))
         assert np.array_equal(dense.ghz_state(n), dense.ghz_state(3))
         assert dense.enumerate_bipartitions(n) == dense.enumerate_bipartitions(3)
-        rho = dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=n))
-        assert np.array_equal(rho, dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=3)))
+        assert np.array_equal(dense.w_mixture_rho(0.64, n), dense.w_mixture_rho(0.64, 3))
 
 
 class TestNormalizedNegativity:
@@ -160,17 +160,17 @@ class TestGlobalEntanglement:
 
 class TestWStateDecay:
     def test_pure_limit(self):
-        rho = dense.w_state_exciton_rho(dense.WStateParams(u=1.0))
+        rho = dense.w_mixture_rho(survival(1.0), 4)
         assert np.abs(rho - W4_RHO).max() < 1e-15
 
     def test_fully_decayed_limit(self):
-        rho = dense.w_state_exciton_rho(dense.WStateParams(u=0.0))
+        rho = dense.w_mixture_rho(survival(0.0), 4)
         assert np.array_equal(rho, ground_rho(4))
         assert dense.global_entanglement(rho, 4) == 0.0
 
     def test_reservoir_limits(self):
-        assert np.array_equal(dense.w_state_reservoir_rho(dense.WStateParams(u=1.0)), ground_rho(4))
-        fully = dense.w_state_reservoir_rho(dense.WStateParams(u=0.0))
+        assert np.array_equal(dense.w_mixture_rho(damping(1.0), 4), ground_rho(4))
+        fully = dense.w_mixture_rho(damping(0.0), 4)
         assert np.abs(fully - W4_RHO).max() < 1e-15
 
     def test_closed_form_equals_register_trace(self):
@@ -181,23 +181,21 @@ class TestWStateDecay:
             rho_full = np.outer(register, register.conj())
             rho_e = qlin.partial_trace(rho_full, 8, {0, 1, 2, 3})
             rho_r = qlin.partial_trace(rho_full, 8, {4, 5, 6, 7})
-            params = dense.WStateParams(u=u)
-            assert np.abs(dense.w_state_exciton_rho(params) - rho_e).max() < 1e-12
-            assert np.abs(dense.w_state_reservoir_rho(params) - rho_r).max() < 1e-12
+            assert np.abs(dense.w_mixture_rho(survival(u), 4) - rho_e).max() < 1e-12
+            assert np.abs(dense.w_mixture_rho(damping(u), 4) - rho_r).max() < 1e-12
 
     def test_exciton_reservoir_exchange_symmetry(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
             u = random_unit_disc(rng)
             v = math.sqrt(max(0.0, 1.0 - abs(u) ** 2))
-            swapped = dense.w_state_exciton_rho(dense.WStateParams(u=v))
-            assert np.abs(dense.w_state_reservoir_rho(dense.WStateParams(u=u)) - swapped).max() < 1e-12
+            swapped = dense.w_mixture_rho(survival(v), 4)
+            assert np.abs(dense.w_mixture_rho(damping(u), 4) - swapped).max() < 1e-12
 
     def test_entanglement_transfers_to_reservoir(self):
         # by 'late' times the reservoir holds the W-state correlations
-        params = dense.WStateParams(u=0.15)
-        e_exciton = dense.global_entanglement(dense.w_state_exciton_rho(params), 4)
-        e_reservoir = dense.global_entanglement(dense.w_state_reservoir_rho(params), 4)
+        e_exciton = dense.global_entanglement(dense.w_mixture_rho(survival(0.15), 4), 4)
+        e_reservoir = dense.global_entanglement(dense.w_mixture_rho(damping(0.15), 4), 4)
         assert e_reservoir > e_exciton
 
     def test_emitted_phase_does_not_move_entanglement(self):
@@ -208,38 +206,51 @@ class TestWStateDecay:
         for register in (plain, phased):
             rho_e = qlin.partial_trace(np.outer(register, register.conj()), 8, {0, 1, 2, 3})
             value = dense.global_entanglement(rho_e, 4)
-            reference = dense.global_entanglement(
-                dense.w_state_exciton_rho(dense.WStateParams(u=u)), 4
-            )
+            reference = dense.global_entanglement(dense.w_mixture_rho(survival(u), 4), 4)
             assert abs(value - reference) < 1e-10
 
     def test_amplitude_bound_enforced(self):
         with pytest.raises(ValueError):
-            dense.WStateParams(u=1.2)
+            dense.x_state_register(0.0, 1.0, 1.2, 1.2)
 
     def test_refusal_prints_the_excess(self):
         # |u| = 1 + 2e-9 lies past the 1e-9 slack; six digits would print it as 1
-        with pytest.raises(ValueError, match=r"\|u\| must not exceed 1, got 1\.000000002$"):
-            dense.WStateParams(u=(1.0 + 2e-9) * np.exp(0.3j))
+        u = (1.0 + 2e-9) * np.exp(0.3j)
+        with pytest.raises(ValueError, match=r"\|u1\| must not exceed 1, got 1\.000000002$"):
+            dense.x_state_register(0.0, 1.0, u, u)
 
     @pytest.mark.parametrize("u", [math.nan, complex(0.5, math.inf)], ids=["nan", "inf-phase"])
     def test_non_finite_amplitude_refused(self, u):
         # a nan u once built a W mixture of nan entries
-        with pytest.raises(ValueError, match=r"\|u\| must not exceed 1, got (nan|inf)$"):
-            dense.WStateParams(u=u)
+        with pytest.raises(ValueError, match=r"\|u1\| must not exceed 1, got (nan|inf)$"):
+            dense.x_state_register(0.0, 1.0, u, u)
 
 
 class TestWMixtureClosedForm:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_dense_route(self, n):
         for s in (0.0, 0.3, 0.7, 1.0):
-            rho = dense.w_state_exciton_rho(dense.WStateParams(math.sqrt(s), n))
+            rho = dense.w_mixture_rho(s, n)
             route = dense.global_entanglement(rho, n)
             assert abs(ent.w_mixture_entanglement(s, n) - route) < 1e-12
         # the reservoir side is the same mixture with s -> 1 - s
-        rho = dense.w_state_reservoir_rho(dense.WStateParams(math.sqrt(0.3), n))
+        rho = dense.w_mixture_rho(0.7, n)
         route = dense.global_entanglement(rho, n)
         assert abs(ent.w_mixture_entanglement(0.7, n) - route) < 1e-12
+
+    @pytest.mark.parametrize("s, n", [(0.5, 13), (1.5, 4), (0.5, 1), (math.nan, 4.5)], ids=["n13", "s1.5", "n1", "both"])
+    def test_dense_state_refuses_what_the_closed_form_refuses(self, s, n, monkeypatch):
+        with pytest.raises(ValueError) as closed:
+            ent.w_mixture_entanglement(s, n)
+
+        def build(n_qubits):
+            raise AssertionError("a refused state reached the matrix build")
+
+        monkeypatch.setattr(dense, "w_state", build)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(closed.value))}$"):
+            dense.w_mixture_rho(s, n)
+        with pytest.raises(ValueError, match="^s must be one weight, got 2 values$"):
+            dense.w_mixture_rho(np.array([0.3, 0.4]), 4)
 
     def test_pure_w4_anchor(self):
         assert abs(ent.w_mixture_entanglement(1.0, 4) - PURE_W4_GLOBAL) < 1e-15
@@ -265,7 +276,7 @@ class TestWMixtureClosedForm:
 
 class TestXState:
     def test_initial_pure_state(self):
-        rho = dense.x_state_rho(dense.XStateParams(a=0.6, b=0.8, u1=1.0, u2=1.0))
+        rho = dense.x_state_rho(0.6, 0.8, 1.0, 1.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 0.36
         expected[3, 3] = 0.64
@@ -276,13 +287,8 @@ class TestXState:
         rng = np.random.default_rng(31)
         for _ in range(10):
             b = rng.uniform(0.0, 1.0)
-            params = dense.XStateParams(
-                a=math.sqrt(1 - b * b),
-                b=b,
-                u1=random_unit_disc(rng),
-                u2=random_unit_disc(rng),
-            )
-            rho = dense.x_state_rho(params)
+            params = (math.sqrt(1 - b * b), b, random_unit_disc(rng), random_unit_disc(rng))
+            rho = dense.x_state_rho(*params)
             assert abs(np.trace(rho) - 1.0) < 1e-14
             assert np.abs(rho - rho.conj().T).max() < 1e-15
 
@@ -293,59 +299,62 @@ class TestXState:
         ]
         for t in (0.0, 0.05, 0.3, 0.8):
             u = amplitude(res, t)
-            rho = dense.x_state_rho(dense.XStateParams(a=0.6, b=0.8, u1=u, u2=u))
+            rho = dense.x_state_rho(0.6, 0.8, u, u)
             for i, j in x_zeros:
                 assert rho[i, j] == 0.0
 
     def test_corner_carries_conjugated_amplitudes(self):
         u1, u2 = 0.5 + 0.4j, 0.3 - 0.6j
-        rho = dense.x_state_rho(dense.XStateParams(a=0.6, b=0.8, u1=u1, u2=u2))
+        rho = dense.x_state_rho(0.6, 0.8, u1, u2)
         assert abs(rho[0, 3] - 0.48 * (u1 * u2).conjugate()) < 1e-15
 
     def test_register_reduces_to_x_state(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
             b = rng.uniform(0.0, 1.0)
-            params = dense.XStateParams(
-                a=math.sqrt(1 - b * b),
-                b=b,
-                u1=random_unit_disc(rng),
-                u2=random_unit_disc(rng),
-            )
-            register = dense.x_state_register(params)
+            params = (math.sqrt(1 - b * b), b, random_unit_disc(rng), random_unit_disc(rng))
+            register = dense.x_state_register(*params)
             rho_full = np.outer(register, register.conj())
             reduced = qlin.partial_trace(rho_full, 4, {0, 1})
-            assert np.abs(reduced - dense.x_state_rho(params)).max() < 1e-14
+            assert np.abs(reduced - dense.x_state_rho(*params)).max() < 1e-14
 
     def test_normalization_constraint_enforced(self):
         with pytest.raises(ValueError):
-            dense.XStateParams(a=0.5, b=0.5, u1=1.0, u2=1.0)
+            dense.x_state_rho(0.5, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            dense.XStateParams(a=np.array([0.6, 0.5]), b=np.array([0.8, 0.5]), u1=1.0, u2=1.0)
+            dense.x_state_register(np.array([0.6, 0.5]), np.array([0.8, 0.5]), 1.0, 1.0)
 
     @pytest.mark.parametrize("label", ["u1", "u2"])
     def test_amplitude_refusal_prints_the_excess(self, label):
         amplitudes = {"u1": 0.5, "u2": 0.5, label: np.array([0.5, 1.0 + 2e-9])}
         with pytest.raises(ValueError, match=rf"\|{label}\| must not exceed 1, got 1\.000000002$"):
-            dense.XStateParams(a=0.6, b=0.8, **amplitudes)
+            dense.x_state_rho(0.6, 0.8, **amplitudes)
 
     @pytest.mark.parametrize("label", ["u1", "u2"])
     def test_non_finite_amplitude_refused(self, label):
         # a nan u once built a register of nan entries
         amplitudes = {"u1": 0.5, "u2": 0.5, label: np.array([0.5, math.nan])}
         with pytest.raises(ValueError, match=rf"\|{label}\| must not exceed 1, got nan$"):
-            dense.XStateParams(a=0.6, b=0.8, **amplitudes)
+            dense.x_state_register(0.6, 0.8, **amplitudes)
 
     def test_batched_register_equals_per_state(self):
         rng = np.random.default_rng(33)
         b = rng.uniform(0.0, 1.0, 6)
         u = np.array([random_unit_disc(rng) for _ in range(6)])
-        batch = dense.x_state_register(dense.XStateParams(a=np.sqrt(1 - b * b), b=b, u1=u, u2=u[::-1]))
+        batch = dense.x_state_register(np.sqrt(1 - b * b), b, u, u[::-1])
         assert batch.shape == (6, 16)
         for i in range(6):
-            single = dense.XStateParams(a=math.sqrt(1 - b[i] ** 2), b=b[i], u1=u[i], u2=u[5 - i])
+            single = dense.x_state_register(math.sqrt(1 - b[i] ** 2), b[i], u[i], u[5 - i])
             # array complex products may round differently from scalar ones
-            np.testing.assert_allclose(batch[i], dense.x_state_register(single), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(batch[i], single, rtol=0, atol=1e-15)
+
+    def test_batched_rho_equals_per_state(self):
+        # x_state_rho once read its arguments as scalars: array a and b raised a TypeError
+        a, b, u1, u2 = np.array([0.6, 0.0]), np.array([0.8, 1.0]), 0.5 + 0.4j, np.array([0.3 - 0.6j, SQRT_HALF])
+        batch = dense.x_state_rho(a, b, u1, u2)
+        assert batch.shape == (2, 4, 4)
+        for i in range(2):
+            np.testing.assert_allclose(batch[i], dense.x_state_rho(a[i], b[i], u1, u2[i]), rtol=0, atol=1e-15)
 
 
 class TestMeyerWallach:
@@ -364,8 +373,8 @@ class TestMeyerWallach:
         assert abs(dense.meyer_wallach_numeric(dense.ghz_state(n)) - 1.0) < 1e-12
 
     def test_register_anchor_at_half_survival(self):
-        params = dense.XStateParams(a=0.0, b=1.0, u1=SQRT_HALF, u2=SQRT_HALF)
-        assert abs(dense.meyer_wallach_numeric(dense.x_state_register(params)) - 1.0) < 1e-12
+        register = dense.x_state_register(0.0, 1.0, SQRT_HALF, SQRT_HALF)
+        assert abs(dense.meyer_wallach_numeric(register) - 1.0) < 1e-12
 
     def test_closed_form_anchors(self):
         assert ent.meyer_wallach_closed(0.0, 1.0, SQRT_HALF) == 1.0
@@ -383,8 +392,7 @@ class TestMeyerWallach:
         rng = np.random.default_rng(42)
         for _ in range(12):
             u = random_unit_disc(rng)
-            params = dense.XStateParams(a=0.0, b=1.0, u1=u, u2=u)
-            numeric = dense.meyer_wallach_numeric(dense.x_state_register(params))
+            numeric = dense.meyer_wallach_numeric(dense.x_state_register(0.0, 1.0, u, u))
             closed = ent.meyer_wallach_closed(0.0, 1.0, u)
             assert abs(numeric - closed) < 1e-12
 
@@ -398,20 +406,18 @@ class TestMeyerWallach:
             u = random_unit_disc(rng)
             survival = abs(u) ** 2
             expected = 2 * a * a * b * b + 4 * b**4 * survival * (1 - survival)
-            params = dense.XStateParams(a=a, b=b, u1=u, u2=u)
-            assert abs(dense.meyer_wallach_numeric(dense.x_state_register(params)) - expected) < 1e-12
+            assert abs(dense.meyer_wallach_numeric(dense.x_state_register(a, b, u, u)) - expected) < 1e-12
 
     def test_register_form_over_a_grid(self):
         # q_numeric's register: Q = 2b^2[s(1 - b^2 s) + (1 - s)(1 - b^2 (1 - s))], s = |u|^2
         b, s = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
         u = np.sqrt(s) * np.exp(0.7j)
-        params = dense.XStateParams(a=np.sqrt(1.0 - b * b), b=b, u1=u, u2=u)
-        numeric = dense.meyer_wallach_numeric(dense.x_state_register(params))
+        numeric = dense.meyer_wallach_numeric(dense.x_state_register(np.sqrt(1.0 - b * b), b, u, u))
         register = 2 * b * b * (s * (1 - b * b * s) + (1 - s) * (1 - b * b * (1 - s)))
         assert np.abs(numeric - register).max() < 1e-12
         # the hand value at b = 0.6, s = 0.5, where the published closed form reads 0.8208
         u = math.sqrt(0.5)
-        hand = dense.meyer_wallach_numeric(dense.x_state_register(dense.XStateParams(0.8, 0.6, u, u)))
+        hand = dense.meyer_wallach_numeric(dense.x_state_register(0.8, 0.6, u, u))
         assert hand == pytest.approx(0.5904, abs=1e-12)
         assert ent.meyer_wallach_closed(0.8, 0.6, u) == pytest.approx(0.8208, abs=1e-12)
 
@@ -459,7 +465,7 @@ class TestMeyerWallachRegister:
 
     @staticmethod
     def register_route(a, b, u):
-        return dense.meyer_wallach_numeric(dense.x_state_register(dense.XStateParams(a, b, u, u)))
+        return dense.meyer_wallach_numeric(dense.x_state_register(a, b, u, u))
 
     def test_anchors(self):
         assert ent.meyer_wallach_register(0.0, 1.0, SQRT_HALF) == pytest.approx(1.0, abs=1e-15)
@@ -525,10 +531,7 @@ class TestDensityMatrixSanity:
         res = ReservoirParams.from_half_width(1200.0, 30.0, 50.0)
         for t in np.linspace(0.0, 1.0, 9):
             u = amplitude(res, t)
-            for rho in (
-                dense.w_state_exciton_rho(dense.WStateParams(u=u)),
-                dense.w_state_reservoir_rho(dense.WStateParams(u=u)),
-            ):
+            for rho in (dense.w_mixture_rho(survival(u), 4), dense.w_mixture_rho(damping(u), 4)):
                 assert abs(np.trace(rho) - 1.0) < 1e-12
                 assert np.abs(rho - rho.conj().T).max() < 1e-12
                 assert np.linalg.eigvalsh(rho).min() > -1e-10

@@ -24,7 +24,7 @@ COUNT_CALLERS = [
     (dense.w_state, "n_qubits must be integers >= 1"),
     (dense.ghz_state, "n_qubits must be integers >= 1"),
     (dense.enumerate_bipartitions, "n_qubits must be integers in 2..12"),
-    (lambda n: dense.WStateParams(0.8, n_qubits=n), "n_qubits must be integers >= 1"),
+    (lambda n: dense.w_mixture_rho(0.64, n), "n_qubits must be integers in 2..12"),
 ]
 
 # callers of one weight in [0, 1]
@@ -34,6 +34,7 @@ WEIGHT_CALLERS = [
     lambda p: fid.f_ghz_teleport(p, 4),
     lambda p: fid.f_ghz_split(p, 4),
     lambda s: ent.w_mixture_entanglement(s, 4),
+    lambda s: dense.w_mixture_rho(s, 4),
 ]
 
 
@@ -72,9 +73,9 @@ class TestOneCountRule:
             assert all(np.array_equal(build(count), build(n)) for count in spellings)
         groups = dense.enumerate_bipartitions(n)
         assert all(dense.enumerate_bipartitions(count) == groups for count in spellings)
-        rho = dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=n))
+        rho = dense.w_mixture_rho(0.64, n)
         for count in spellings:
-            assert np.array_equal(dense.w_state_exciton_rho(dense.WStateParams(0.8, n_qubits=count)), rho)
+            assert np.array_equal(dense.w_mixture_rho(0.64, count), rho)
 
 
 class TestOneWeightRule:
@@ -92,9 +93,9 @@ class TestOneCoefficientRule:
         [
             lambda a, b: ent.meyer_wallach_closed(a, b, 0.5),
             lambda a, b: ent.meyer_wallach_register(a, b, 0.5),
-            lambda a, b: dense.XStateParams(a, b, 1.0, 1.0),
+            lambda a, b: dense.x_state_rho(a, b, 1.0, 1.0),
         ],
-        ids=["meyer_wallach_closed", "meyer_wallach_register", "XStateParams"],
+        ids=["meyer_wallach_closed", "meyer_wallach_register", "x_state_rho"],
     )
     @pytest.mark.parametrize(
         "a, b",
@@ -102,7 +103,7 @@ class TestOneCoefficientRule:
         ids=["nan-a", "nan-b", "array-nan"],
     )
     def test_a_nan_coefficient_is_refused(self, build, a, b):
-        # meyer_wallach_closed(nan, 0.6, 0.5) once returned nan, XStateParams
+        # meyer_wallach_closed(nan, 0.6, 0.5) once returned nan, x_state_rho
         # built a density matrix of NaN entries, and the register refused
         # only through its norm message
         with pytest.raises(ValueError, match=r"^a\^2 \+ b\^2 must equal 1$"):

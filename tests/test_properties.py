@@ -65,7 +65,7 @@ def test_w_mixture_entanglement_lies_in_the_unit_interval(s, n):
 @PROPERTY
 @given(s=weights, n=st.integers(2, 5))
 def test_w_mixture_entanglement_equals_the_dense_route(s, n):
-    rho = dense.w_state_exciton_rho(dense.WStateParams(u=math.sqrt(s), n_qubits=n))
+    rho = dense.w_mixture_rho(s, n)
     route = dense.global_entanglement(rho, n)
     assert abs(ent.w_mixture_entanglement(s, n) - route) < 1e-12
 
@@ -74,10 +74,7 @@ def test_w_mixture_entanglement_equals_the_dense_route(s, n):
 @given(b=weights, seed=seeds)
 def test_x_state_rho_is_a_density_matrix(b, seed):
     rng = np.random.default_rng(seed)
-    params = dense.XStateParams(
-        a=math.sqrt(1.0 - b * b), b=b, u1=random_unit_disc(rng), u2=random_unit_disc(rng)
-    )
-    rho = dense.x_state_rho(params)
+    rho = dense.x_state_rho(math.sqrt(1.0 - b * b), b, random_unit_disc(rng), random_unit_disc(rng))
     assert np.abs(rho - rho.conj().T).max() == 0.0
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -87,7 +84,7 @@ def test_x_state_rho_is_a_density_matrix(b, seed):
 @given(b=weights, radius=weights, phase=st.floats(0.0, 2.0 * math.pi))
 def test_register_closed_form_equals_the_register(b, radius, phase):
     a, u = math.sqrt(1.0 - b * b), radius * complex(math.cos(phase), math.sin(phase))
-    register = dense.meyer_wallach_numeric(dense.x_state_register(dense.XStateParams(a, b, u, u)))
+    register = dense.meyer_wallach_numeric(dense.x_state_register(a, b, u, u))
     assert abs(ent.meyer_wallach_register(a, b, u) - register) <= 2e-15
 
 

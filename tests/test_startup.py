@@ -105,3 +105,12 @@ def test_the_rk4_oracle_lives_only_in_ode():
     assert fmoent.amplitude_ode_blocks is fmoent.ode.amplitude_ode_blocks
     for name in ("amplitude_ode_oracle", "amplitude_ode_blocks", "_ORACLE_BLOCK", "_map_product"):
         assert not hasattr(fmoent.reservoir, name), name
+
+
+def test_the_dense_oracle_takes_the_closed_forms_arguments():
+    # one w_mixture_rho(s, n) builds both sides of the W register; the oracle takes no parameter objects
+    assert fmoent.w_mixture_rho is fmoent.dense.w_mixture_rho
+    for name in ("WStateParams", "XStateParams", "w_state_exciton_rho", "w_state_reservoir_rho", "_w_mixture"):
+        assert not hasattr(fmoent.dense, name), name
+        with pytest.raises(AttributeError):
+            getattr(fmoent, name)
