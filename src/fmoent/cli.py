@@ -17,8 +17,8 @@ observable is one array kernel of u and the parameters in
 printed value does not depend on which parameters were swept or on the
 blocking, but an ``f_ghz_*`` row's last bit can depend on whether ``n`` is
 the inner axis (numpy's ``power`` rounds a contiguous exponent differently).
-The CSV writer walks the same blocks (``_blocks``) over the result,
-formatting the axis values from the grids the result carries.
+The CSV writer walks the same blocks (``_blocks``) over the result's value
+columns, formatting the axis values from the grids the result carries.
 
 Subcommands: ``scan`` (general observable scans), ``table`` (the exciton
 energy/amplitude table) and ``check`` (closed-form amplitude against the
@@ -31,6 +31,7 @@ import argparse
 import functools
 import importlib
 import math
+import os
 import re
 import sys
 import types
@@ -192,36 +193,35 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """CSV header, a float64 array with one row per grid point, and the grids.
+    """CSV header, the value columns of each grid point, and the grids.
 
-    ``axes`` holds the 1-D grid of each swept axis, outer first; the leading
-    columns of ``rows`` must be those axes over the flattened grid in C order,
-    and are refused otherwise, since the CSV writer prints the grids, not
-    those columns.  A result with no axes (a scalar scan, the exciton table)
-    has ``()``.
+    ``values`` is a 2-D array with one row per grid point, in C order, and
+    one column per value name: the header's names after the axis labels.
+    ``axes`` holds the 1-D, non-empty grid of each swept axis once, outer
+    first; a result with no axes (a scalar scan, the exciton table) has ``()``.
     """
 
     header: list[str]
-    rows: np.ndarray
+    values: np.ndarray
     axes: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        shape = np.shape(self.rows)
-        if len(shape) != 2 or shape[1] != len(self.header):
-            raise ValueError(
-                f"rows: expected a 2-D array, one column per header name ({len(self.header)}), got shape {shape}"
-            )
-        if len(self.axes) > 2:
-            raise ValueError(f"axes: at most 2 grids, got {len(self.axes)}")
-        grid_shape = tuple(len(grid) for grid in self.axes)
-        if self.axes and math.prod(grid_shape) != len(self.rows):
+        axes = tuple(np.asarray(grid) for grid in self.axes)
+        if len(axes) > 2 or any(grid.ndim != 1 or grid.size == 0 for grid in axes):
+            raise ValueError(f"axes: at most 2 grids, each 1-D and not empty, got shapes {[g.shape for g in axes]}")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "values", np.asarray(self.values))
+        shape, width = self.values.shape, len(self.header) - len(axes)
+        if len(shape) != 2 or shape[1] != width:
+            raise ValueError(f"values: expected a 2-D array, one column per value name ({width}), got shape {shape}")
+        if axes and math.prod(len(grid) for grid in axes) != shape[0]:
             raise ValueError("axes: the grids do not span the rows")
-        # each axis column, viewed over the grid, against its grid broadcast along the other axis
-        rows = np.asarray(self.rows)
-        for j, grid in enumerate(self.axes):
-            along = np.reshape(grid, (-1,) + (1,) * (len(grid_shape) - 1 - j))
-            if not (rows[:, j].reshape(grid_shape) == along).all():
-                raise ValueError(f"rows: column {j} ({self.header[j]}) is not axis {j}'s grid in C order")
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The whole table, built on each read: the axis columns over the grid in C order, then ``values``."""
+        grid = np.meshgrid(*self.axes, indexing="ij")
+        return np.column_stack([*(column.ravel() for column in grid), self.values])
 
 
 def _parse_axis(key: str, text: str) -> AxisSpec:
@@ -404,7 +404,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     outer = grids[0] if len(grids) == 2 else np.zeros(1)
     inner = grids[-1] if grids else np.zeros(1)
     header = [_AXIS_LABELS[name] for name in axis_names] + list(observable.columns)
-    rows = np.empty((len(outer), len(inner), len(header)))
+    values = np.empty((len(outer), len(inner), len(observable.columns)))
     # u is evaluated again only when the block's inner slice changes or the
     # outer axis is a reservoir input
     varies = len(grids) == 2 and axis_names[0] in _RES
@@ -419,9 +419,9 @@ def run_scan(spec: ScanSpec) -> ScanResult:
             t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
             t[...] = p["t"]
             u, last = amplitude(reservoir, t), i
-        for j, column in enumerate([*axes, *observable.kernel(u, p)]):
-            rows[o, i, j] = column
-    return ScanResult(header=header, rows=rows.reshape(-1, len(header)), axes=tuple(grids))
+        for j, column in enumerate(observable.kernel(u, p)):
+            values[o, i, j] = column
+    return ScanResult(header, values.reshape(-1, len(observable.columns)), tuple(grids))
 
 
 def emit_csv(result: ScanResult, destination=None) -> None:
@@ -442,11 +442,11 @@ def _write_csv(result: ScanResult, out) -> None:
     # lead per outer value, and the inner slice's strings, formatted once
     # per distinct slice.  The one "%" call per block formats the values.
     out.write(",".join(result.header) + "\n")
-    rows, axes = result.rows, result.axes
+    values, axes = result.values, result.axes
     outer = axes[0] if len(axes) == 2 else None
     inner = axes[-1] if axes else None
-    shape = (len(rows) // len(inner), len(inner)) if axes else (len(rows), 1)
-    values = rows[:, len(axes) :].reshape(*shape, rows.shape[1] - len(axes))
+    shape = (len(values) // len(inner), len(inner)) if axes else (len(values), 1)
+    values = values.reshape(*shape, values.shape[1])
     line = ",".join(["%.12g"] * values.shape[2]) + "\n"
     body, last = [line], None
     for o, i in _blocks(*shape):
@@ -563,12 +563,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run = {"scan": _run_scan_command, "table": _run_table_command, "check": _run_check_command}[args.command]
     try:
-        if args.command == "scan":
-            return _run_scan_command(args)
-        if args.command == "table":
-            return _run_table_command(args)
-        return _run_check_command(args)
+        code = run(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe and wants no more: send what is left, and
+        # the flush at exit, to the null device, and print nothing about it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"fmoent: {exc}", file=sys.stderr)
         return 1

@@ -52,7 +52,9 @@ class ReservoirParams:
     detuning alone, not on the transition frequency itself.  Each field
     must be real (not a bool or a string) and finite, and ``gamma0`` and
     ``delta_omega`` positive; anything else is refused with a ValueError
-    naming the field and the value as given.
+    naming the field and the value as given.  A scalar field is kept as
+    given, an array field as a read-only copy, so the checked values are the
+    ones ``amplitude`` reads.
     """
 
     gamma0: float
@@ -61,7 +63,12 @@ class ReservoirParams:
 
     def __post_init__(self):
         for name in ("gamma0", "delta_omega", "delta"):
-            given, value = _real(getattr(self, name))
+            field = getattr(self, name)
+            if isinstance(field, np.ndarray) or np.ndim(field):
+                field = np.array(field)
+                field.setflags(write=False)
+                object.__setattr__(self, name, field)
+            given, value = _real(field)
             finite = np.isfinite(value)
             if not finite.all():
                 raise ValueError(f"{name} must be finite and real, got {_shown(given, ~finite)}")

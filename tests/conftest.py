@@ -228,7 +228,8 @@ def write_csv_reference(result, out) -> None:
     """A scan result as CSV, one ``format(v, ".12g")`` per value, joined by commas.
 
     The writer the library had before it formatted each axis value once; it
-    reads every column from ``result.rows`` and ignores ``result.axes``.
+    reads every column from ``result.rows``, the table that ``ScanResult``
+    derives from ``result.axes`` and ``result.values``.
     """
     out.write(",".join(result.header) + "\n")
     for row in result.rows.tolist():

@@ -2,7 +2,10 @@ import copy
 import io
 import math
 import operator
+import os
 import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -622,11 +625,9 @@ class TestCsvWriterBytes:
         rng = np.random.default_rng(7)
         outer = np.array([-1e300, -2.5e-17, -0.0, 0.0, 1e-5, 1e16, 1.5e22])
         inner = np.array([5e-324, -1e-310, 123456789012345.0, 0.1 + 0.2, -7e-12])
-        grid = np.array(np.meshgrid(outer, inner, indexing="ij")).reshape(2, -1).T
-        values = rng.choice([-1.0, 1.0], size=(len(grid), 3)) * 10.0 ** rng.uniform(
-            -320.0, 307.0, size=(len(grid), 3)
-        )
-        result = ScanResult(["x", "y", "a", "b", "c"], np.hstack([grid, values]), (outer, inner))
+        size = (len(outer) * len(inner), 3)
+        values = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-320.0, 307.0, size=size)
+        result = ScanResult(["x", "y", "a", "b", "c"], values, (outer, inner))
         text = _csv(cli._write_csv, result)
         assert "e-324" in text and "e+300" in text and "-0," in text
         assert text == _csv(write_csv_reference, result)
@@ -658,35 +659,43 @@ class TestCsvWriterBytes:
         assert capsys.readouterr().out == _csv(write_csv_reference, ScanResult(header, rows))
 
     def test_axes_must_span_the_rows(self):
-        with pytest.raises(ValueError, match="axes"):
-            ScanResult(["t_ps", "delta_p"], np.zeros((5, 2)), (np.arange(4.0),))
+        with pytest.raises(ValueError, match="axes: the grids do not span the rows"):
+            ScanResult(["t_ps", "delta_p"], np.zeros((5, 1)), (np.arange(4.0),))
         with pytest.raises(ValueError, match="axes: at most 2"):
-            ScanResult(["x", "y", "z", "v"], np.zeros((8, 4)), (np.arange(2.0),) * 3)
-        # a header that does not name each column, and rows that are not 2-D
-        expected = r"^rows: expected a 2-D array, one column per header name \(1\), got shape "
+            ScanResult(["x", "y", "z", "v"], np.zeros((8, 1)), (np.arange(2.0),) * 3)
+        refused = r"^axes: at most 2 grids, each 1-D and not empty, got shapes "
+        with pytest.raises(ValueError, match=refused + r"\[\(2, 2\)\]$"):
+            ScanResult(["x", "v"], np.zeros((4, 1)), (np.zeros((2, 2)),))
+        # an empty grid was accepted, and the writer then divided by its length
+        with pytest.raises(ValueError, match=refused + r"\[\(0,\)\]$"):
+            ScanResult(["t_ps", "v"], np.zeros((0, 1)), (np.array([]),))
+        # values that do not hold one column per value name, and values that are not 2-D
+        expected = r"^values: expected a 2-D array, one column per value name \(1\), got shape "
         with pytest.raises(ValueError, match=expected + r"\(3, 2\)$"):
             ScanResult(["a"], np.zeros((3, 2)))
         with pytest.raises(ValueError, match=expected + r"\(3,\)$"):
             ScanResult(["a"], np.zeros(3))
+        # the axis columns are not part of values
+        with pytest.raises(ValueError, match=expected + r"\(4, 2\)$"):
+            ScanResult(["t_ps", "delta_p"], np.zeros((4, 2)), (np.arange(4.0),))
+        ScanResult(["t_ps", "delta_p"], np.zeros((4, 1)), (np.arange(4.0),))
 
-    @pytest.mark.parametrize(
-        "rows, axes, column",
-        [
-            # the writer printed "5,1" and "6,2": the grid, over rows that hold 0 and 1
-            ([[0.0, 1.0], [1.0, 2.0]], ([5.0, 6.0],), 0),
-            # each axis column right, the outer one flattened in F order
-            ([[1.0, 3.0, 0.0], [2.0, 3.0, 0.0], [1.0, 4.0, 0.0], [2.0, 4.0, 0.0]], ([1.0, 2.0], [3.0, 4.0]), 0),
-            ([[1.0, 3.0, 0.0], [1.0, 3.0, 0.0], [2.0, 4.0, 0.0], [2.0, 4.0, 0.0]], ([1.0, 2.0], [3.0, 4.0]), 1),
-        ],
-        ids=["one-axis", "outer", "inner"],
-    )
-    def test_axis_columns_must_be_the_grids(self, rows, axes, column):
-        header = ["x", "y", "v"][-len(rows[0]) :]
-        with pytest.raises(ValueError, match=rf"^rows: column {column} \({header[column]}\) is not axis {column}'s grid"):
-            ScanResult(header, np.array(rows), tuple(np.array(grid) for grid in axes))
-        # the same grids over the rows they describe are accepted
-        grid = np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1).T
-        ScanResult(header, np.hstack([grid, np.zeros((len(grid), 1))]), tuple(np.array(g) for g in axes))
+    def test_a_list_grid_writes_the_bytes_of_an_array_grid(self):
+        # a list grid was accepted, and the writer then raised AttributeError on its .tolist()
+        values = np.array([[0.5, 1.0], [0.25, 2.0]])
+        listed = ScanResult(["t_ps", "u", "v"], values, ([0.0, 1.0],))
+        assert isinstance(listed.axes[0], np.ndarray)
+        assert _csv(cli._write_csv, listed) == _csv(
+            cli._write_csv, ScanResult(["t_ps", "u", "v"], values, (np.array([0.0, 1.0]),))
+        ) == "t_ps,u,v\n0,0.5,1\n1,0.25,2\n"
+
+    def test_rows_are_the_grid_then_the_values(self):
+        result = ScanResult(["x", "y", "v"], np.array([[5.0], [6.0], [7.0], [8.0]]), ([1.0, 2.0], [3.0, 4.0]))
+        expected = [[1.0, 3.0, 5.0], [1.0, 4.0, 6.0], [2.0, 3.0, 7.0], [2.0, 4.0, 8.0]]
+        assert result.rows.dtype == np.float64 and result.rows.tolist() == expected
+        # built on each read: a write to one read does not reach the result
+        result.rows[0, 0] = -1.0
+        assert result.rows.tolist() == expected
 
     def test_writes_are_bounded_by_the_block(self):
         # 200,000 rows of 2 columns: a whole-grid template and argument tuple
@@ -714,6 +723,22 @@ class TestCsvWriterBytes:
         sink = Sink()
         cli._write_csv(_scan("u_amplitude", AxisSpec("delta", -30.0, 30.0, 2), AxisSpec("t", 0.0, 5.0, 3000)), sink)
         assert sink.rows == 6001 and sink.most <= cli._BLOCK_ROWS
+
+
+    def test_run_scan_holds_each_grid_once(self):
+        # 200 x 1,000 delta_p: a table that also held both axis columns peaked at 4.9 MiB
+        spec = ScanSpec(
+            "delta_p", (AxisSpec("gamma0", 10.0, 2000.0, 200), AxisSpec("t", 0.0, 1.0, 1000)), {"half_width": 40.0}
+        )
+        run_scan(spec)  # loads the library outside the trace
+        tracemalloc.start()
+        try:
+            result = run_scan(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.values.shape == (200_000, 1)
+        assert peak < 2.5 * 2**20
 
 
 class TestBlockWalk:
@@ -785,6 +810,21 @@ class TestMainEntrypoint:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == first
         assert cli._build_parser() is cli._build_parser()
+
+    def test_a_reader_that_closes_the_pipe_gets_no_message(self):
+        # a 200,000-row scan read for one line printed "fmoent: [Errno 32] Broken pipe"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["scan", "--observable", "u_amplitude", "--axis1", "t:0:1:200000", "--gamma0", "1000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fmoent.cli", *argv, "--half-width", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"t_ps,u_re,u_im,u_abs2\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 1
 
     def test_version_reports_conversion_constant(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -76,6 +76,21 @@ class TestParams:
         with pytest.raises(ValueError, match="gamma0 must be positive, got -1.0"):
             ReservoirParams(gamma0=np.array([5.0, -1.0]), delta_omega=80.0)
 
+    def test_array_fields_are_read_only_copies(self):
+        # the caller's later write once reached the params (amplitude(p, 0.3)
+        # moved from 0.0275 to 0.9166), and a write through p.gamma0 put a
+        # rate the class refuses under amplitude
+        gamma0, widths = np.array([1000.0]), [80.0]
+        params = ReservoirParams(gamma0, widths)
+        gamma0[0], widths[0] = 5.0, 1.0
+        assert params.gamma0.tolist() == [1000.0] and params.delta_omega.tolist() == [80.0]
+        assert amplitude(params, 0.3)[0] == amplitude(ReservoirParams(1000.0, 80.0), 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            params.gamma0[0] = -1.0
+        assert not ReservoirParams.from_half_width(gamma0, np.array([40.0])).delta_omega.flags.writeable
+        # a scalar field is kept as given
+        assert type(ReservoirParams(1000.0, 80.0).gamma0) is float
+
     def test_half_width_round_trip(self):
         params = ReservoirParams.from_half_width(100.0, 40.0, 5.0)
         assert params.delta_omega == 80.0
