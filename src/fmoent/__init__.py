@@ -13,6 +13,7 @@ uses.
 """
 
 import importlib
+import types
 
 __version__ = "0.1.0"
 
@@ -56,3 +57,59 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *_EXPORTS, *_MODULES})
+
+
+class _Record:
+    """Base of the read-only records: the fields are a subclass's ``__slots__``, in order.
+
+    A subclass's ``__init__`` checks its arguments and sets each field once
+    with ``object.__setattr__``.  This base gives the rest: assigning or
+    deleting a field raises AttributeError, ``repr`` reads
+    ``Name(field=value, ...)``, two records are equal when they are of one
+    class and their fields are equal (an array compared with
+    ``numpy.array_equal``, a tuple element by element), a record hashes as
+    the tuple of its fields, and pickling or copying calls the constructor
+    again, so the copy is checked too.  A plain class costs nothing at
+    import, where a generated one compiles its methods.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self._fields(), other._fields())
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or copied: the constructor gets a dict
+        args = (dict(f) if isinstance(f, types.MappingProxyType) else f for f in self._fields())
+        return type(self), tuple(args)
+
+
+def _same(x, y) -> bool:
+    """Value equality of two fields: arrays by ``numpy.array_equal``, tuples element by element."""
+    if x is y:
+        return True
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(_same, x, y))
+    import numpy as np  # loaded already: every module that defines a record imports it
+
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    return bool(x == y)

@@ -37,12 +37,11 @@ import sys
 import types
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import _PUBLIC, CM1_TO_RAD_PER_PS, __version__
+from . import _PUBLIC, CM1_TO_RAD_PER_PS, _Record, __version__
 
 __all__ = [
     "ConfigError",
@@ -88,6 +87,9 @@ _SCAN_KEYS = {
 MAX_GRID_ROWS = 10**7
 # Rows per kernel evaluation and per CSV write: bounds the temporaries.
 _BLOCK_ROWS = 1024
+# Relative slack of `check`'s t_max / step: 0.3 / 0.1 is 2.9999999999999996,
+# and each decimal input and the quotient round by up to 2**-53 (1.1e-16).
+_GRID_SLACK = 1e-15
 
 
 # A subcommand imports each library module it calls the first time it needs
@@ -112,26 +114,24 @@ class ConfigError(ValueError):
     """Raised for malformed scan configurations."""
 
 
-@dataclass(frozen=True)
-class AxisSpec:
+class AxisSpec(_Record):
     """One swept axis: ``steps`` evenly spaced values from start to stop."""
 
-    name: str
-    start: float
-    stop: float
-    steps: int
+    __slots__ = ("name", "start", "stop", "steps")
 
-    def __post_init__(self):
-        if self.name not in AXIS_NAMES:
-            raise ConfigError(f"axis {self.name!r}: unknown axis name; use one of {AXIS_NAMES}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError(
-                f"axis {self.name}: min and max must be finite, got {self.start} and {self.stop}"
-            )
-        if not isinstance(self.steps, (int, np.integer)):
-            raise ConfigError(f"axis {self.name}: steps must be an integer, got {self.steps}")
-        if self.steps < 2:
-            raise ConfigError(f"axis {self.name}: steps must be >= 2, got {self.steps}")
+    def __init__(self, name: str, start: float, stop: float, steps: int):
+        if name not in AXIS_NAMES:
+            raise ConfigError(f"axis {name!r}: unknown axis name; use one of {AXIS_NAMES}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"axis {name}: min and max must be finite, got {start} and {stop}")
+        if not isinstance(steps, (int, np.integer)):
+            raise ConfigError(f"axis {name}: steps must be an integer, got {steps}")
+        if steps < 2:
+            raise ConfigError(f"axis {name}: steps must be >= 2, got {steps}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "steps", steps)
 
     def values(self) -> np.ndarray:
         grid = np.linspace(self.start, self.stop, self.steps)
@@ -139,60 +139,55 @@ class AxisSpec:
             rounded = np.round(grid)
             if np.abs(grid - rounded).max() > 1e-9:
                 raise ConfigError(f"axis n: values must be integers, got {grid.tolist()}")
-            return _integers(rounded)
+            return rounded
         return grid
 
 
-def _integers(values: np.ndarray) -> np.ndarray:
-    """Integral floats as int64 where all fit, so a refused count shows the integer typed (13, not 13.0)."""
-    return values.astype(np.int64) if np.all(np.abs(values) < 2.0**63) else values
-
-
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(_Record):
     """Observable plus swept axes and fixed parameter values, checked when built.
 
     ``fixed`` is kept as a read-only copy, so the checked values are the ones
     a scan reads.
     """
 
-    observable: str
-    axes: tuple[AxisSpec, ...] = ()
-    fixed: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = ("observable", "axes", "fixed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fixed", types.MappingProxyType(dict(self.fixed)))
-        if self.observable == "exciton_table":
+    def __init__(
+        self,
+        observable: str,
+        axes: tuple[AxisSpec, ...] = (),
+        fixed: Mapping[str, float] = types.MappingProxyType({}),
+    ):
+        fixed = types.MappingProxyType(dict(fixed))
+        if observable == "exciton_table":
             raise ConfigError("observable: exciton_table is not a scan; use `fmoent table`")
-        if self.observable not in OBSERVABLES:
-            raise ConfigError(f"observable: unknown value {self.observable!r}")
-        names = [axis.name for axis in self.axes]
+        if observable not in OBSERVABLES:
+            raise ConfigError(f"observable: unknown value {observable!r}")
+        names = [axis.name for axis in axes]
         if len(names) > 2:
             raise ConfigError(f"axes: at most two axes may be swept, got {len(names)}")
         if len(set(names)) < len(names):
             raise ConfigError(f"axis2: duplicates axis1 ({names[0]!r})")
-        for key, value in self.fixed.items():
+        for key, value in fixed.items():
             if key not in AXIS_NAMES:
                 raise ConfigError(f"{key}: not a scan parameter; use one of {AXIS_NAMES}")
             if key in names:
                 raise ConfigError(f"{key}: given both as an axis and a fixed value")
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: expected a finite number, got {value}")
-        if "n" in self.fixed and not float(self.fixed["n"]).is_integer():
-            raise ConfigError(f"n: must be an integer, got {self.fixed['n']}")
-        total = math.prod(axis.steps for axis in self.axes)
+        if "n" in fixed and not float(fixed["n"]).is_integer():
+            raise ConfigError(f"n: must be an integer, got {fixed['n']}")
+        total = math.prod(axis.steps for axis in axes)
         if total > MAX_GRID_ROWS:
             raise ConfigError(
                 f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}"
             )
+        object.__setattr__(self, "observable", observable)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "fixed", fixed)
 
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled or deep-copied; the spec is rebuilt and checked
-        return ScanSpec, (self.observable, self.axes, dict(self.fixed))
 
-
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(_Record):
     """CSV header, the value columns of each grid point, and the grids.
 
     ``values`` is a 2-D array with one row per grid point, in C order, and
@@ -201,21 +196,21 @@ class ScanResult:
     first; a result with no axes (a scalar scan, the exciton table) has ``()``.
     """
 
-    header: list[str]
-    values: np.ndarray
-    axes: tuple[np.ndarray, ...] = ()
+    __slots__ = ("header", "values", "axes")
 
-    def __post_init__(self):
-        axes = tuple(np.asarray(grid) for grid in self.axes)
+    def __init__(self, header: list[str], values: np.ndarray, axes: tuple[np.ndarray, ...] = ()):
+        axes = tuple(np.asarray(grid) for grid in axes)
         if len(axes) > 2 or any(grid.ndim != 1 or grid.size == 0 for grid in axes):
             raise ValueError(f"axes: at most 2 grids, each 1-D and not empty, got shapes {[g.shape for g in axes]}")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "values", np.asarray(self.values))
-        shape, width = self.values.shape, len(self.header) - len(axes)
+        values = np.asarray(values)
+        shape, width = values.shape, len(header) - len(axes)
         if len(shape) != 2 or shape[1] != width:
             raise ValueError(f"values: expected a 2-D array, one column per value name ({width}), got shape {shape}")
         if axes and math.prod(len(grid) for grid in axes) != shape[0]:
             raise ValueError("axes: the grids do not span the rows")
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "axes", axes)
 
     @property
     def rows(self) -> np.ndarray:
@@ -315,7 +310,8 @@ def _u_columns(u):
 # parameters (name -> array broadcasting over the block) to one array per
 # value column, reading |u| through ``reservoir.survival``, which refuses a
 # bad ``u``; ``modules`` are the library modules the kernel and the amplitude
-# call need.  A namedtuple: a frozen dataclass costs about 1-2 ms at start-up.
+# call need.  A namedtuple builds its class in about 0.08 ms at start-up,
+# where a generated frozen class compiles its methods in about 1 ms.
 _Observable = namedtuple("_Observable", "columns needs kernel modules")
 
 
@@ -396,8 +392,6 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         if value is None:
             raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
         base[name] = np.full((1, 1), value)
-    if "n" in base:
-        base["n"] = _integers(base["n"])
 
     grids = [axis.values() for axis in spec.axes]
     # the grid is outer x inner; a scan of one axis or none has a single outer row
@@ -473,18 +467,22 @@ def _run_table_command(args: argparse.Namespace) -> int:
 
 
 def _check_grid(t_max: float, step: float) -> int:
-    """Number of points of the grid 0, step, ..., t_max of ``check``, refused before anything is allocated."""
+    """Number of points of the grid 0, step, ..., t_max of ``check``, refused before anything is allocated.
+
+    The last point is the largest multiple of ``step`` not beyond ``t_max``,
+    and ``t_max`` itself when ``t_max / step`` is an integer to within the
+    rounding of the two inputs and their quotient.
+    """
     for flag, value in (("--step", step), ("--t-max", t_max)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{flag}: must be a positive finite number, got {value}")
-    # as many points as np.arange(0.0, t_max + step / 2.0, step) holds
-    points = (t_max + step / 2.0) / step
-    if points > MAX_GRID_ROWS:
+    last = t_max / step * (1.0 + _GRID_SLACK)  # the last point's index, before flooring
+    if not last < MAX_GRID_ROWS:
         raise ConfigError(
-            f"--step: the grid over [0, {t_max:g}] ps has {points:.4g} points, "
+            f"--step: the grid over [0, {t_max:g}] ps has {last + 1.0:.4g} points, "
             f"more than the limit of {MAX_GRID_ROWS}"
         )
-    return math.ceil(points)
+    return math.floor(last) + 1
 
 
 def _run_check_command(args: argparse.Namespace) -> int:

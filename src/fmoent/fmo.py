@@ -8,12 +8,11 @@ exciton qubit states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import _PUBLIC
+from . import _PUBLIC, _Record
 
 __all__ = _PUBLIC["fmo"]
 
@@ -36,8 +35,7 @@ COUPLINGS_CM1 = np.array(
 COUPLINGS_CM1.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SiteDataset:
+class SiteDataset(_Record):
     """Absolute BChl site energies (cm^-1) and their differences to BChl 3.
 
     ``site_energies[k]`` belongs to BChl ``k + 1``; ``energy_diffs`` is the
@@ -45,18 +43,18 @@ class SiteDataset:
     copy of the energies it is given.
     """
 
-    name: str
-    site_energies: np.ndarray
+    __slots__ = ("name", "site_energies")
 
-    def __post_init__(self):
+    def __init__(self, name: str, site_energies: np.ndarray):
         # a private copy: the caller's array, or a builtin's, cannot change it
-        energies = np.array(self.site_energies, dtype=float)
+        energies = np.array(site_energies, dtype=float)
         energies.setflags(write=False)
         if energies.shape != (N_SITES,):
-            raise ValueError(f"{self.name}: expected {N_SITES} site energies, got {energies.shape}")
+            raise ValueError(f"{name}: expected {N_SITES} site energies, got {energies.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(energies - energies[2]).all():
-                raise ValueError(f"{self.name}: site energies and their differences must be finite")
+                raise ValueError(f"{name}: site energies and their differences must be finite")
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "site_energies", energies)
 
     @property
@@ -127,8 +125,7 @@ def build_hamiltonian(site_data: SiteDataset) -> np.ndarray:
     return np.diag(site_data.energy_diffs) + COUPLINGS_CM1
 
 
-@dataclass(frozen=True)
-class ExcitonTable:
+class ExcitonTable(_Record):
     """Exciton energies (ascending, cm^-1) and site occupation amplitudes.
 
     Column ``k`` of ``amplitudes`` holds the amplitudes of exciton qubit
@@ -136,21 +133,21 @@ class ExcitonTable:
     read-only copies of the arrays it is given.
     """
 
-    energies: np.ndarray
-    amplitudes: np.ndarray
+    __slots__ = ("energies", "amplitudes")
 
-    def __post_init__(self):
-        for name in ("energies", "amplitudes"):
-            # a private copy: neither the caller nor a reader can change the table
-            array = np.array(getattr(self, name), dtype=float)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        norms = np.linalg.norm(self.amplitudes, axis=0)
+    def __init__(self, energies: np.ndarray, amplitudes: np.ndarray):
+        # private copies: neither the caller nor a reader can change the table
+        energies, amplitudes = np.array(energies, dtype=float), np.array(amplitudes, dtype=float)
+        energies.setflags(write=False)
+        amplitudes.setflags(write=False)
+        norms = np.linalg.norm(amplitudes, axis=0)
         if np.abs(norms - 1.0).max() > 1e-10:
             raise ValueError("exciton amplitude columns must have unit norm")
-        gram = self.amplitudes.T @ self.amplitudes
-        if np.abs(gram - np.eye(len(self.energies))).max() > 1e-10:
+        gram = amplitudes.T @ amplitudes
+        if np.abs(gram - np.eye(len(energies))).max() > 1e-10:
             raise ValueError("exciton amplitude columns must be orthogonal")
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
 
 def _eigen(h: np.ndarray):

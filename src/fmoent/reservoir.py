@@ -23,11 +23,9 @@ scalar call is a one-point array call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import _PUBLIC, CM1_TO_RAD_PER_PS
+from . import _PUBLIC, CM1_TO_RAD_PER_PS, _Record
 
 __all__ = _PUBLIC["reservoir"]
 
@@ -41,8 +39,7 @@ _SHOWN = 500  # characters of a refused value shown in its refusal
 _add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 
 
-@dataclass(frozen=True)
-class ReservoirParams:
+class ReservoirParams(_Record):
     """Lorentzian reservoir triple (cm^-1), scalars or broadcastable arrays.
 
     ``gamma0`` sets the exciton relaxation scale (relaxation time 1/gamma0),
@@ -57,23 +54,20 @@ class ReservoirParams:
     ones ``amplitude`` reads.
     """
 
-    gamma0: float
-    delta_omega: float
-    delta: float = 0.0
+    __slots__ = ("gamma0", "delta_omega", "delta")
 
-    def __post_init__(self):
-        for name in ("gamma0", "delta_omega", "delta"):
-            field = getattr(self, name)
+    def __init__(self, gamma0: float, delta_omega: float, delta: float = 0.0):
+        for name, field in (("gamma0", gamma0), ("delta_omega", delta_omega), ("delta", delta)):
             if isinstance(field, np.ndarray) or np.ndim(field):
                 field = np.array(field)
                 field.setflags(write=False)
-                object.__setattr__(self, name, field)
             given, value = _real(field)
             finite = np.isfinite(value)
             if not finite.all():
                 raise ValueError(f"{name} must be finite and real, got {_shown(given, ~finite)}")
             if name != "delta" and not (value > 0).all():
                 raise ValueError(f"{name} must be positive, got {_shown(given, value <= 0)}")
+            object.__setattr__(self, name, field)
 
     @classmethod
     def from_half_width(cls, gamma0: float, half_width: float, delta: float = 0.0) -> "ReservoirParams":
@@ -183,13 +177,17 @@ def _real(x):
     return x, (np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else np.full(x.shape, np.nan))
 
 
-def _shown(given, bad) -> str:
+def _shown(given, bad, count: bool = False) -> str:
     """The first value of ``given`` where ``bad``, for a refusal: its ``repr``, cut after ``_SHOWN`` characters.
 
     An int of more than ``3 * _SHOWN`` bits (so more than about 450 digits)
     shows its size instead: ``repr`` refuses an int of over 4,300 digits.
+    A ``count`` that is a float holding an exact integer (below 2**53 in
+    magnitude) shows as that integer: 13, not 13.0.
     """
     value = given[bad].tolist()[0]
+    if count and isinstance(value, float) and value.is_integer() and abs(value) < 2.0**53:
+        value = int(value)
     if isinstance(value, int) and value.bit_length() > 3 * _SHOWN:
         return f"an int of {value.bit_length()} bits"
     text = repr(value)
@@ -202,7 +200,7 @@ def _counts(n, name: str, low: int, high: float = np.inf):
     bad = ~np.isfinite(count) | (count != np.rint(count)) | (count < low) | (count > high)
     if bad.any():
         bounds = f">= {low}" if high == np.inf else f"in {low}..{high}"
-        raise ValueError(f"{name} must be integers {bounds}, got {_shown(n, bad)}")
+        raise ValueError(f"{name} must be integers {bounds}, got {_shown(n, bad, count=True)}")
     return np.atleast_1d(count)
 
 

@@ -1002,8 +1002,29 @@ class TestMainEntrypoint:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"fmoent: {message}\n"
 
+    @pytest.mark.parametrize(
+        "observable, kernel, module, flags",
+        [
+            ("f_ghz_split", "f_ghz_split", "fidelity", ["--n", "5"]),
+            ("f_ghz_split", "f_ghz_split", "fidelity", ["--axis2", "n:2:5:4"]),
+            ("e_exciton", "w_mixture_entanglement", "entanglement", ["--n", "5"]),
+            ("e_exciton", "w_mixture_entanglement", "entanglement", ["--axis2", "n:2:5:4"]),
+        ],
+        ids=["f_ghz_split-fixed", "f_ghz_split-axis", "e_exciton-fixed", "e_exciton-axis"],
+    )
+    def test_counts_reach_the_kernels_as_float64(self, observable, kernel, module, flags, monkeypatch, capsys):
+        # int64 counts loaded numpy's int-to-float cast on their first use, about 0.13 MB of peak RSS
+        cli._need("reservoir", module)
+        original, dtypes = getattr(cli, kernel), []
+        monkeypatch.setattr(cli, kernel, lambda x, n: dtypes.append(np.asarray(n).dtype) or original(x, n))
+        argv = ["scan", "--observable", observable, "--axis1", "t:0:1:3", "--gamma0", "1000",
+                "--half-width", "40", *flags]
+        assert cli.main(argv) == 0
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
     def test_counts_beyond_int64_are_still_read(self, capsys):
-        # a count passes as int64 only where every value fits; these stay floats
+        # counts reach the kernels as float64, so one beyond the int64 range is
+        # read like any other; when counts passed as int64, these needed a fallback
         argv = ["scan", "--observable", "f_ghz_split", "--axis1", "n:2:1e300:3", "--t", "0.5",
                 "--gamma0", "1000", "--half-width", "40"]
         assert cli.main(argv) == 0
@@ -1185,6 +1206,25 @@ class TestMainEntrypoint:
         assert np.arange(0.0, 2.0 + 0.095 / 2.0, 0.095).size == 22
         with pytest.raises(ConfigError, match="limit of 21"):
             cli._check_grid(2.0, 0.095)
+
+    @pytest.mark.parametrize(
+        "t_max, step, points",
+        [(2.0, 0.3, 7), (5.0, 3e-4, 16667), (2.0, 1e-4, 20001), (0.2, 0.001, 201), (0.3, 0.1, 4), (1e-9, 1.0, 1)],
+    )
+    def test_check_grid_ends_at_t_max(self, t_max, step, points):
+        # the grid once held ceil((t_max + step/2) / step) points: t = 2.1 for --t-max 2 --step 0.3
+        assert cli._check_grid(t_max, step) == points
+
+    @pytest.mark.parametrize("t_max, step", [(2.0, 0.3), (0.3, 0.1), (0.05, 3e-4), (0.2, 0.001)])
+    def test_check_evaluates_no_t_beyond_t_max(self, t_max, step, monkeypatch, capsys):
+        cli._need("reservoir")
+        original, latest = cli.amplitude, []
+        monkeypatch.setattr(cli, "amplitude", lambda params, t: latest.append(t.max()) or original(params, t))
+        cli.main(["check", "--t-max", repr(t_max), "--step", repr(step)])
+        # beyond t_max by rounding only (3 * 0.1 is 0.30000000000000004), and short of it by less than a step
+        assert max(latest) <= t_max + 2.0 * np.spacing(t_max)
+        assert max(latest) > t_max - step
+        assert f"over t in [0, {t_max:g}] ps" in capsys.readouterr().out
 
     def test_check_compares_in_blocks_of_bounded_memory(self, capsys):
         # 100,001 points: one amplitude call over the whole grid peaked at 14.2 MiB

@@ -52,8 +52,17 @@ class TestOneCountRule:
             # repr refuses an int of over 4,300 digits; a refusal shows at most 500 characters of a value
             (10**5000, "an int of 16610 bits"),
             ("4" * 600, f"'{'4' * 499}... (602 characters)"),
+            # a float that holds an exact integer shows as the integer, below 2**53 in magnitude
+            (0.0, "0"),
+            (np.array([-3.0]), "-3"),
+            (-(2.0**53 - 1), "-9007199254740991"),
+            (-(2.0**53), "-9007199254740992.0"),
+            (-1e300, "-1e+300"),
         ],
-        ids=["str", "10**400", "True", "4.5", "inf", "nan", "0-d-4.5", "10**5000", "long-str"],
+        ids=[
+            "str", "10**400", "True", "4.5", "inf", "nan", "0-d-4.5", "10**5000", "long-str",
+            "0.0", "array-minus-3.0", "minus-2**53-plus-1", "minus-2**53", "-1e300",
+        ],
     )
     def test_refused_with_the_one_message(self, n, shown):
         # w_mixture_entanglement once read "4" as 4, w_state("4") raised a
@@ -61,6 +70,11 @@ class TestOneCountRule:
         for build, head in COUNT_CALLERS:
             with pytest.raises(ValueError, match=f"^{re.escape(f'{head}, got {shown}')}$"):
                 build(n)
+
+    def test_an_integral_float_count_shows_as_typed(self):
+        # a float count once showed its float repr: "got 13.0"
+        with pytest.raises(ValueError, match=r"^n_qubits must be integers in 2\.\.12, got 13$"):
+            ent.w_mixture_entanglement(0.5, 13.0)
 
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_spellings_of_a_count_give_identical_values(self, n):

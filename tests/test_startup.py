@@ -1,9 +1,10 @@
-"""Start-up guard: each entry point loads only the fmoent modules it runs.
+"""Start-up guard: each entry point loads only the fmoent modules it runs, and no ``dataclasses``.
 
 Every case starts a fresh interpreter, runs one entry and lists the
-``fmoent.*`` modules it ended up with.
+modules it ended up with.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -26,23 +27,30 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code
 """
 
-_REPORT = "\nimport sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('fmoent'))))"
+_REPORT = "\nimport sys; print(' '.join(sorted(sys.modules)))"
 
 
-def loaded_modules(code: str, *argv: str) -> set[str]:
+@functools.cache
+def modules_after(code: str, *argv: str) -> frozenset[str]:
+    """Every module in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", code + _REPORT, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("fmoent").lstrip(".") or "fmoent" for name in proc.stdout.split()}
+    return frozenset(proc.stdout.split())
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    fmoent_modules = (name for name in modules_after(code, *argv) if name.startswith("fmoent"))
+    return {name.removeprefix("fmoent").lstrip(".") or "fmoent" for name in fmoent_modules}
 
 
 SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", "--observable")
 
 
-@pytest.mark.parametrize(
+ENTRIES = pytest.mark.parametrize(
     "code, argv, expected",
     [
         ("import fmoent", (), {"fmoent"}),
@@ -68,8 +76,18 @@ SCAN = ("scan", "--axis1", "t:0:1:5", "--gamma0", "1000", "--half-width", "40", 
         "scan-delta_p", "scan-f_w_split", "scan-e_exciton", "scan-q_numeric", "entanglement-dense-name",
     ],
 )
+
+
+@ENTRIES
 def test_entry_loads_only_what_it_runs(code, argv, expected):
     assert loaded_modules(code, *argv) == expected
+
+
+@ENTRIES
+def test_entry_generates_no_classes(code, argv, expected):
+    # six frozen dataclasses compiled their generated methods at import, about
+    # 1.1 ms each, after 1-2 ms to import dataclasses; numpy imports none of it
+    assert "dataclasses" not in modules_after(code, *argv)
 
 
 def test_every_public_name_resolves_and_is_listed():
