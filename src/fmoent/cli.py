@@ -4,35 +4,26 @@ Scans evaluate one observable over a grid of up to two swept axes and write
 RFC-4180-style CSV (header row first, 12 significant digits, '\\n' line
 endings).  Identical inputs produce byte-identical output.
 
-A scan's grid is outer x inner (a scan of one axis or none has one outer
-row), evaluated in blocks of at most ``_BLOCK_ROWS`` rows: k whole inner
-sweeps, or a slice of one sweep longer than a block.  In a block the outer
-axis is a (k, 1) array, the inner axis a (1, m) array and each fixed value a
-(1, 1) array, so each layer is evaluated only on the axes it reads.
-``run_scan`` forms the survival amplitude u once per distinct reservoir point
-(gamma0, half width, delta, t) of a block, and once per scan when the outer
-axis is not a reservoir input and the inner sweep fits in a block.  Each
+A scan's grid is outer x inner, evaluated in blocks of at most
+``_BLOCK_ROWS`` rows (``_blocks``).  ``run_scan`` forms the survival
+amplitude u once per distinct reservoir point of a block, and each
 observable is one array kernel of u and the parameters in
-``_OBSERVABLE_TABLE``.  Every value takes numpy's array path; a point's
-printed value does not depend on which parameters were swept or on the
-blocking, but an ``f_ghz_*`` row's last bit can depend on whether ``n`` is
-the inner axis (numpy's ``power`` rounds a contiguous exponent differently).
-The CSV writer walks the same blocks (``_blocks``) over the result's value
-columns, formatting the axis values from the grids the result carries.
+``_OBSERVABLE_TABLE``.  A point's printed value does not depend on which
+parameters were swept or on the blocking, but an ``f_ghz_*`` row's last bit
+can depend on whether ``n`` is the inner axis (numpy's ``power`` rounds a
+contiguous exponent differently).
 
-Subcommands: ``scan`` (general observable scans), ``table`` (the exciton
+Subcommands: ``scan`` (observable scans), ``table`` (the exciton
 energy/amplitude table) and ``check`` (closed-form amplitude against the
-numerical integrator, printing the maximum error).
+numerical integrator, printing the maximum error).  ``main`` reads argv
+against ``_COMMANDS``, one table of each subcommand's flags; a usage error exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import importlib
 import math
 import os
-import re
 import sys
 import types
 from collections import namedtuple
@@ -43,26 +34,12 @@ import numpy as np
 
 from . import _PUBLIC, CM1_TO_RAD_PER_PS, _Record, __version__
 
-__all__ = [
-    "ConfigError",
-    "AxisSpec",
-    "ScanSpec",
-    "ScanResult",
-    "load_config",
-    "run_scan",
-    "emit_csv",
-    "main",
-]
+__all__ = ["ConfigError", "AxisSpec", "ScanSpec", "ScanResult", "load_config", "run_scan", "emit_csv", "main"]
 
 AXIS_NAMES = ("t", "gamma0", "half_width", "delta", "b", "n")
 
 _AXIS_LABELS = {
-    "t": "t_ps",
-    "gamma0": "gamma0_cm1",
-    "half_width": "half_width_cm1",
-    "delta": "delta_cm1",
-    "b": "b",
-    "n": "n",
+    "t": "t_ps", "gamma0": "gamma0_cm1", "half_width": "half_width_cm1", "delta": "delta_cm1", "b": "b", "n": "n",
 }
 
 _DEFAULTS = {"delta": 0.0, "n": 4.0}
@@ -114,6 +91,11 @@ class ConfigError(ValueError):
     """Raised for malformed scan configurations."""
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: a Python or numpy int or float, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 class AxisSpec(_Record):
     """One swept axis: ``steps`` evenly spaced values from start to stop."""
 
@@ -122,6 +104,8 @@ class AxisSpec(_Record):
     def __init__(self, name: str, start: float, stop: float, steps: int):
         if name not in AXIS_NAMES:
             raise ConfigError(f"axis {name!r}: unknown axis name; use one of {AXIS_NAMES}")
+        if not (_is_real(start) and _is_real(stop)):
+            raise ConfigError(f"axis {name}: min and max must be real numbers, got {start!r} and {stop!r}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"axis {name}: min and max must be finite, got {start} and {stop}")
         if not isinstance(steps, (int, np.integer)):
@@ -146,23 +130,22 @@ class AxisSpec(_Record):
 class ScanSpec(_Record):
     """Observable plus swept axes and fixed parameter values, checked when built.
 
-    ``fixed`` is kept as a read-only copy, so the checked values are the ones
-    a scan reads.
+    ``axes`` is kept as a tuple and ``fixed`` as a read-only copy, so the
+    checked values are the ones a scan reads.
     """
 
     __slots__ = ("observable", "axes", "fixed")
 
-    def __init__(
-        self,
-        observable: str,
-        axes: tuple[AxisSpec, ...] = (),
-        fixed: Mapping[str, float] = types.MappingProxyType({}),
-    ):
-        fixed = types.MappingProxyType(dict(fixed))
+    def __init__(self, observable: str, axes: tuple[AxisSpec, ...] = (),
+                 fixed: Mapping[str, float] = types.MappingProxyType({})):
+        axes, fixed = tuple(axes), types.MappingProxyType(dict(fixed))
         if observable == "exciton_table":
             raise ConfigError("observable: exciton_table is not a scan; use `fmoent table`")
         if observable not in OBSERVABLES:
             raise ConfigError(f"observable: unknown value {observable!r}")
+        for axis in axes:
+            if not isinstance(axis, AxisSpec):
+                raise ConfigError(f"axes: expected AxisSpec items, got {axis!r}")
         names = [axis.name for axis in axes]
         if len(names) > 2:
             raise ConfigError(f"axes: at most two axes may be swept, got {len(names)}")
@@ -173,15 +156,15 @@ class ScanSpec(_Record):
                 raise ConfigError(f"{key}: not a scan parameter; use one of {AXIS_NAMES}")
             if key in names:
                 raise ConfigError(f"{key}: given both as an axis and a fixed value")
+            if not _is_real(value):
+                raise ConfigError(f"{key}: expected a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: expected a finite number, got {value}")
         if "n" in fixed and not float(fixed["n"]).is_integer():
             raise ConfigError(f"n: must be an integer, got {fixed['n']}")
         total = math.prod(axis.steps for axis in axes)
         if total > MAX_GRID_ROWS:
-            raise ConfigError(
-                f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}"
-            )
+            raise ConfigError(f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}")
         object.__setattr__(self, "observable", observable)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "fixed", fixed)
@@ -224,8 +207,7 @@ def _parse_axis(key: str, text: str) -> AxisSpec:
     if len(parts) != 4:
         raise ConfigError(f"{key}: expected 'name:min:max:steps', got {text!r}")
     try:
-        start = float(parts[1])
-        stop = float(parts[2])
+        start, stop = float(parts[1]), float(parts[2])
     except ValueError:
         raise ConfigError(f"{key}: min/max must be numbers in {text!r}") from None
     try:
@@ -248,9 +230,7 @@ def parse_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if key not in _SCAN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
@@ -332,12 +312,8 @@ _OBSERVABLE_TABLE = {
         ("e_reservoir",), _RES + ("n",),
         lambda u, p: (w_mixture_entanglement(damping(u), p["n"]),), _R_ENT,
     ),
-    "q_closed": _Observable(
-        ("q",), _RES + ("b",), lambda u, p: (meyer_wallach_closed(*_ab(p), u),), _R_ENT
-    ),
-    "q_numeric": _Observable(
-        ("q",), _RES + ("b",), lambda u, p: (meyer_wallach_register(*_ab(p), u),), _R_ENT
-    ),
+    "q_closed": _Observable(("q",), _RES + ("b",), lambda u, p: (meyer_wallach_closed(*_ab(p), u),), _R_ENT),
+    "q_numeric": _Observable(("q",), _RES + ("b",), lambda u, p: (meyer_wallach_register(*_ab(p), u),), _R_ENT),
     "f_ghz_tele": _Observable(
         _FID, _RES + ("n",),
         lambda u, p: _with_damping(u, lambda d: f_ghz_teleport(d, p["n"])), _R_FID,
@@ -361,9 +337,7 @@ def _resolve_dataset(name_or_path: str):
     except ValueError:
         if Path(name_or_path).is_file():
             return load_site_energies(name_or_path)
-        raise ValueError(
-            f"dataset: {name_or_path!r} is neither a builtin name nor a readable file"
-        ) from None
+        raise ValueError(f"dataset: {name_or_path!r} is neither a builtin name nor a readable file") from None
 
 
 def _blocks(outer: int, sweep: int):
@@ -419,8 +393,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
 
 
 def emit_csv(result: ScanResult, destination=None) -> None:
-    """Write a scan result as CSV to a path, or stdout when destination is
-    None or '-'."""
+    """Write a scan result as CSV to a path, or stdout when destination is None or '-'."""
     if destination is None or destination == "-":
         _write_csv(result, sys.stdout)
     else:
@@ -451,18 +424,18 @@ def _write_csv(result: ScanResult, out) -> None:
         out.write(template % tuple(values[o, i].ravel().tolist()))
 
 
-def _run_scan_command(args: argparse.Namespace) -> int:
-    raw = {} if args.config is None else parse_config_file(args.config)
-    raw.update((key, getattr(args, key)) for key in _SCAN_KEYS if getattr(args, key) is not None)
+def _run_scan_command(args: dict) -> int:
+    raw = {} if args["config"] is None else parse_config_file(args["config"])
+    raw.update((key, args[key]) for key in _SCAN_KEYS if args[key] is not None)
     emit_csv(run_scan(build_scan_spec(raw)), raw.get("output"))
     return 0
 
 
-def _run_table_command(args: argparse.Namespace) -> int:
+def _run_table_command(args: dict) -> int:
     _need("fmo")
-    table = exciton_table(build_hamiltonian(_resolve_dataset(args.dataset)))
+    table = exciton_table(build_hamiltonian(_resolve_dataset(args["dataset"])))
     header = ["energy_cm1"] + [f"bchl{i}" for i in range(1, 8)]
-    emit_csv(ScanResult(header, np.column_stack([table.energies, table.amplitudes.T])), args.output)
+    emit_csv(ScanResult(header, np.column_stack([table.energies, table.amplitudes.T])), args["output"])
     return 0
 
 
@@ -485,8 +458,8 @@ def _check_grid(t_max: float, step: float) -> int:
     return math.floor(last) + 1
 
 
-def _run_check_command(args: argparse.Namespace) -> int:
-    size, step = _check_grid(args.t_max, args.step), args.step
+def _run_check_command(args: dict) -> int:
+    size, step = _check_grid(args["t_max"], args["step"]), args["step"]
     _need("reservoir", "ode")
     sets = [
         ReservoirParams.from_half_width(gamma0, half_width, delta)
@@ -507,7 +480,7 @@ def _run_check_command(args: argparse.Namespace) -> int:
             f"max|u_analytic - u_ode| = {error:.3e}"
         )
     worst = float(np.max(errors))
-    print(f"overall max error over t in [0, {args.t_max:g}] ps: {worst:.3e}")
+    print(f"overall max error over t in [0, {args['t_max']:g}] ps: {worst:.3e}")
     if not worst < 1e-6:
         print(
             f"fmoent: amplitude check failed (max error {worst:.3e}, not below 1e-6)",
@@ -517,52 +490,89 @@ def _run_check_command(args: argparse.Namespace) -> int:
     return 0
 
 
-# built once per process: building it takes about 1 ms, longer than a whole `table` call
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fmoent",
-        description="Exciton entanglement and fidelity dynamics of the FMO complex.",
-    )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=(
-            f"fmoent {__version__} "
-            f"(cm^-1 to rad/ps conversion: {CM1_TO_RAD_PER_PS!r})"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's help text and flags, flag -> (default, help text); the
+# scan flags are the scan keys (`--half-width` for `half_width`).  A flag
+# with a float default reads its value with float(), any other as text.
+_COMMANDS = {
+    "scan": ("evaluate an observable over a parameter grid", {
+        "--config": (None, "key = value configuration file; flags win on conflict"),
+        **{"--" + key.replace("_", "-"): (None, text) for key, text in _SCAN_KEYS.items()},
+        "--observable": (None, f"{_SCAN_KEYS['observable']}: {', '.join(OBSERVABLES)}"),  # listing the choices
+    }),
+    "table": ("print the exciton energy/amplitude table", {
+        "--dataset": ("reng", "reng (default), lorenExpt, wend or a site-energy file"),
+        "--output": (None, "CSV destination path, '-' for stdout"),
+    }),
+    "check": ("compare the closed-form amplitude against the ODE integrator",
+              {"--t-max": (2.0, "time horizon (ps)"), "--step": (1e-4, "integration step (ps)")}),
+}
 
-    # flags only by their full names: a flag added later could make an accepted prefix ambiguous
-    scan = sub.add_parser("scan", allow_abbrev=False, help="evaluate an observable over a parameter grid")
-    scan.add_argument("--config", help="key = value configuration file; flags win on conflict")
-    for key, text in _SCAN_KEYS.items():
-        choices = OBSERVABLES if key == "observable" else None
-        scan.add_argument("--" + key.replace("_", "-"), choices=choices, help=text)
 
-    table = sub.add_parser("table", allow_abbrev=False, help="print the exciton energy/amplitude table")
-    table.add_argument("--dataset", default="reng", help="reng (default), lorenExpt, wend or a site-energy file")
-    table.add_argument("--output", help="CSV destination path, '-' for stdout")
+def _help(command: str | None) -> str:
+    """The usage line, then the flags of ``command`` (of every subcommand at the top level) with their help text."""
+    rows = ["  -h, --help\n      print this help and exit"]
+    if command is None:
+        usage, names = "usage: fmoent [-h] [--version] {scan,table,check} ...", list(_COMMANDS)
+        rows.append("  --version\n      print the version and exit")
+    else:
+        usage = " ".join([f"usage: fmoent {command} [-h]", *(f"[{f} {f[2:].upper()}]" for f in _COMMANDS[command][1])])
+        names = [command]
+    for name in names:
+        about, flags = _COMMANDS[name]
+        rows += ["", f"fmoent {name}: {about}", *(f"  {f} {f[2:].upper()}\n      {h}" for f, (_, h) in flags.items())]
+    return "\n".join([usage, "", *rows])
 
-    check = sub.add_parser(
-        "check", allow_abbrev=False, help="compare the closed-form amplitude against the ODE integrator"
-    )
-    check.add_argument("--t-max", type=float, default=2.0, help="time horizon (ps)")
-    check.add_argument("--step", type=float, default=1e-4, help="integration step (ps)")
-    # argparse's own pattern has no exponent, infinity, NaN or underscore
-    # between digits, so it took "-1e3", "-inf" and "-1_000" for flags
-    digits = r"\d(_?\d)*"
-    scan._negative_number_matcher = check._negative_number_matcher = re.compile(
-        rf"^-(({digits}(\.({digits})?)?|\.{digits})(e[-+]?{digits})?|inf|infinity|nan)$", re.IGNORECASE
-    )
-    return parser
+
+def _usage_error(command: str | None, message: str):
+    prog = " ".join(filter(None, ("fmoent", command)))
+    print(_help(command).partition("\n")[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and each of its flags' value by key (the default if not given); a usage error exits 2.
+
+    A flag is read by its full name only, as ``--name value`` or ``--name=value``:
+    the token after a flag is always its value, so ``--delta -1e3`` reads -1e3.
+    """
+    command, *rest = argv or [None]
+    if command in ("-h", "--help", "--version"):
+        print(_help(None) if command != "--version" else
+              f"fmoent {__version__} (cm^-1 to rad/ps conversion: {CM1_TO_RAD_PER_PS!r})")
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        _usage_error(None, "the following arguments are required: command" if command is None else
+                     f"argument command: invalid choice: {command!r} (choose from 'scan', 'table', 'check')")
+    flags = _COMMANDS[command][1]
+    args, unknown, tokens = {flag: default for flag, (default, _) in flags.items()}, [], iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(0)
+        flag, joined, value = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        if not joined and (value := next(tokens, None)) is None:
+            _usage_error(command, f"argument {flag}: expected one argument")
+        if isinstance(flags[flag][0], float):
+            try:
+                value = float(value)
+            except ValueError:
+                _usage_error(command, f"argument {flag}: invalid float value: {value!r}")
+        elif flag == "--observable" and value not in OBSERVABLES:
+            choices = ", ".join(map(repr, OBSERVABLES))
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        args[flag] = value
+    if unknown:
+        _usage_error(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, {flag[2:].replace("-", "_"): value for flag, value in args.items()}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    run = {"scan": _run_scan_command, "table": _run_table_command, "check": _run_check_command}[args.command]
     try:
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        run = {"scan": _run_scan_command, "table": _run_table_command, "check": _run_check_command}[command]
         code = run(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
         return code

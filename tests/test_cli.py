@@ -4,6 +4,7 @@ import math
 import operator
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -506,6 +507,39 @@ class TestRunScan:
             cli.main(["scan", "--observable", "exciton_table"])
         assert usage.value.code == 2
 
+    def test_axes_cannot_change_after_the_spec_is_checked(self):
+        # a list once stayed the caller's: appending after the checks gave a 3-axis scan
+        fixed = {"gamma0": 1000.0, "half_width": 40.0}
+        axes = [AxisSpec("t", 0.0, 1.0, 3), AxisSpec("delta", 0.0, 1.0, 2)]
+        spec = ScanSpec("delta_p", axes, fixed)
+        axes.append(AxisSpec("b", 0.0, 1.0, 2))
+        assert spec.axes == (AxisSpec("t", 0.0, 1.0, 3), AxisSpec("delta", 0.0, 1.0, 2))
+        assert run_scan(spec).header == ["t_ps", "delta_cm1", "delta_p"]
+
+    @pytest.mark.parametrize("axis", ["t:0:1:3", ("t", 0.0, 1.0, 3), None])
+    def test_an_axis_that_is_not_an_axis_spec_is_refused(self, axis):
+        with pytest.raises(ConfigError, match=r"^axes: expected AxisSpec items, got "):
+            ScanSpec("delta_p", (axis,), {"gamma0": 1000.0, "half_width": 40.0})
+
+    @pytest.mark.parametrize("value", ["0", True, np.bool_(False), 1j, 0.5 + 0j, None])
+    def test_axis_bounds_must_be_real_numbers(self, value):
+        # "0" once raised TypeError from math.isfinite, and True built a grid of 1.0s
+        for start, stop in ((value, 1.0), (0.0, value)):
+            shown = re.escape(f"got {start!r} and {stop!r}")
+            with pytest.raises(ConfigError, match=rf"^axis t: min and max must be real numbers, {shown}$"):
+                AxisSpec("t", start, stop, 3)
+
+    @pytest.mark.parametrize("value", ["0.5", True, np.bool_(True), 1j, None])
+    def test_fixed_values_must_be_real_numbers(self, value):
+        with pytest.raises(ConfigError, match=rf"^t: expected a real number, got {re.escape(repr(value))}$"):
+            ScanSpec("delta_p", fixed={"gamma0": 1000.0, "half_width": 40.0, "t": value})
+
+    @pytest.mark.parametrize("value", [1, 0.5, np.float32(0.5), np.int64(1), np.float64(0.25)])
+    def test_real_numbers_of_any_type_are_read(self, value):
+        fixed = {"gamma0": 1000.0, "half_width": 40.0, "t": value}
+        assert run_scan(ScanSpec("delta_p", fixed=fixed)).values.shape == (1, 1)
+        assert AxisSpec("t", value, 2.0, 3).values()[0] == value
+
 
 class TestCsvEmission:
     def test_scalar_scan_emits_two_lines(self, capsys):
@@ -809,7 +843,6 @@ class TestMainEntrypoint:
         assert capsys.readouterr().out.startswith("fmoent ")
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == first
-        assert cli._build_parser() is cli._build_parser()
 
     def test_a_reader_that_closes_the_pipe_gets_no_message(self):
         # a 200,000-row scan read for one line printed "fmoent: [Errno 32] Broken pipe"
@@ -1047,6 +1080,76 @@ class TestMainEntrypoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"fmoent: error: unrecognized arguments: {given}\n")
+
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (["scan", "--observable", "delta_p", "--gam", "1000"], "fmoent: error: unrecognized arguments: --gam 1000"),
+            (["scan", "--t", "0.5", "stray"], "fmoent: error: unrecognized arguments: stray"),
+            (["scan", "--gam=1000"], "fmoent: error: unrecognized arguments: --gam=1000"),
+            (["scan", "--gamma0"], "fmoent scan: error: argument --gamma0: expected one argument"),
+            (["scan", "--observable", "nope"], "fmoent scan: error: argument --observable: invalid choice: 'nope' "
+             f"(choose from {', '.join(map(repr, cli.OBSERVABLES))})"),
+            (["scan", "--observable=exciton_table"], "fmoent scan: error: argument --observable: invalid choice: "
+             f"'exciton_table' (choose from {', '.join(map(repr, cli.OBSERVABLES))})"),
+            (["table", "--data", "wend"], "fmoent: error: unrecognized arguments: --data wend"),
+            (["table", "--dataset"], "fmoent table: error: argument --dataset: expected one argument"),
+            (["table", "--output"], "fmoent table: error: argument --output: expected one argument"),
+            (["check", "--t-m", "0.01"], "fmoent: error: unrecognized arguments: --t-m 0.01"),
+            (["check", "--step", "1e-3", "2"], "fmoent: error: unrecognized arguments: 2"),
+            (["check", "--step"], "fmoent check: error: argument --step: expected one argument"),
+            (["check", "--t-max", "abc"], "fmoent check: error: argument --t-max: invalid float value: 'abc'"),
+            (["check", "--step=1e-4x"], "fmoent check: error: argument --step: invalid float value: '1e-4x'"),
+            ([], "fmoent: error: the following arguments are required: command"),
+            (["bogus"], "fmoent: error: argument command: invalid choice: 'bogus' (choose from 'scan', 'table', 'check')"),
+        ],
+        ids=[
+            "scan-unknown", "scan-stray", "scan-unknown-joined", "scan-no-value", "scan-observable",
+            "scan-not-a-scan", "table-prefix", "table-no-dataset", "table-no-output", "check-prefix",
+            "check-stray", "check-no-value", "check-not-a-float", "check-not-a-float-joined", "no-command",
+            "unknown-command",
+        ],
+    )
+    def test_usage_errors_exit_2_with_one_message(self, argv, last, capsys):
+        with pytest.raises(SystemExit) as usage:
+            cli.main(argv)
+        assert usage.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: fmoent")
+        assert captured.err.splitlines()[-1] == last
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("scan", ["--config", *("--" + key.replace("_", "-") for key in cli._SCAN_KEYS)]),
+            ("table", ["--dataset", "--output"]),
+            ("check", ["--t-max", "--step"]),
+            (None, ["--version", "scan", "table", "check"]),
+        ],
+        ids=["scan", "table", "check", "top-level"],
+    )
+    @pytest.mark.parametrize("help_flag", ["--help", "-h"])
+    def test_help_names_every_flag(self, command, flags, help_flag, capsys):
+        with pytest.raises(SystemExit) as done:
+            # after a subcommand, help is read wherever a flag may stand
+            cli.main([help_flag] if command is None else [command, *(["--t", "0.5"] if command == "scan" else []), help_flag])
+        assert done.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: fmoent")
+        for flag in ["-h", "--help", *flags]:
+            assert flag in captured.out, flag
+
+    def test_top_level_help_lists_every_subcommands_flags_with_their_help(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        for command, (about, flags) in cli._COMMANDS.items():
+            assert f"fmoent {command}: {about}" in out
+            for flag, (_, text) in flags.items():
+                assert f"  {flag} {flag[2:].upper()}\n      {text}\n" in out + "\n", flag
 
     @pytest.mark.parametrize(
         "flags, message",
