@@ -69,8 +69,8 @@ class _Record:
     class and their fields are equal (an array compared with
     ``numpy.array_equal``, a tuple element by element), a record hashes as
     the tuple of its fields, and pickling or copying calls the constructor
-    again, so the copy is checked too.  A plain class costs nothing at
-    import, where a generated one compiles its methods.
+    again, by keyword, so the copy is checked too.  A plain class costs
+    nothing at import, where a generated one compiles its methods.
     """
 
     __slots__ = ()
@@ -98,8 +98,14 @@ class _Record:
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled or copied: the constructor gets a dict
-        args = (dict(f) if isinstance(f, types.MappingProxyType) else f for f in self._fields())
-        return type(self), tuple(args)
+        fields = {name: dict(f) if isinstance(f, types.MappingProxyType) else f
+                  for name, f in zip(self.__slots__, self._fields())}
+        return _rebuild, (type(self), fields)
+
+
+def _rebuild(cls, fields: dict):
+    """A pickled or copied record, built again by its constructor: its parameters are its slot names."""
+    return cls(**fields)
 
 
 def _same(x, y) -> bool:
@@ -113,3 +119,11 @@ def _same(x, y) -> bool:
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.array_equal(x, y)
     return bool(x == y)
+
+
+def _real(x):
+    """``x`` as an array, and as floats, NaN where not a real number (a bool, a string, an int beyond 64 bits)."""
+    import numpy as np  # loaded already: its callers, reservoir and cli, import numpy
+
+    x = np.asarray(x)
+    return x, (np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else np.full(x.shape, np.nan))

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _PUBLIC, CM1_TO_RAD_PER_PS, _Record, __version__
+from . import _PUBLIC, CM1_TO_RAD_PER_PS, _real, _Record, __version__
 
 __all__ = ["ConfigError", "AxisSpec", "ScanSpec", "ScanResult", "load_config", "run_scan", "emit_csv", "main"]
 
@@ -91,9 +91,11 @@ class ConfigError(ValueError):
     """Raised for malformed scan configurations."""
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number: a Python or numpy int or float, not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _real_number(value) -> float | None:
+    """``value`` as a float if ``_real`` reads it as one real number, a float NaN or inf included, else None."""
+    given, real = _real(value)
+    one = not (isinstance(value, np.ndarray) or given.ndim)
+    return float(real) if one and (given.dtype.kind == "f" or not np.isnan(real)) else None
 
 
 class AxisSpec(_Record):
@@ -104,9 +106,10 @@ class AxisSpec(_Record):
     def __init__(self, name: str, start: float, stop: float, steps: int):
         if name not in AXIS_NAMES:
             raise ConfigError(f"axis {name!r}: unknown axis name; use one of {AXIS_NAMES}")
-        if not (_is_real(start) and _is_real(stop)):
+        low, high = _real_number(start), _real_number(stop)
+        if low is None or high is None:
             raise ConfigError(f"axis {name}: min and max must be real numbers, got {start!r} and {stop!r}")
-        if not (math.isfinite(start) and math.isfinite(stop)):
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ConfigError(f"axis {name}: min and max must be finite, got {start} and {stop}")
         if not isinstance(steps, (int, np.integer)):
             raise ConfigError(f"axis {name}: steps must be an integer, got {steps}")
@@ -156,9 +159,9 @@ class ScanSpec(_Record):
                 raise ConfigError(f"{key}: not a scan parameter; use one of {AXIS_NAMES}")
             if key in names:
                 raise ConfigError(f"{key}: given both as an axis and a fixed value")
-            if not _is_real(value):
+            if (number := _real_number(value)) is None:
                 raise ConfigError(f"{key}: expected a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not math.isfinite(number):
                 raise ConfigError(f"{key}: expected a finite number, got {value}")
         if "n" in fixed and not float(fixed["n"]).is_integer():
             raise ConfigError(f"n: must be an integer, got {fixed['n']}")
@@ -382,7 +385,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         axes = (outer[o, None], inner[None, i])[2 - len(grids) :]
         p = {**base, **dict(zip(axis_names, axes))}
         if varies or i != last:
-            reservoir = ReservoirParams.from_half_width(p["gamma0"], p["half_width"], p["delta"])
+            reservoir = ReservoirParams(p["gamma0"], half_width=p["half_width"], delta=p["delta"])
             # t spans the block's distinct reservoir points, one per value of u
             t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
             t[...] = p["t"]
@@ -462,7 +465,7 @@ def _run_check_command(args: dict) -> int:
     size, step = _check_grid(args["t_max"], args["step"]), args["step"]
     _need("reservoir", "ode")
     sets = [
-        ReservoirParams.from_half_width(gamma0, half_width, delta)
+        ReservoirParams(gamma0, half_width=half_width, delta=delta)
         for gamma0 in (10.0, 1000.0)
         for half_width in (20.0, 40.0)
         for delta in (0.0, 100.0)

@@ -1,13 +1,14 @@
 """RK4 oracle for the survival amplitude u(t): the memory-kernel equation integrated numerically.
 
 An independent check of :func:`fmoent.reservoir.amplitude`.  It integrates
-the exponential-memory equation whose exact solution ``amplitude`` evaluates
-in closed form, and never uses that closed form or the eigenvalues of the
-system; it imports no fmoent module but the package, so it cannot reach the
-code it checks.  A reservoir is anything with one-element ``gamma0``,
-``delta_omega`` and ``delta`` attributes (cm^-1), such as a scalar
-:class:`fmoent.reservoir.ReservoirParams`.  Only ``fmoent check`` loads this
-module, so a scan never compiles it.
+the exponential-memory equation (kernel prefactor gamma0*lambda/2, decay
+rate B = lambda - i*delta, half width lambda = ``half_width``) whose exact
+solution ``amplitude`` evaluates in closed form, and never uses that closed
+form or the eigenvalues of the system; it imports no fmoent module but the
+package, so it cannot reach the code it checks.  A reservoir is anything
+with one-element ``gamma0``, ``half_width`` and ``delta`` attributes
+(cm^-1), such as a scalar :class:`fmoent.reservoir.ReservoirParams`.  Only
+``fmoent check`` loads this module, so a scan never compiles it.
 """
 
 from __future__ import annotations
@@ -77,12 +78,12 @@ def amplitude_ode_blocks(sets, size: int, points, *, max_step: float = 1e-4):
     # [C, B] of each reservoir's system, one (2, 1) column per reservoir
     rates = np.empty((2, len(sets), 1), dtype=complex)
     for i, p in enumerate(sets):
-        for name in ("gamma0", "delta_omega", "delta"):
+        for name in ("gamma0", "half_width", "delta"):
             shape = np.shape(getattr(p, name))
             if np.prod(shape) != 1:
                 raise ValueError(f"the RK4 oracle integrates one reservoir per set, got {name} of shape {shape}")
-        rates[0, i] = (p.gamma0 * k) * (p.delta_omega * k) / 4.0
-        rates[1, i] = (p.delta_omega / 2.0 - 1j * p.delta) * k
+        rates[0, i] = (p.gamma0 * k) * (2.0 * p.half_width * k) / 4.0
+        rates[1, i] = (p.half_width - 1j * p.delta) * k
     # time, and each reservoir's state [u - 1, z], at the end of the previous block
     t_in, states = 0.0, [np.zeros(2, dtype=complex)] * len(sets)
     for lo in range(0, size, _ORACLE_BLOCK):
@@ -157,7 +158,7 @@ def amplitude_ode_oracle(
     """Integrate the memory-kernel equation for u(t) numerically.
 
     The convolution with the exponential kernel ``C * exp(-B*(t - s))``,
-    ``C = gamma0*delta_omega/4``, is rewritten as the local linear system
+    ``C = gamma0*lambda/2``, is rewritten as the local linear system
 
         du/dt = -C*z,    dz/dt = u - B*z,    u(0) = 1, z(0) = 0,
 

@@ -1,18 +1,18 @@
 """Lorentzian phonon reservoir and the excited-state survival amplitude u(t).
 
 An excitonic two-level qubit coupled to a reservoir with Lorentzian spectral
-density (strength ``gamma0``, full width ``delta_omega``, peak detuning
-``delta``, all cm^-1) decays with a survival amplitude
+density (strength ``gamma0``, half width lambda = ``half_width``, peak
+detuning ``delta``, all cm^-1) decays with a survival amplitude
 
     u(t) = exp(-B t / 2) * [cosh(xi t / 2) + (B / xi) sinh(xi t / 2)],
-    B = delta_omega/2 - i*delta,   xi = sqrt(B^2 - gamma0*delta_omega),
+    B = lambda - i*delta,   xi = sqrt(B^2 - 2*gamma0*lambda),
 
 the exact solution of the exponential-memory integro-differential equation
-with kernel prefactor ``gamma0*delta_omega/4`` and u(0) = 1.  All cm^-1
+with kernel prefactor ``gamma0*lambda/2`` and u(0) = 1.  All cm^-1
 rates are converted to angular frequencies (rad/ps) before evaluation so
 that times are in picoseconds.
 
-The broad-reservoir limit (``delta_omega >> gamma0``) gives memoryless
+The broad-reservoir limit (``half_width >> gamma0``) gives memoryless
 exponential decay; the opposite regime gives oscillatory decay where |u|
 crosses zero and revives.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _PUBLIC, CM1_TO_RAD_PER_PS, _Record
+from . import _PUBLIC, CM1_TO_RAD_PER_PS, _real, _Record
 
 __all__ = _PUBLIC["reservoir"]
 
@@ -43,21 +43,21 @@ class ReservoirParams(_Record):
     """Lorentzian reservoir triple (cm^-1), scalars or broadcastable arrays.
 
     ``gamma0`` sets the exciton relaxation scale (relaxation time 1/gamma0),
-    ``delta_omega`` is the full width at half maximum (reservoir correlation
-    time 2/delta_omega), ``delta`` detunes the Lorentzian peak from the
-    exciton transition frequency; every computed observable depends on the
-    detuning alone, not on the transition frequency itself.  Each field
-    must be real (not a bool or a string) and finite, and ``gamma0`` and
-    ``delta_omega`` positive; anything else is refused with a ValueError
-    naming the field and the value as given.  A scalar field is kept as
-    given, an array field as a read-only copy, so the checked values are the
-    ones ``amplitude`` reads.
+    ``half_width`` is the Lorentzian's half width at half maximum (reservoir
+    correlation time 1/half_width), ``delta`` detunes the Lorentzian peak
+    from the exciton transition frequency; every computed observable depends
+    on the detuning alone, not on the transition frequency itself.
+    ``half_width`` and ``delta`` are keyword-only.  Each field must be real
+    (not a bool or a string) and finite, and ``gamma0`` and ``half_width``
+    positive; anything else is refused with a ValueError naming the field and
+    the value as given.  A scalar field is kept as given, an array field as a
+    read-only copy, so the checked values are the ones ``amplitude`` reads.
     """
 
-    __slots__ = ("gamma0", "delta_omega", "delta")
+    __slots__ = ("gamma0", "half_width", "delta")
 
-    def __init__(self, gamma0: float, delta_omega: float, delta: float = 0.0):
-        for name, field in (("gamma0", gamma0), ("delta_omega", delta_omega), ("delta", delta)):
+    def __init__(self, gamma0: float, *, half_width: float, delta: float = 0.0):
+        for name, field in (("gamma0", gamma0), ("half_width", half_width), ("delta", delta)):
             if isinstance(field, np.ndarray) or np.ndim(field):
                 field = np.array(field)
                 field.setflags(write=False)
@@ -69,40 +69,27 @@ class ReservoirParams(_Record):
                 raise ValueError(f"{name} must be positive, got {_shown(given, value <= 0)}")
             object.__setattr__(self, name, field)
 
-    @classmethod
-    def from_half_width(cls, gamma0: float, half_width: float, delta: float = 0.0) -> "ReservoirParams":
-        """Build from the half width delta_omega/2 of most figure axes: positive, with 2 * half_width finite."""
-        given, value = _real(half_width)
-        with np.errstate(over="ignore"):
-            delta_omega = 2.0 * value
-        bad = ~(np.isfinite(delta_omega) & (delta_omega > 0.0))
-        if bad.any():
-            raise ValueError(f"half_width must be positive, with 2 * half_width finite, got {_shown(given, bad)}")
-        return cls(gamma0=gamma0, delta_omega=delta_omega, delta=delta)
-
-    @property
-    def half_width(self) -> float:
-        return self.delta_omega / 2.0
-
 
 def _decay_rates(params: ReservoirParams):
     """Return (B, xi) in rad/ps for the closed-form amplitude.
 
     Both are complex arrays of the parameters' broadcast shape, and of shape
-    (1,) for scalar parameters: every input takes numpy's array arithmetic,
-    so a point's rates do not depend on how its parameters were passed.
-    Rates whose squares or product overflow are refused.
+    (1,) for scalar parameters: every input takes numpy's array arithmetic in
+    doubles, as ``t`` does, so a point's rates do not depend on how its
+    parameters were passed.  Rates whose squares or product overflow are
+    refused.
     """
     k = CM1_TO_RAD_PER_PS
-    gamma0, delta_omega, delta = np.atleast_1d(params.gamma0, params.delta_omega, params.delta)
+    fields = (params.gamma0, params.half_width, params.delta)
+    gamma0, half_width, delta = (np.array(x, dtype=float, ndmin=1) for x in fields)
     # an overflow in B^2 or in the product of rates leaves disc non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        b = _mul(_sub(_div(delta_omega, 2.0), _mul(1j, delta)), k)
-        disc = _sub(_mul(b, b), _mul(_mul(gamma0, k), _mul(delta_omega, k)))
+        b = _mul(_sub(half_width, _mul(1j, delta)), k)
+        disc = _sub(_mul(b, b), _mul(_mul(gamma0, k), _mul(_mul(2.0, half_width), k)))
     if not np.all(np.isfinite(disc)):
         raise ValueError(
-            "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow "
-            "(a rate above about 7e154 cm^-1, or gamma0 * delta_omega above about 5e309 cm^-2)"
+            "gamma0, half_width and delta: the decay rates overflow "
+            "(a rate above about 7e154 cm^-1, or gamma0 * half_width above about 2.5e309 cm^-2)"
         )
     return b, np.sqrt(disc)
 
@@ -110,7 +97,7 @@ def _decay_rates(params: ReservoirParams):
 def _overflow(t) -> ValueError:
     """The refusal of a point whose decay exponent overflows at time ``t``."""
     return ValueError(
-        "t and the rates gamma0, delta_omega (twice half_width) and delta: the decay exponent "
+        "t and the rates gamma0, half_width and delta: the decay exponent "
         f"B*t/2 or xi*t/2 overflows at t = {t:.12g} ps"
     )
 
@@ -168,13 +155,7 @@ def amplitude(params: ReservoirParams, t):
             raise _overflow(tb[np.argmin(finite)])
         ratio = _div(bb, xib)
         u[big] = _mul(0.5, _add(_mul(_add(1.0, ratio), np.exp(slow)), _mul(_sub(1.0, ratio), np.exp(fast))))
-    return _maybe_scalar(u, t_in, params.gamma0, params.delta_omega, params.delta)
-
-
-def _real(x):
-    """``x`` as an array, and as floats, NaN where not a real number (a bool, a string, an int beyond 64 bits)."""
-    x = np.asarray(x)
-    return x, (np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else np.full(x.shape, np.nan))
+    return _maybe_scalar(u, t_in, params.gamma0, params.half_width, params.delta)
 
 
 def _shown(given, bad, count: bool = False) -> str:

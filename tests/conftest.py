@@ -123,8 +123,8 @@ def rk4_stepwise(params, t_grid, max_step: float = 1e-4) -> np.ndarray:
     the same steps and differ only in rounding.
     """
     k = CM1_TO_RAD_PER_PS
-    b = (params.delta_omega / 2.0 - 1j * params.delta) * k
-    c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0 + 0j
+    b = (params.half_width - 1j * params.delta) * k
+    c = (params.gamma0 * k) * (2.0 * params.half_width * k) / 4.0 + 0j
     u = 1.0 + 0.0j
     z = 0.0 + 0.0j
     t_now = 0.0
@@ -214,13 +214,12 @@ def jacobi_eigen(m, tol: float = 1e-13, max_sweeps: int = 100):
     return evals[order], vec[:, order]
 
 
-def lorentzian_density(omega, gamma0: float, delta_omega: float, peak: float):
-    """Lorentzian coupling density J(omega) (cm^-1): peak value gamma0 / 2 pi, full width delta_omega.
+def lorentzian_density(omega, gamma0: float, half: float, peak: float):
+    """Lorentzian coupling density J(omega) (cm^-1): peak value gamma0 / 2 pi, half width ``half``.
 
-    Its integral over the real line is gamma0 * delta_omega / 4, the weight
-    of the memory kernel that ``reservoir.amplitude`` solves.
+    Its integral over the real line is gamma0 * half / 2, the weight of the
+    memory kernel that ``reservoir.amplitude`` solves.
     """
-    half = delta_omega / 2.0
     return (gamma0 / (2.0 * math.pi)) * half**2 / ((peak - omega) ** 2 + half**2)
 
 

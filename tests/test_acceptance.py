@@ -65,7 +65,7 @@ def test_criterion_2_amplitude_oracle_equivalence():
     for gamma0 in (10.0, 1000.0):
         for half_width in (20.0, 40.0):
             for delta in (0.0, 100.0):
-                params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+                params = ReservoirParams(gamma0, half_width=half_width, delta=delta)
                 analytic = amplitude(params, grid)
                 integrated = amplitude_ode_oracle(params, grid, max_step=1e-4)
                 worst = max(worst, float(np.abs(analytic - integrated).max()))
@@ -76,7 +76,7 @@ def test_criterion_2_amplitude_oracle_equivalence():
 
 @criterion(3, "boundary identities: u(0)=1, p(0)=0, F(0)=1, F(1)=2/3, W floors at 2/3")
 def test_criterion_3_boundary_identities():
-    params = ReservoirParams.from_half_width(1000.0, 40.0, 0.0)
+    params = ReservoirParams(1000.0, half_width=40.0, delta=0.0)
     assert amplitude(params, 0.0) == 1.0 + 0.0j
     assert damping(amplitude(params, 0.0)) == 0.0
     for n_parties in (2, 4, 16, 64):
@@ -142,7 +142,7 @@ def test_criterion_6_meyer_wallach_anchors():
 def test_criterion_7_revival_property():
     grid = np.linspace(0.0, 1.0, 2001)
 
-    revival = ReservoirParams.from_half_width(1000.0, 40.0, 0.0)
+    revival = ReservoirParams(1000.0, half_width=40.0, delta=0.0)
     survival = np.abs(amplitude(revival, grid)) ** 2
     steps = np.diff(survival)
     assert np.any(steps > 1e-9), "survival probability should not be monotone"
@@ -156,7 +156,7 @@ def test_criterion_7_revival_property():
     i = deep[0]
     assert survival[i + 1 :].max() > survival[i], "expected a rise after the minimum"
 
-    markovian = ReservoirParams.from_half_width(10.0, 40.0, 0.0)
+    markovian = ReservoirParams(10.0, half_width=40.0, delta=0.0)
     survival = np.abs(amplitude(markovian, grid)) ** 2
     assert np.all(np.diff(survival) <= 1e-12), "expected monotone non-increasing decay"
 
@@ -167,7 +167,7 @@ def test_criterion_8_density_matrix_sanity():
     time_grid = np.linspace(0.0, 1.0, 25)
     for gamma0 in (10.0, 500.0, 1000.0, 2000.0):
         for delta in (0.0, 100.0):
-            params = ReservoirParams.from_half_width(gamma0, 40.0, delta)
+            params = ReservoirParams(gamma0, half_width=40.0, delta=delta)
             for t in time_grid:
                 u = amplitude(params, t)
                 for rho in (
@@ -176,7 +176,7 @@ def test_criterion_8_density_matrix_sanity():
                 ):
                     _assert_density(rho)
                     produced += 1
-    params = ReservoirParams.from_half_width(800.0, 40.0, 0.0)
+    params = ReservoirParams(800.0, half_width=40.0, delta=0.0)
     amplitudes = amplitude(params, np.linspace(0.0, 1.0, 30))
     for b in np.linspace(0.0, 1.0, 21):
         a = math.sqrt(1.0 - b * b)

@@ -38,7 +38,7 @@ def register_q(b: float, u: complex):
 @pytest.mark.parametrize("grid", Q_NUMERIC_GRIDS.values(), ids=Q_NUMERIC_GRIDS)
 def test_register_closed_form_over_the_benchmark_grids(grid):
     b = np.linspace(0.0, 1.0, 21)[:, None]
-    params = ReservoirParams.from_half_width(grid["gamma0"], grid["half_width"])
+    params = ReservoirParams(grid["gamma0"], half_width=grid["half_width"])
     u = amplitude(params, np.linspace(0.0, grid["t_max"], 101))[None, :]
     closed = meyer_wallach_register(np.sqrt(1.0 - b * b), b, u)
     worst_abs = worst_rel = mpmath.mpf(0)
@@ -54,17 +54,17 @@ def test_register_closed_form_over_the_benchmark_grids(grid):
     assert worst_rel <= 2e-15
 
 
-def closed_form_u(gamma0: float, delta_omega: float, t: float):
+def closed_form_u(gamma0: float, half_width: float, t: float):
     """exp(-B t/2) [cosh(xi t/2) + (B/xi) sinh(xi t/2)] at delta = 0, in mpmath at 50 digits."""
     with mpmath.workdps(50):
         k = mpmath.mpf(CM1_TO_RAD_PER_PS)
-        b = mpmath.mpf(delta_omega) / 2 * k
-        xi = mpmath.sqrt(mpmath.mpc(b * b - (mpmath.mpf(gamma0) * k) * (mpmath.mpf(delta_omega) * k)))
+        b = mpmath.mpf(half_width) * k
+        xi = mpmath.sqrt(mpmath.mpc(b * b - 2 * (mpmath.mpf(gamma0) * k) * (mpmath.mpf(half_width) * k)))
         x = xi * mpmath.mpf(t) / 2
         return mpmath.exp(-b * mpmath.mpf(t) / 2) * (mpmath.cosh(x) + b / xi * mpmath.sinh(x))
 
 
-# (gamma0, half width, t_max, bound): R = 4 gamma0 / delta_omega is 50 and
+# (gamma0, half width, t_max, bound): R = 2 gamma0 / half_width is 50 and
 # 1.25; the bounds are the measured worst relative errors, 3.27e-14 and
 # 1.14e-13, with a small margin
 REVIVAL_PEAKS = {"R=50": (1000.0, 40.0, 60.0, 4e-14), "R=1.25": (25.0, 40.0, 167.0, 1.3e-13)}
@@ -73,17 +73,16 @@ REVIVAL_PEAKS = {"R=50": (1000.0, 40.0, 60.0, 4e-14), "R=1.25": (25.0, 40.0, 167
 @pytest.mark.parametrize("case", REVIVAL_PEAKS.values(), ids=REVIVAL_PEAKS)
 def test_amplitude_at_the_revival_peaks(case):
     # at delta = 0, u(t_k) = (-1)^k exp(-k pi / sqrt(R - 1)) at t_k = 2 pi k / omega,
-    # omega = K sqrt(gamma0 delta_omega - delta_omega^2 / 4): a long-time
+    # omega = K sqrt(2 gamma0 half_width - half_width^2): a long-time
     # guard, far past check's 2 ps, against the closed form at the same doubles
     gamma0, half_width, t_max, bound = case
-    delta_omega = 2.0 * half_width
-    omega = CM1_TO_RAD_PER_PS * math.sqrt(gamma0 * delta_omega - delta_omega**2 / 4.0)
+    omega = CM1_TO_RAD_PER_PS * math.sqrt(2.0 * gamma0 * half_width - half_width**2)
     t = 2.0 * math.pi * np.arange(1, int(t_max * omega / (2.0 * math.pi)) + 1) / omega
-    u = amplitude(ReservoirParams.from_half_width(gamma0, half_width), t)
-    decrement = math.pi / math.sqrt(4.0 * gamma0 / delta_omega - 1.0)
+    u = amplitude(ReservoirParams(gamma0, half_width=half_width), t)
+    decrement = math.pi / math.sqrt(2.0 * gamma0 / half_width - 1.0)
     worst = 0.0
     for k, (t_k, u_k) in enumerate(zip(t.tolist(), u.tolist()), start=1):
-        exact = closed_form_u(gamma0, delta_omega, t_k)
+        exact = closed_form_u(gamma0, half_width, t_k)
         with mpmath.workdps(50):
             assert abs(exact / ((-1) ** k * mpmath.exp(-k * mpmath.mpf(decrement))) - 1) < 1e-9
             worst = max(worst, float(abs(mpmath.mpc(u_k) - exact) / abs(exact)))

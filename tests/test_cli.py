@@ -36,7 +36,7 @@ from conftest import write_csv_reference
 
 def scalar_route(observable, point):
     """One grid point through the library's scalar functions, one call each."""
-    res = ReservoirParams.from_half_width(point["gamma0"], point["half_width"], point["delta"])
+    res = ReservoirParams(point["gamma0"], half_width=point["half_width"], delta=point["delta"])
     t, n = point["t"], int(point["n"])
     if observable == "delta_p":
         return [population_difference(amplitude(res, t))]
@@ -382,7 +382,7 @@ class TestRunScan:
                     return result.rows[:, names.index(name)]
                 return np.full(len(result.rows), _FIXED[name])
 
-            reservoir = ReservoirParams.from_half_width(column("gamma0"), column("half_width"), column("delta"))
+            reservoir = ReservoirParams(column("gamma0"), half_width=column("half_width"), delta=column("delta"))
             assert np.array_equal(result.rows[:, len(axes)], library(amplitude(reservoir, column("t"))))
 
     @pytest.mark.parametrize("observable", cli.OBSERVABLES)
@@ -521,15 +521,16 @@ class TestRunScan:
         with pytest.raises(ConfigError, match=r"^axes: expected AxisSpec items, got "):
             ScanSpec("delta_p", (axis,), {"gamma0": 1000.0, "half_width": 40.0})
 
-    @pytest.mark.parametrize("value", ["0", True, np.bool_(False), 1j, 0.5 + 0j, None])
+    @pytest.mark.parametrize("value", ["0", True, np.bool_(False), 1j, 0.5 + 0j, None, 10**400])
     def test_axis_bounds_must_be_real_numbers(self, value):
-        # "0" once raised TypeError from math.isfinite, and True built a grid of 1.0s
+        # "0" once raised TypeError from math.isfinite, True built a grid of 1.0s,
+        # and 10**400 raised OverflowError: an int beyond 64 bits is not read as a number
         for start, stop in ((value, 1.0), (0.0, value)):
             shown = re.escape(f"got {start!r} and {stop!r}")
             with pytest.raises(ConfigError, match=rf"^axis t: min and max must be real numbers, {shown}$"):
                 AxisSpec("t", start, stop, 3)
 
-    @pytest.mark.parametrize("value", ["0.5", True, np.bool_(True), 1j, None])
+    @pytest.mark.parametrize("value", ["0.5", True, np.bool_(True), 1j, None, 10**400])
     def test_fixed_values_must_be_real_numbers(self, value):
         with pytest.raises(ConfigError, match=rf"^t: expected a real number, got {re.escape(repr(value))}$"):
             ScanSpec("delta_p", fixed={"gamma0": 1000.0, "half_width": 40.0, "t": value})
@@ -1176,22 +1177,26 @@ class TestMainEntrypoint:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "gamma0, delta_omega (twice half_width) and delta: the decay rates overflow" in captured.err
+        assert "gamma0, half_width and delta: the decay rates overflow" in captured.err
 
     @pytest.mark.parametrize(
-        "value, shown",
-        [("1e308", "1e+308"), ("-1e308", "-1e+308"), ("-5", "-5.0")],
+        "value, refusal",
+        [
+            ("1e308", "gamma0, half_width and delta: the decay rates overflow "
+                      "(a rate above about 7e154 cm^-1, or gamma0 * half_width above about 2.5e309 cm^-2)"),
+            ("-1e308", "half_width must be positive, got -1e+308"),
+            ("-5", "half_width must be positive, got -5.0"),
+        ],
         ids=["overflow", "negative-overflow", "negative"],
     )
-    def test_bad_half_width_refused_as_given(self, value, shown, capsys):
+    def test_bad_half_width_refused_as_given(self, value, refusal, capsys):
         # 1e308 once printed "RuntimeWarning: overflow encountered in multiply",
         # and -5 was refused as "delta_omega must be positive, got -10.0"
         argv = ["scan", "--observable", "delta_p", "--t", "0.5", "--gamma0", "1000", f"--half-width={value}"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1
-        message = f"fmoent: half_width must be positive, with 2 * half_width finite, got {shown}\n"
-        assert capsys.readouterr() == ("", message)
+        assert capsys.readouterr() == ("", f"fmoent: {refusal}\n")
 
     @pytest.mark.parametrize("observable", cli.OBSERVABLES)
     @pytest.mark.parametrize("flag", ["--half-width", "--delta"])
@@ -1207,7 +1212,7 @@ class TestMainEntrypoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "fmoent: t and the rates gamma0, delta_omega (twice half_width) and delta: the decay "
+            "fmoent: t and the rates gamma0, half_width and delta: the decay "
             "exponent B*t/2 or xi*t/2 overflows at t = 1e+200 ps\n"
         )
 
@@ -1221,7 +1226,7 @@ class TestMainEntrypoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "fmoent: t and the rates gamma0, delta_omega (twice half_width) and delta: the decay "
+            "fmoent: t and the rates gamma0, half_width and delta: the decay "
             "exponent B*t/2 or xi*t/2 overflows at t = 3e+306 ps\n"
         )
 
@@ -1427,7 +1432,7 @@ class TestMainEntrypoint:
     @pytest.mark.parametrize("gamma0, half_width", [(10.0, 20.0), (10.0, 40.0), (1000.0, 20.0), (1000.0, 40.0)])
     def test_check_blocks_give_the_values_of_small_calls(self, gamma0, half_width):
         # check compares in blocks: they give the values of 1,000-point calls
-        params = ReservoirParams.from_half_width(gamma0, half_width, 100.0)
+        params = ReservoirParams(gamma0, half_width=half_width, delta=100.0)
         grid = np.arange(0.0, 2.0 + 1e-4 / 2.0, 1e-4)
 
         def blocked(size):

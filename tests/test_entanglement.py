@@ -293,7 +293,7 @@ class TestXState:
             assert np.abs(rho - rho.conj().T).max() < 1e-15
 
     def test_x_form_preserved_under_evolution(self):
-        res = ReservoirParams.from_half_width(900.0, 40.0, 60.0)
+        res = ReservoirParams(900.0, half_width=40.0, delta=60.0)
         x_zeros = [
             (0, 1), (0, 2), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2),
         ]
@@ -528,7 +528,7 @@ class TestMeyerWallachRegister:
 
 class TestDensityMatrixSanity:
     def test_w_state_outputs_are_densities(self):
-        res = ReservoirParams.from_half_width(1200.0, 30.0, 50.0)
+        res = ReservoirParams(1200.0, half_width=30.0, delta=50.0)
         for t in np.linspace(0.0, 1.0, 9):
             u = amplitude(res, t)
             for rho in (dense.w_mixture_rho(survival(u), 4), dense.w_mixture_rho(damping(u), 4)):

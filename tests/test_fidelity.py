@@ -139,7 +139,7 @@ class TestFidelityVsTime:
     """Time traces f(p(t)) with p(t) = damping(amplitude(params, t)), as the scan observables compose them."""
 
     def test_starts_at_unity(self):
-        res = ReservoirParams.from_half_width(1000.0, 40.0, 0.0)
+        res = ReservoirParams(1000.0, half_width=40.0, delta=0.0)
         grid = np.linspace(0.0, 0.5, 21)
         p_damp = damping(amplitude(res, grid))
         assert p_damp[0] == 0.0
@@ -154,7 +154,7 @@ class TestFidelityVsTime:
             assert curve[0] == 1.0
 
     def test_w_teleport_revivals_touch_classical_floor(self):
-        res = ReservoirParams.from_half_width(1500.0, 40.0, 0.0)
+        res = ReservoirParams(1500.0, half_width=40.0, delta=0.0)
         grid = np.linspace(0.0, 1.0, 801)
         curve = fid.f_w_teleport(damping(amplitude(res, grid)))
         assert np.all(curve >= TWO_THIRDS - 1e-15)
@@ -175,7 +175,7 @@ class TestFidelityVsTime:
         assert abs(touch[-1] - TWO_THIRDS) < 1e-15
 
     def test_ghz_teleport_many_parties_decays_monotonically(self):
-        res = ReservoirParams.from_half_width(10.0, 40.0, 0.0)
+        res = ReservoirParams(10.0, half_width=40.0, delta=0.0)
         grid = np.linspace(0.0, 0.5, 101)
         curve = fid.f_ghz_teleport(damping(amplitude(res, grid)), 64)
         assert np.all(np.diff(curve) <= 1e-12)
@@ -183,7 +183,7 @@ class TestFidelityVsTime:
 
     def test_detuning_evenness_is_inherited(self):
         grid = np.linspace(0.0, 1.0, 64)
-        plus = amplitude(ReservoirParams.from_half_width(800.0, 30.0, 90.0), grid)
-        minus = amplitude(ReservoirParams.from_half_width(800.0, 30.0, -90.0), grid)
+        plus = amplitude(ReservoirParams(800.0, half_width=30.0, delta=90.0), grid)
+        minus = amplitude(ReservoirParams(800.0, half_width=30.0, delta=-90.0), grid)
         plus, minus = fid.f_ghz_split(damping(plus), 4), fid.f_ghz_split(damping(minus), 4)
         assert np.abs(plus - minus).max() < 1e-13

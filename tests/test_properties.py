@@ -33,7 +33,7 @@ signed_rates = st.tuples(st.sampled_from([-1.0, 1.0]), log_rates).map(lambda x: 
 @PROPERTY
 @given(gamma0=rates, half_width=rates, delta=detunings, t=times)
 def test_amplitude_starts_at_one_and_stays_in_the_unit_disc(gamma0, half_width, delta, t):
-    params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+    params = ReservoirParams(gamma0, half_width=half_width, delta=delta)
     assert amplitude(params, 0.0) == 1.0
     u = amplitude(params, np.array(t))
     # |u| <= 1 up to rounding, the slack the state builders allow

@@ -24,8 +24,9 @@ def _records():
         "AxisSpec": AxisSpec("t", 0.0, 1.0, 3),
         "ScanSpec": ScanSpec("delta_p", (AxisSpec("t", 0.0, 1.0, 3),), {"gamma0": 1000.0, "half_width": 40.0}),
         "ScanResult": ScanResult(["t_ps", "v"], np.array([[0.5], [0.25]]), (np.array([0.0, 1.0]),)),
-        "ReservoirParams-scalar": ReservoirParams(1000.0, 80.0),
-        "ReservoirParams-array": ReservoirParams(np.array([[1000.0], [10.0]]), 80.0, np.array([0.0, 100.0])),
+        "ReservoirParams-scalar": ReservoirParams(1000.0, half_width=40.0),
+        "ReservoirParams-array": ReservoirParams(np.array([[1000.0], [10.0]]), half_width=40.0,
+                                                 delta=np.array([0.0, 100.0])),
         "SiteDataset": fmo.dataset("reng"),
         "ExcitonTable": table,
     }
@@ -37,7 +38,7 @@ FIELDS = {
     AxisSpec: ("name", "start", "stop", "steps"),
     ScanSpec: ("observable", "axes", "fixed"),
     ScanResult: ("header", "values", "axes"),
-    ReservoirParams: ("gamma0", "delta_omega", "delta"),
+    ReservoirParams: ("gamma0", "half_width", "delta"),
     fmo.SiteDataset: ("name", "site_energies"),
     fmo.ExcitonTable: ("energies", "amplitudes"),
 }
@@ -71,11 +72,11 @@ class TestRepr:
                 ScanResult(["t_ps", "v"], np.array([[0.5], [0.25]]), (np.array([0.0, 1.0]),)),
                 "ScanResult(header=['t_ps', 'v'], values=array([[0.5 ],\n       [0.25]]), axes=(array([0., 1.]),))",
             ),
-            (ReservoirParams(1000.0, 80.0), "ReservoirParams(gamma0=1000.0, delta_omega=80.0, delta=0.0)"),
-            (ReservoirParams(10, 40, 100), "ReservoirParams(gamma0=10, delta_omega=40, delta=100)"),
+            (ReservoirParams(1000.0, half_width=40.0), "ReservoirParams(gamma0=1000.0, half_width=40.0, delta=0.0)"),
+            (ReservoirParams(10, half_width=20, delta=100), "ReservoirParams(gamma0=10, half_width=20, delta=100)"),
             (
-                ReservoirParams(np.array([10.0, 20.0]), 40.0),
-                "ReservoirParams(gamma0=array([10., 20.]), delta_omega=40.0, delta=0.0)",
+                ReservoirParams(np.array([10.0, 20.0]), half_width=20.0),
+                "ReservoirParams(gamma0=array([10., 20.]), half_width=20.0, delta=0.0)",
             ),
             (
                 fmo.SiteDataset("x", [1.0, 2.0, 0.0, 3.0, 4.0, 5.0, 6.0]),
@@ -153,10 +154,10 @@ class TestEquality:
         assert not _records()[key] != _records()[key]
 
     def test_array_fields_compare_by_value(self):
-        a = ReservoirParams(np.array([1000.0, 10.0]), 80.0)
-        assert a == ReservoirParams(np.array([1000.0, 10.0]), 80.0)
-        assert a != ReservoirParams(np.array([1000.0, 20.0]), 80.0)
-        assert a != ReservoirParams(np.array([[1000.0, 10.0]]), 80.0)  # another shape
+        a = ReservoirParams(np.array([1000.0, 10.0]), half_width=40.0)
+        assert a == ReservoirParams(np.array([1000.0, 10.0]), half_width=40.0)
+        assert a != ReservoirParams(np.array([1000.0, 20.0]), half_width=40.0)
+        assert a != ReservoirParams(np.array([[1000.0, 10.0]]), half_width=40.0)  # another shape
         assert fmo.dataset("reng") == fmo.dataset("reng")
         assert fmo.dataset("reng") != fmo.dataset("wend")
         values = np.array([[0.5], [0.25]])
@@ -166,11 +167,11 @@ class TestEquality:
 
     def test_another_class_is_never_equal(self):
         assert AxisSpec("t", 0.0, 1.0, 3) != ("t", 0.0, 1.0, 3)
-        assert ReservoirParams(1000.0, 80.0).__eq__((1000.0, 80.0, 0.0)) is NotImplemented
+        assert ReservoirParams(1000.0, half_width=40.0).__eq__((1000.0, 40.0, 0.0)) is NotImplemented
 
     def test_equal_scalar_records_hash_alike(self):
-        assert hash(ReservoirParams(1000.0, 80.0)) == hash(ReservoirParams(1000, 80, 0))
-        assert len({ReservoirParams(1000.0, 80.0), ReservoirParams(1000.0, 80.0, 0.0)}) == 1
+        assert hash(ReservoirParams(1000.0, half_width=40.0)) == hash(ReservoirParams(1000, half_width=40, delta=0))
+        assert len({ReservoirParams(1000.0, half_width=40.0), ReservoirParams(1000.0, half_width=40.0, delta=0.0)}) == 1
         assert hash(AxisSpec("t", 0.0, 1.0, 3)) == hash(AxisSpec("t", 0.0, 1.0, 3))
         assert hash(AxisSpec("t", 0.0, 1.0, 3)) != hash(AxisSpec("t", 0.0, 1.0, 4))
 

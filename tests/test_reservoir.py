@@ -21,8 +21,16 @@ from fmoent.reservoir import (
     survival,
 )
 
-MARKOVIAN = ReservoirParams.from_half_width(gamma0=10.0, half_width=4000.0, delta=0.0)
-NON_MARKOVIAN = ReservoirParams.from_half_width(gamma0=1000.0, half_width=40.0, delta=0.0)
+# the refusals of a reservoir whose half width is out of range
+POSITIVE = "half_width must be positive, got "
+REAL = "half_width must be finite and real, got "
+OVERFLOW = (
+    "gamma0, half_width and delta: the decay rates overflow "
+    "(a rate above about 7e154 cm^-1, or gamma0 * half_width above about 2.5e309 cm^-2)"
+)
+
+MARKOVIAN = ReservoirParams(gamma0=10.0, half_width=4000.0, delta=0.0)
+NON_MARKOVIAN = ReservoirParams(gamma0=1000.0, half_width=40.0, delta=0.0)
 
 # the amplitude and the observables read from it, each as a function of (params, t)
 RESERVOIR_OBSERVABLES = (
@@ -35,8 +43,8 @@ RESERVOIR_OBSERVABLES = (
 def closed_form_reference(params, t, flip_branch=False):
     """Direct transcription of the closed form, with a selectable xi branch."""
     k = CM1_TO_RAD_PER_PS
-    b = (params.delta_omega / 2 - 1j * params.delta) * k
-    xi = cmath.sqrt(b * b - (params.gamma0 * k) * (params.delta_omega * k))
+    b = (params.half_width - 1j * params.delta) * k
+    xi = cmath.sqrt(b * b - (params.gamma0 * k) * (2.0 * params.half_width * k))
     if flip_branch:
         xi = -xi
     return cmath.exp(-b * t / 2) * (cmath.cosh(xi * t / 2) + (b / xi) * cmath.sinh(xi * t / 2))
@@ -58,14 +66,14 @@ def bisect_amplitude_zero(params, lo, hi, iters=80):
 class TestParams:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):
-            ReservoirParams(gamma0=0.0, delta_omega=80.0)
+            ReservoirParams(gamma0=0.0, half_width=40.0)
         with pytest.raises(ValueError):
-            ReservoirParams(gamma0=10.0, delta_omega=-1.0)
+            ReservoirParams(gamma0=10.0, half_width=-1.0)
 
-    @pytest.mark.parametrize("field", ["gamma0", "delta_omega", "delta"])
+    @pytest.mark.parametrize("field", ["gamma0", "half_width", "delta"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_values(self, field, bad):
-        values = {"gamma0": 100.0, "delta_omega": 80.0, "delta": 0.0, field: bad}
+        values = {"gamma0": 100.0, "half_width": 40.0, "delta": 0.0, field: bad}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ReservoirParams(**values)
         values[field] = np.array([1.0, bad])
@@ -74,52 +82,60 @@ class TestParams:
 
     def test_array_fields_validated_elementwise(self):
         with pytest.raises(ValueError, match="gamma0 must be positive, got -1.0"):
-            ReservoirParams(gamma0=np.array([5.0, -1.0]), delta_omega=80.0)
+            ReservoirParams(gamma0=np.array([5.0, -1.0]), half_width=40.0)
 
     def test_array_fields_are_read_only_copies(self):
         # the caller's later write once reached the params (amplitude(p, 0.3)
         # moved from 0.0275 to 0.9166), and a write through p.gamma0 put a
         # rate the class refuses under amplitude
-        gamma0, widths = np.array([1000.0]), [80.0]
-        params = ReservoirParams(gamma0, widths)
+        gamma0, widths = np.array([1000.0]), [40.0]
+        params = ReservoirParams(gamma0, half_width=widths)
         gamma0[0], widths[0] = 5.0, 1.0
-        assert params.gamma0.tolist() == [1000.0] and params.delta_omega.tolist() == [80.0]
-        assert amplitude(params, 0.3)[0] == amplitude(ReservoirParams(1000.0, 80.0), 0.3)
+        assert params.gamma0.tolist() == [1000.0] and params.half_width.tolist() == [40.0]
+        assert amplitude(params, 0.3)[0] == amplitude(ReservoirParams(1000.0, half_width=40.0), 0.3)
         with pytest.raises(ValueError, match="read-only"):
             params.gamma0[0] = -1.0
-        assert not ReservoirParams.from_half_width(gamma0, np.array([40.0])).delta_omega.flags.writeable
+        assert not ReservoirParams(gamma0, half_width=np.array([40.0])).half_width.flags.writeable
         # a scalar field is kept as given
-        assert type(ReservoirParams(1000.0, 80.0).gamma0) is float
+        assert type(ReservoirParams(1000.0, half_width=40.0).gamma0) is float
 
     def test_half_width_round_trip(self):
-        params = ReservoirParams.from_half_width(100.0, 40.0, 5.0)
-        assert params.delta_omega == 80.0
-        assert params.half_width == 40.0
+        # the width is kept as given: the record once stored its double, np.float64(80.0), as delta_omega
+        params = ReservoirParams(100, half_width=40, delta=5.0)
+        assert type(params.half_width) is int and params.half_width == 40
+        assert not hasattr(params, "delta_omega")
+
+    def test_a_positional_width_is_refused(self):
+        # ReservoirParams(1000.0, 40.0) once read 40 as the full width: half the CLI's --half-width 40
+        with pytest.raises(TypeError):
+            ReservoirParams(1000.0, 40.0)
 
     @pytest.mark.parametrize(
-        "half_width, shown",
+        "half_width, rule",
         [
-            (1e308, "1e+308"), (-1e308, "-1e+308"), (np.array([40.0, 1e308]), "1e+308"),
-            (np.float64(-1e308), "-1e+308"), (-5.0, "-5.0"), (0.0, "0.0"), (math.inf, "inf"), (math.nan, "nan"),
-            (True, "True"), ("40", "'40'"), (10**400, str(10**400)), (np.array(["40"]), "'40'"),
-            (-(10**5000), "an int of 16610 bits"), ("4" * 600, f"'{'4' * 499}... (602 characters)"),
+            (1e308, OVERFLOW), (-1e308, f"{POSITIVE}-1e+308"), (np.array([40.0, 1e308]), OVERFLOW),
+            (np.float64(-1e308), f"{POSITIVE}-1e+308"), (-5.0, f"{POSITIVE}-5.0"), (0.0, f"{POSITIVE}0.0"),
+            (math.inf, f"{REAL}inf"), (math.nan, f"{REAL}nan"), (True, f"{REAL}True"), ("40", f"{REAL}'40'"),
+            (10**400, f"{REAL}{10**400}"), (np.array(["40"]), f"{REAL}'40'"),
+            (-(10**5000), f"{REAL}an int of 16610 bits"), ("4" * 600, f"{REAL}'{'4' * 499}... (602 characters)"),
         ],
         ids=[
             "overflow", "negative-overflow", "array-overflow", "float64-overflow", "negative", "zero", "inf", "nan",
             "True", "str", "big-int", "str-array", "int-beyond-repr", "long-str",
         ],
     )
-    def test_bad_half_width_refused_by_its_own_name(self, half_width, shown):
+    def test_bad_half_width_refused_by_its_own_name(self, half_width, rule):
         # 2 * half_width once overflowed with a RuntimeWarning, and a negative
         # half width was refused as the doubled "delta_omega"; True built
-        # delta_omega = 2.0, and "40" and 10**400 raised TypeError and OverflowError
+        # delta_omega = 2.0, and "40" and 10**400 raised TypeError and OverflowError.
+        # A width that is positive and finite is refused where its rates overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as refusal:
-                ReservoirParams.from_half_width(1000.0, half_width)
-        assert str(refusal.value) == f"half_width must be positive, with 2 * half_width finite, got {shown}"
+                amplitude(ReservoirParams(1000.0, half_width=half_width), 0.5)
+        assert str(refusal.value) == rule
 
-    @pytest.mark.parametrize("field", ["gamma0", "delta_omega", "delta"])
+    @pytest.mark.parametrize("field", ["gamma0", "half_width", "delta"])
     @pytest.mark.parametrize(
         "bad, shown",
         [
@@ -132,14 +148,14 @@ class TestParams:
         # gamma0="1000" was kept as the string, True read as 1.0, 10**400
         # and 1j raised OverflowError and TypeError, and 10**5000 raised repr's
         # "Exceeds the limit (4300 digits)", which names neither field nor rule
-        values = {"gamma0": 100.0, "delta_omega": 80.0, "delta": 0.0, field: bad}
+        values = {"gamma0": 100.0, "half_width": 40.0, "delta": 0.0, field: bad}
         with pytest.raises(ValueError) as refusal:
             ReservoirParams(**values)
         assert str(refusal.value) == f"{field} must be finite and real, got {shown}"
 
     def test_largest_half_width_accepted(self):
-        largest = np.finfo(float).max / 2.0
-        assert ReservoirParams.from_half_width(1000.0, largest).delta_omega == np.finfo(float).max
+        largest = np.finfo(float).max
+        assert ReservoirParams(1000.0, half_width=largest).half_width == largest
 
 
 class TestSpectralDensity:
@@ -150,10 +166,10 @@ class TestSpectralDensity:
         u'' = -C u at t = 0, with C the memory kernel at zero lag: the
         integral of J(omega) over the real line, converted to (rad/ps)^2.
         """
-        params = ReservoirParams(gamma0=gamma0, delta_omega=80.0, delta=0.0)
+        params = ReservoirParams(gamma0=gamma0, half_width=40.0, delta=0.0)
         peak = 12210.0  # the transition frequency; the weight does not depend on it
-        profile = lambda w: lorentzian_density(w, gamma0, params.delta_omega, peak)
-        lo, hi = peak - 50 * params.delta_omega, peak + 50 * params.delta_omega
+        profile = lambda w: lorentzian_density(w, gamma0, params.half_width, peak)
+        lo, hi = peak - 100 * params.half_width, peak + 100 * params.half_width
         total = (
             quad(profile, -np.inf, lo)[0]
             + quad(profile, lo, hi, points=[peak])[0]
@@ -206,8 +222,8 @@ class TestAmplitude:
         for params in (
             MARKOVIAN,
             NON_MARKOVIAN,
-            ReservoirParams.from_half_width(1000.0, 20.0, 100.0),
-            ReservoirParams.from_half_width(10.0, 20.0, 100.0),
+            ReservoirParams(1000.0, half_width=20.0, delta=100.0),
+            ReservoirParams(10.0, half_width=20.0, delta=100.0),
         ):
             survival = np.abs(amplitude(params, t)) ** 2
             assert survival.max() <= 1.0 + 1e-12
@@ -215,21 +231,21 @@ class TestAmplitude:
 
     def test_detuning_sign_conjugates_amplitude(self):
         t = np.linspace(0.0, 1.5, 200)
-        plus = amplitude(ReservoirParams.from_half_width(500.0, 40.0, 120.0), t)
-        minus = amplitude(ReservoirParams.from_half_width(500.0, 40.0, -120.0), t)
+        plus = amplitude(ReservoirParams(500.0, half_width=40.0, delta=120.0), t)
+        minus = amplitude(ReservoirParams(500.0, half_width=40.0, delta=-120.0), t)
         assert np.abs(minus - plus.conj()).max() < 1e-12
 
     def test_observables_even_in_detuning(self):
         t = np.linspace(0.0, 1.5, 50)
-        plus = ReservoirParams.from_half_width(800.0, 30.0, 75.0)
-        minus = ReservoirParams.from_half_width(800.0, 30.0, -75.0)
+        plus = ReservoirParams(800.0, half_width=30.0, delta=75.0)
+        minus = ReservoirParams(800.0, half_width=30.0, delta=-75.0)
         assert np.abs(
             population_difference(amplitude(plus, t)) - population_difference(amplitude(minus, t))
         ).max() < 1e-13
         assert np.abs(damping(amplitude(plus, t)) - damping(amplitude(minus, t))).max() < 1e-13
 
     def test_branch_choice_of_xi_is_irrelevant(self):
-        params = ReservoirParams.from_half_width(700.0, 35.0, 50.0)
+        params = ReservoirParams(700.0, half_width=35.0, delta=50.0)
         for t in (0.05, 0.4, 1.3):
             direct = closed_form_reference(params, t, flip_branch=False)
             flipped = closed_form_reference(params, t, flip_branch=True)
@@ -237,17 +253,17 @@ class TestAmplitude:
             assert abs(amplitude(params, t) - direct) < 1e-12
 
     def test_degenerate_xi_uses_series(self):
-        # gamma0 = delta_omega / 4 makes xi exactly zero at delta = 0
-        params = ReservoirParams(gamma0=20.0, delta_omega=80.0, delta=0.0)
+        # gamma0 = half_width / 2 makes xi exactly zero at delta = 0
+        params = ReservoirParams(gamma0=20.0, half_width=40.0, delta=0.0)
         grid = np.linspace(0.0, 2.0, 101)
         diff = np.abs(amplitude(params, grid) - amplitude_ode_oracle(params, grid))
         assert diff.max() < 1e-9
 
     def test_critically_damped_large_time_decays_to_zero(self):
-        # gamma0 = delta_omega / 4 (check's own set 10, 20) takes the series
+        # gamma0 = half_width / 2 (check's own set 10, 20) takes the series
         # branch at every t, where exp(-B t / 2) underflows to 0 while the
         # cubic in t overflows: the limit 0 comes back, with no warning
-        params = ReservoirParams.from_half_width(10.0, 20.0)
+        params = ReservoirParams(10.0, half_width=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t in (1e100, 1e200, 1e300):
@@ -259,16 +275,16 @@ class TestAmplitude:
         [
             (1000.0, 1e160, 0.0),  # B^2 overflows
             (1000.0, 40.0, 1e160),  # Re B^2 = inf - inf
-            (1e300, 1e10, 0.0),  # gamma0 * delta_omega overflows
+            (1e300, 1e10, 0.0),  # gamma0 * half_width overflows
             (np.array([1000.0, 1000.0]), np.array([40.0, 1e200]), 0.0),
         ],
     )
     def test_overflowing_rates_refused(self, gamma0, half_width, delta):
-        params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+        params = ReservoirParams(gamma0, half_width=half_width, delta=delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for observable in RESERVOIR_OBSERVABLES:
-                with pytest.raises(ValueError, match=r"gamma0, delta_omega \(twice half_width\) and delta"):
+                with pytest.raises(ValueError, match=r"gamma0, half_width and delta: the decay rates overflow"):
                     observable(params, 0.5)
 
     @pytest.mark.parametrize(
@@ -284,9 +300,9 @@ class TestAmplitude:
         ids=["half-width", "delta", "negative-delta", "array-rates", "array-times"],
     )
     def test_overflowing_exponents_refused(self, half_width, delta, t, t_named):
-        params = ReservoirParams.from_half_width(1000.0, half_width, delta)
+        params = ReservoirParams(1000.0, half_width=half_width, delta=delta)
         message = (
-            r"^t and the rates gamma0, delta_omega \(twice half_width\) and delta: the decay exponent "
+            r"^t and the rates gamma0, half_width and delta: the decay exponent "
             rf"B\*t/2 or xi\*t/2 overflows at t = {re.escape(t_named)} ps$"
         )
         with warnings.catch_warnings():
@@ -297,7 +313,7 @@ class TestAmplitude:
 
     def test_split_branch_exponent_overflow_refused(self):
         # xi*t/2 and B*t are finite here, but (xi + B)*t/2 overflows: this returned nan+nanj
-        params = ReservoirParams.from_half_width(1000.0, 20.0, 100.0)
+        params = ReservoirParams(1000.0, half_width=20.0, delta=100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"overflows at t = 3e\+306 ps$"):
@@ -309,7 +325,7 @@ class TestAmplitude:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for half_width in (1e150, np.array([40.0, 1e153])):
-                params = ReservoirParams.from_half_width(1000.0, half_width, 1e150)
+                params = ReservoirParams(1000.0, half_width=half_width, delta=1e150)
                 assert np.all(np.isfinite(amplitude(params, 0.5)))
 
     def test_scalar_and_array_evaluation_agree(self):
@@ -328,11 +344,12 @@ class TestAmplitude:
         delta, t = rng.uniform(-300.0, 300.0, size), rng.uniform(0.0, 3.0, size)
         extra = [(1000.0, 40.0, 50.0, 0.0), (10.0, 20.0, 0.0, 0.7), (10.0, 4000.0, 0.0, 1.0), (10.0, 4000.0, 30.0, 2.0)]
         gamma0, half_width, delta, t = (np.append(v, e) for v, e in zip((gamma0, half_width, delta, t), zip(*extra)))
-        whole = amplitude(ReservoirParams.from_half_width(gamma0, half_width, delta), t)
+        whole = amplitude(ReservoirParams(gamma0, half_width=half_width, delta=delta), t)
         for point in zip(gamma0.tolist(), half_width.tolist(), delta.tolist(), t.tolist(), whole.tolist()):
-            *rates, time_ps, expected = point
-            scalar = amplitude(ReservoirParams.from_half_width(*rates), time_ps)
-            zero_d = amplitude(ReservoirParams.from_half_width(*map(np.array, rates)), np.array(time_ps))
+            g, hw, d, time_ps, expected = point
+            scalar = amplitude(ReservoirParams(g, half_width=hw, delta=d), time_ps)
+            zero_d = ReservoirParams(np.array(g), half_width=np.array(hw), delta=np.array(d))
+            zero_d = amplitude(zero_d, np.array(time_ps))
             assert type(scalar) is complex and type(zero_d) is complex
             assert scalar == expected and zero_d == expected, point
 
@@ -358,7 +375,8 @@ class TestAmplitude:
         # from 16,384 complex values up; before amplitude called the ufuncs by
         # name, one 20,001-point call on the check grid differed from
         # 1,000-point calls at 6,520-11,740 points of each detuned set
-        b, xi = reservoir._decay_rates(ReservoirParams.from_half_width(*rates))
+        gamma0, half_width, delta = rates
+        b, xi = reservoir._decay_rates(ReservoirParams(gamma0, half_width=half_width, delta=delta))
         x = xi * t / 2.0
         small, big = np.abs(x) < 5e-7, x.real > 350.0
         assert np.count_nonzero({"series": small, "split": big, "hyperbolic": ~small & ~big}[branch]) >= 16384
@@ -366,7 +384,8 @@ class TestAmplitude:
         def calls(size):
             cut = lambda v, lo: v[lo : lo + size] if np.ndim(v) else v
             return np.concatenate([
-                amplitude(ReservoirParams.from_half_width(*(cut(r, lo) for r in rates)), cut(t, lo))
+                amplitude(ReservoirParams(cut(gamma0, lo), half_width=cut(half_width, lo), delta=cut(delta, lo)),
+                          cut(t, lo))
                 for lo in range(0, 20001, size)
             ])
 
@@ -379,9 +398,18 @@ class TestAmplitude:
         for gamma0, half_width, delta in itertools.product((10.0, 1000.0), (20.0, 40.0), (0.0, 100.0)):
             for lo in range(0, grid.size, ode._ORACLE_BLOCK):
                 t = grid[lo : lo + ode._ORACLE_BLOCK]
-                scalar = amplitude(ReservoirParams.from_half_width(gamma0, half_width, delta), t)
-                full = [np.full(t.shape, value) for value in (gamma0, half_width, delta)]
-                assert np.array_equal(scalar, amplitude(ReservoirParams.from_half_width(*full), t))
+                scalar = amplitude(ReservoirParams(gamma0, half_width=half_width, delta=delta), t)
+                g, hw, d = (np.full(t.shape, value) for value in (gamma0, half_width, delta))
+                assert np.array_equal(scalar, amplitude(ReservoirParams(g, half_width=hw, delta=d), t))
+
+    def test_rates_of_any_real_type_give_the_amplitude_of_their_doubles(self):
+        # float32 rates once took float32 arithmetic: u(0.3) at gamma0 1000,
+        # half width 40 read 0.0275490338 where the doubles give 0.0275490653
+        t = np.linspace(0.0, 2.0, 21)
+        doubles = amplitude(ReservoirParams(1000.0, half_width=40.0, delta=100.0), t)
+        for kind in (np.float32, np.float16, np.int32, int):
+            params = ReservoirParams(kind(1000), half_width=kind(40), delta=np.array([100], dtype=kind))
+            assert amplitude(params, t).tobytes() == doubles.tobytes(), kind
 
     @pytest.mark.parametrize("shape", ["check", "scan"])
     def test_mixed_branch_blocks_equal_one_point_calls(self, shape):
@@ -390,26 +418,27 @@ class TestAmplitude:
         # on the broad reservoirs); the hyperbolic form, evaluated at every
         # point, is inf or nan on the others, and none of it may warn
         rates = [(10.0, 4000.0, 0.0), (10.0, 4000.0, 30.0), (10.0, 20.0, 0.0), (1000.0, 40.0, 100.0)]
+        sets = [ReservoirParams(g, half_width=hw, delta=d) for g, hw, d in rates]
         t = np.array([0.0, 1e-10, 0.05, 0.3, 0.9, 1.0, 2.0, 7.5])
-        xi_re = np.array([reservoir._decay_rates(ReservoirParams.from_half_width(*r))[1][0].real for r in rates])
+        xi_re = np.array([reservoir._decay_rates(r)[1][0].real for r in sets])
         assert (xi_re[:2] * t[-1] / 2.0 > 350.0).all() and xi_re[2] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if shape == "check":
-                blocks = [amplitude(ReservoirParams.from_half_width(*r), t) for r in rates]
+                blocks = [amplitude(r, t) for r in sets]
             else:
-                columns = [np.array(column)[:, None] for column in zip(*rates)]
+                g, hw, d = (np.array(column)[:, None] for column in zip(*rates))
                 full = np.empty((len(rates), t.size))
                 full[...] = t
-                blocks = amplitude(ReservoirParams.from_half_width(*columns), full)
-            for r, block in zip(rates, blocks):
-                points = [amplitude(ReservoirParams.from_half_width(*r), time_ps) for time_ps in t.tolist()]
+                blocks = amplitude(ReservoirParams(g, half_width=hw, delta=d), full)
+            for r, block in zip(sets, blocks):
+                points = [amplitude(r, time_ps) for time_ps in t.tolist()]
                 assert block.tobytes() == np.array(points).tobytes(), r
 
     def test_critically_damped_check_grid_without_warning(self):
         # check's own set gamma0 = 10, half width 20 has xi = 0, so B/xi = inf:
         # every point of its grid takes the series branch, with no warning
-        params = ReservoirParams.from_half_width(10.0, 20.0)
+        params = ReservoirParams(10.0, half_width=20.0)
         grid, block = np.arange(20001) * 1e-4, ode._ORACLE_BLOCK
         b = reservoir._decay_rates(params)[0][0]
         with warnings.catch_warnings():
@@ -427,13 +456,11 @@ class TestAmplitude:
         half_width = np.array([40.0, 40.0, 4000.0, 33.0])[:, None]
         delta = np.array([0.0, 0.0, 0.0, 21.0])[:, None]
         t = np.array([0.0, 0.3, 1.0, 40.0])
-        params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+        params = ReservoirParams(gamma0, half_width=half_width, delta=delta)
         grid = amplitude(params, t)
         assert grid.shape == (4, 4)
         for i in range(4):
-            row = ReservoirParams.from_half_width(
-                float(gamma0[i, 0]), float(half_width[i, 0]), float(delta[i, 0])
-            )
+            row = ReservoirParams(float(gamma0[i, 0]), half_width=float(half_width[i, 0]), delta=float(delta[i, 0]))
             assert np.array_equal(grid[i], amplitude(row, t))
         fixed_t = amplitude(params, 0.3)
         assert fixed_t.shape == (4, 1)
@@ -450,19 +477,19 @@ class TestOdeOracle:
         [(10.0, 20.0, 0.0), (1000.0, 40.0, 100.0), (1000.0, 20.0, 100.0)],
     )
     def test_agreement_with_closed_form(self, gamma0, half_width, delta):
-        params = ReservoirParams.from_half_width(gamma0, half_width, delta)
+        params = ReservoirParams(gamma0, half_width=half_width, delta=delta)
         grid = np.linspace(0.0, 2.0, 201)
         diff = np.abs(amplitude(params, grid) - amplitude_ode_oracle(params, grid, max_step=1e-4))
         assert diff.max() < 1e-6
 
     def test_decoupled_limit_stays_at_one(self):
-        params = ReservoirParams.from_half_width(1e-9, 40.0, 0.0)
+        params = ReservoirParams(1e-9, half_width=40.0, delta=0.0)
         grid = np.linspace(0.0, 2.0, 21)
         assert np.abs(amplitude_ode_oracle(params, grid) - 1.0).max() < 1e-6
         assert np.abs(amplitude(params, grid) - 1.0).max() < 1e-6
 
     def test_closed_form_solves_the_kernel_off_resonance(self):
-        params = ReservoirParams.from_half_width(500.0, 30.0, 100.0)
+        params = ReservoirParams(500.0, half_width=30.0, delta=100.0)
         grid = np.linspace(0.0, 1.0, 51)
         closed = amplitude(params, grid)
         assert np.abs(closed - amplitude_ode_oracle(params, grid)).max() < 1e-8
@@ -484,8 +511,8 @@ class TestOdeOracle:
             amplitude_ode_oracle(MARKOVIAN, np.array([0.0, 0.1]), kernel="detuned")
 
 
-WEAK = ReservoirParams.from_half_width(10.0, 20.0, 100.0)
-STRONG = ReservoirParams.from_half_width(1000.0, 40.0, 100.0)
+WEAK = ReservoirParams(10.0, half_width=20.0, delta=100.0)
+STRONG = ReservoirParams(1000.0, half_width=40.0, delta=100.0)
 CHECK_GRID = np.arange(0.0, 2.0 + 0.5e-4, 1e-4)
 
 
@@ -568,7 +595,7 @@ class TestOracleMatchesStepwiseRk4:
 
     def test_ten_million_steps_in_one_interval(self):
         # 1e7 steps: about 30 s for the stepwise loop, 24 squarings for the step maps
-        params = ReservoirParams.from_half_width(1e-3, 40.0, 0.0)
+        params = ReservoirParams(1e-3, half_width=40.0, delta=0.0)
         start = time.perf_counter()
         u_end = amplitude_ode_oracle(params, [0.0, 1e3])[-1]
         assert time.perf_counter() - start < 1.0
@@ -583,8 +610,8 @@ class TestOracleBlocks:
     @pytest.mark.parametrize("grid", [CHECK_GRID, np.cumsum(irregular_spans())], ids=["check", "irregular"])
     def test_distinct_span_maps_equal_the_per_interval_maps(self, grid, params):
         k = CM1_TO_RAD_PER_PS
-        b = (params.delta_omega / 2.0 - 1j * params.delta) * k
-        c = (params.gamma0 * k) * (params.delta_omega * k) / 4.0
+        b = (params.half_width - 1j * params.delta) * k
+        c = (params.gamma0 * k) * (2.0 * params.half_width * k) / 4.0
         # one reservoir's scalar C and B, stacked as the helpers take them
         rates = np.array([[c], [b]])
         block, width = ode._ORACLE_BLOCK, ode._ORACLE_WIDTH
@@ -623,7 +650,7 @@ class TestOracleBlocks:
         # the eight reservoirs of check, on its default grid: the step maps
         # built for all of them at once give each one its own integration
         rates = itertools.product((10.0, 1000.0), (20.0, 40.0), (0.0, 100.0))
-        sets = [ReservoirParams.from_half_width(*r) for r in rates]
+        sets = [ReservoirParams(g, half_width=hw, delta=d) for g, hw, d in rates]
         blocks = list(amplitude_ode_blocks(sets, 20001, lambda lo, hi: np.arange(lo, hi) * 1e-4))
         assert [i for i, _, _ in blocks] == list(range(8)) * 5
         for i, params in enumerate(sets):
@@ -633,7 +660,7 @@ class TestOracleBlocks:
     def test_one_element_array_reservoir_is_its_scalar(self):
         # the rates of every reservoir are stacked into one array: a
         # one-element array parameter still makes one reservoir
-        single = ReservoirParams.from_half_width(np.array([1000.0]), 40.0, np.array([100.0]))
+        single = ReservoirParams(np.array([1000.0]), half_width=40.0, delta=np.array([100.0]))
         grid = np.linspace(0.0, 0.5, 101)
         assert amplitude_ode_oracle(single, grid).tobytes() == amplitude_ode_oracle(STRONG, grid).tobytes()
 
@@ -643,9 +670,8 @@ class TestOracleBlocks:
         # shape (1,)" once said nothing of the oracle's one reservoir per set
         values = {"gamma0": 1000.0, "half_width": 40.0, "delta": 100.0}
         values[field] = np.array([values[field], 10.0])
-        params = ReservoirParams.from_half_width(**values)
-        name = "delta_omega" if field == "half_width" else field
-        message = f"the RK4 oracle integrates one reservoir per set, got {name} of shape (2,)"
+        params = ReservoirParams(**values)
+        message = f"the RK4 oracle integrates one reservoir per set, got {field} of shape (2,)"
         read = []
         blocks = amplitude_ode_blocks([STRONG, params], 11, lambda lo, hi: read.append(lo) or np.arange(lo, hi) * 0.1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
