@@ -20,6 +20,8 @@ __version__ = "0.1.0"
 # 2*pi*c * (1 ps) with c = 0.0299792458 cm/ps, fixed to 11 significant digits.
 CM1_TO_RAD_PER_PS = 0.18836515673
 
+_SHOWN = 500  # characters of a refused value shown in its refusal
+
 # The one table of where each name lives: the public names of each module
 # (each module's ``__all__`` is its row), and public name -> its module.
 _PUBLIC = {
@@ -31,10 +33,6 @@ _PUBLIC = {
     "reservoir": ("ReservoirParams", "amplitude", "survival", "population_difference", "damping"),
     "ode": ("amplitude_ode_oracle", "amplitude_ode_blocks"),
     "entanglement": ("w_mixture_entanglement", "meyer_wallach_register", "meyer_wallach_closed"),
-    "dense": (
-        "enumerate_bipartitions", "normalized_negativity", "global_entanglement", "w_state",
-        "ghz_state", "w_mixture_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
-    ),
     "fidelity": ("f_ghz_teleport", "f_w_teleport", "f_ghz_split", "f_w_split"),
 }
 _EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
@@ -127,3 +125,15 @@ def _real(x):
 
     x = np.asarray(x)
     return x, (np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else np.full(x.shape, np.nan))
+
+
+def _shown(value) -> str:
+    """``value`` for a refusal: its ``repr``, cut after ``_SHOWN`` characters.
+
+    An int of more than ``3 * _SHOWN`` bits (so more than about 450 digits)
+    shows its size instead: ``repr`` refuses an int of over 4,300 digits.
+    """
+    if isinstance(value, int) and value.bit_length() > 3 * _SHOWN:
+        return f"an int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"

@@ -27,12 +27,12 @@ import os
 import sys
 import types
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
 
-from . import _PUBLIC, CM1_TO_RAD_PER_PS, _real, _Record, __version__
+from . import _PUBLIC, CM1_TO_RAD_PER_PS, _real, _Record, _shown, __version__
 
 __all__ = ["ConfigError", "AxisSpec", "ScanSpec", "ScanResult", "load_config", "run_scan", "emit_csv", "main"]
 
@@ -105,16 +105,17 @@ class AxisSpec(_Record):
 
     def __init__(self, name: str, start: float, stop: float, steps: int):
         if name not in AXIS_NAMES:
-            raise ConfigError(f"axis {name!r}: unknown axis name; use one of {AXIS_NAMES}")
+            raise ConfigError(f"axis {_shown(name)}: unknown axis name; use one of {AXIS_NAMES}")
         low, high = _real_number(start), _real_number(stop)
         if low is None or high is None:
-            raise ConfigError(f"axis {name}: min and max must be real numbers, got {start!r} and {stop!r}")
+            raise ConfigError(f"axis {name}: min and max must be real numbers, got {_shown(start)} and {_shown(stop)}")
         if not (math.isfinite(low) and math.isfinite(high)):
             raise ConfigError(f"axis {name}: min and max must be finite, got {start} and {stop}")
         if not isinstance(steps, (int, np.integer)):
             raise ConfigError(f"axis {name}: steps must be an integer, got {steps}")
         if steps < 2:
-            raise ConfigError(f"axis {name}: steps must be >= 2, got {steps}")
+            shown = steps if isinstance(steps, np.integer) else _shown(steps)  # a numpy int prints as its value
+            raise ConfigError(f"axis {name}: steps must be >= 2, got {shown}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "stop", stop)
@@ -145,10 +146,10 @@ class ScanSpec(_Record):
         if observable == "exciton_table":
             raise ConfigError("observable: exciton_table is not a scan; use `fmoent table`")
         if observable not in OBSERVABLES:
-            raise ConfigError(f"observable: unknown value {observable!r}")
+            raise ConfigError(f"observable: unknown value {_shown(observable)}")
         for axis in axes:
             if not isinstance(axis, AxisSpec):
-                raise ConfigError(f"axes: expected AxisSpec items, got {axis!r}")
+                raise ConfigError(f"axes: expected AxisSpec items, got {_shown(axis)}")
         names = [axis.name for axis in axes]
         if len(names) > 2:
             raise ConfigError(f"axes: at most two axes may be swept, got {len(names)}")
@@ -156,11 +157,12 @@ class ScanSpec(_Record):
             raise ConfigError(f"axis2: duplicates axis1 ({names[0]!r})")
         for key, value in fixed.items():
             if key not in AXIS_NAMES:
-                raise ConfigError(f"{key}: not a scan parameter; use one of {AXIS_NAMES}")
+                shown = key if isinstance(key, str) else _shown(key)  # a config key prints bare
+                raise ConfigError(f"{shown}: not a scan parameter; use one of {AXIS_NAMES}")
             if key in names:
                 raise ConfigError(f"{key}: given both as an axis and a fixed value")
             if (number := _real_number(value)) is None:
-                raise ConfigError(f"{key}: expected a real number, got {value!r}")
+                raise ConfigError(f"{key}: expected a real number, got {_shown(value)}")
             if not math.isfinite(number):
                 raise ConfigError(f"{key}: expected a finite number, got {value}")
         if "n" in fixed and not float(fixed["n"]).is_integer():
@@ -180,15 +182,16 @@ class ScanResult(_Record):
     one column per value name: the header's names after the axis labels.
     ``axes`` holds the 1-D, non-empty grid of each swept axis once, outer
     first; a result with no axes (a scalar scan, the exciton table) has ``()``.
+    The result keeps ``header`` as a tuple and read-only views of the arrays.
     """
 
     __slots__ = ("header", "values", "axes")
 
-    def __init__(self, header: list[str], values: np.ndarray, axes: tuple[np.ndarray, ...] = ()):
-        axes = tuple(np.asarray(grid) for grid in axes)
+    def __init__(self, header: Sequence[str], values: np.ndarray, axes: tuple[np.ndarray, ...] = ()):
+        # the checked shapes are the ones emit_csv reads; a view copies nothing
+        header, values, axes = tuple(header), _read_only(values), tuple(map(_read_only, axes))
         if len(axes) > 2 or any(grid.ndim != 1 or grid.size == 0 for grid in axes):
             raise ValueError(f"axes: at most 2 grids, each 1-D and not empty, got shapes {[g.shape for g in axes]}")
-        values = np.asarray(values)
         shape, width = values.shape, len(header) - len(axes)
         if len(shape) != 2 or shape[1] != width:
             raise ValueError(f"values: expected a 2-D array, one column per value name ({width}), got shape {shape}")
@@ -203,6 +206,13 @@ class ScanResult(_Record):
         """The whole table, built on each read: the axis columns over the grid in C order, then ``values``."""
         grid = np.meshgrid(*self.axes, indexing="ij")
         return np.column_stack([*(column.ravel() for column in grid), self.values])
+
+
+def _read_only(array) -> np.ndarray:
+    """A read-only view of ``array``."""
+    view = np.asarray(array).view()
+    view.setflags(write=False)
+    return view
 
 
 def _parse_axis(key: str, text: str) -> AxisSpec:

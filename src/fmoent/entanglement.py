@@ -1,8 +1,8 @@
 """Closed-form entanglement of the decaying excitonic registers: what the scans evaluate.
 
 The dense 2^N route (state builders, bipartition negativity, numeric
-Meyer-Wallach), the oracle of these closed forms, lives in
-:mod:`fmoent.dense`.
+Meyer-Wallach), the oracle of these closed forms, lives with the tests in
+``tests/dense.py``; the package does not ship it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def _coefficients(a, b):
 
 
 def w_mixture_entanglement(s, n_qubits):
-    """Closed form of :func:`fmoent.dense.global_entanglement` for s|W><W| + (1-s)|0..0><0..0|.
+    """Closed form of the dense ``global_entanglement`` for s|W><W| + (1-s)|0..0><0..0|.
 
     The mixture is permutation symmetric, so every m|N-m cut reduces to a
     two-qubit problem whose partial transpose has the single negative

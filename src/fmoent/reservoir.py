@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _PUBLIC, CM1_TO_RAD_PER_PS, _real, _Record
+from . import _PUBLIC, CM1_TO_RAD_PER_PS, _real, _Record, _shown
 
 __all__ = _PUBLIC["reservoir"]
 
 _AMP_SLACK = 1e-9  # |u| may exceed 1 by rounding in amplitude(); beyond that it is refused
-_SHOWN = 500  # characters of a refused value shown in its refusal
 
 # The closed form's array arithmetic calls the ufuncs by name, never through
 # an operator: from 256 KiB (16,384 complex values) up, numpy computes an
@@ -64,9 +63,9 @@ class ReservoirParams(_Record):
             given, value = _real(field)
             finite = np.isfinite(value)
             if not finite.all():
-                raise ValueError(f"{name} must be finite and real, got {_shown(given, ~finite)}")
+                raise ValueError(f"{name} must be finite and real, got {_shown(given[~finite].item(0))}")
             if name != "delta" and not (value > 0).all():
-                raise ValueError(f"{name} must be positive, got {_shown(given, value <= 0)}")
+                raise ValueError(f"{name} must be positive, got {_shown(given[value <= 0].item(0))}")
             object.__setattr__(self, name, field)
 
 
@@ -158,30 +157,16 @@ def amplitude(params: ReservoirParams, t):
     return _maybe_scalar(u, t_in, params.gamma0, params.half_width, params.delta)
 
 
-def _shown(given, bad, count: bool = False) -> str:
-    """The first value of ``given`` where ``bad``, for a refusal: its ``repr``, cut after ``_SHOWN`` characters.
-
-    An int of more than ``3 * _SHOWN`` bits (so more than about 450 digits)
-    shows its size instead: ``repr`` refuses an int of over 4,300 digits.
-    A ``count`` that is a float holding an exact integer (below 2**53 in
-    magnitude) shows as that integer: 13, not 13.0.
-    """
-    value = given[bad].tolist()[0]
-    if count and isinstance(value, float) and value.is_integer() and abs(value) < 2.0**53:
-        value = int(value)
-    if isinstance(value, int) and value.bit_length() > 3 * _SHOWN:
-        return f"an int of {value.bit_length()} bits"
-    text = repr(value)
-    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
-
-
 def _counts(n, name: str, low: int, high: float = np.inf):
     """The counts ``n`` as a float array of at least 1-D; refuses any value not a finite integer in ``low..high``."""
     n, count = _real(n)
     bad = ~np.isfinite(count) | (count != np.rint(count)) | (count < low) | (count > high)
     if bad.any():
         bounds = f">= {low}" if high == np.inf else f"in {low}..{high}"
-        raise ValueError(f"{name} must be integers {bounds}, got {_shown(n, bad, count=True)}")
+        value = n[bad].item(0)
+        if isinstance(value, float) and value.is_integer() and abs(value) < 2.0**53:
+            value = int(value)  # a count held as a float (exactly, below 2**53) shows as one: 13, not 13.0
+        raise ValueError(f"{name} must be integers {bounds}, got {_shown(value)}")
     return np.atleast_1d(count)
 
 

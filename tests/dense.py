@@ -1,8 +1,10 @@
 """Dense 2^N route: the registers themselves, and their entanglement by linear algebra.
 
-The oracle of the closed forms in :mod:`fmoent.entanglement`; no scan imports
-it.  Negativities come from partial transposes and eigenvalues, Meyer-Wallach
-values from single-qubit purities.
+The test oracle of the closed forms in :mod:`fmoent.entanglement`; the
+package does not ship it.  Negativities come from partial transposes and
+eigenvalues, Meyer-Wallach values from single-qubit purities.  The argument
+rules are the package's own, so the oracle refuses what the closed forms
+refuse.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _PUBLIC, qlin
-from .entanglement import _NORM_ATOL, _coefficients
-from .reservoir import _counts, _weights, damping
+from fmoent import qlin
+from fmoent.entanglement import _NORM_ATOL, _coefficients
+from fmoent.reservoir import _counts, _weights, damping
 
-__all__ = _PUBLIC["dense"]
+__all__ = (
+    "enumerate_bipartitions", "normalized_negativity", "global_entanglement", "w_state",
+    "ghz_state", "w_mixture_rho", "x_state_rho", "x_state_register", "meyer_wallach_numeric",
+)
 
 
 def _qubit_count(n_qubits, low: int = 1, high: float = math.inf) -> int:

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from fmoent import dense
 from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent import qlin
@@ -18,6 +17,7 @@ from fmoent.fmo import build_hamiltonian, dataset, exciton_table
 from fmoent.ode import amplitude_ode_oracle
 from fmoent.reservoir import ReservoirParams, amplitude, damping, survival
 
+import dense
 from conftest import (
     decayed_w_register,
     global_entanglement_brute,

@@ -16,7 +16,6 @@ import pytest
 
 import fmoent
 from fmoent import cli
-from fmoent import dense
 from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent.cli import (
@@ -32,6 +31,7 @@ from fmoent.cli import (
 from fmoent.fmo import build_hamiltonian, dataset, exciton_table
 from fmoent.reservoir import ReservoirParams, amplitude, damping, population_difference, survival
 
+import dense
 from conftest import write_csv_reference
 
 def scalar_route(observable, point):
@@ -147,7 +147,7 @@ class TestRunScan:
             fixed={"gamma0": 1000.0, "half_width": 40.0, "t": 0.0},
         )
         result = run_scan(spec)
-        assert result.header == ["delta_p"]
+        assert result.header == ("delta_p",)
         assert result.rows.dtype == np.float64
         assert result.rows.tolist() == [[1.0]]
 
@@ -159,7 +159,7 @@ class TestRunScan:
         )
         result = run_scan(spec)
         assert len(result.rows) == 51 * 40
-        assert result.header == ["t_ps", "gamma0_cm1", "delta_p"]
+        assert result.header == ("t_ps", "gamma0_cm1", "delta_p")
 
     def test_outer_axis_varies_slowest(self):
         spec = ScanSpec(
@@ -514,7 +514,56 @@ class TestRunScan:
         spec = ScanSpec("delta_p", axes, fixed)
         axes.append(AxisSpec("b", 0.0, 1.0, 2))
         assert spec.axes == (AxisSpec("t", 0.0, 1.0, 3), AxisSpec("delta", 0.0, 1.0, 2))
-        assert run_scan(spec).header == ["t_ps", "delta_cm1", "delta_p"]
+        assert run_scan(spec).header == ("t_ps", "delta_cm1", "delta_p")
+
+    def test_a_result_cannot_change_after_it_is_checked(self, capsys):
+        # the header once stayed a list: appending a name wrote a 3-name header over 2-value rows
+        spec = ScanSpec("delta_p", (AxisSpec("t", 0.0, 1.0, 3),), {"gamma0": 1000.0, "half_width": 40.0})
+        result = run_scan(spec)
+        with pytest.raises(AttributeError):
+            result.header.append("oops")
+        for array in (result.values, *result.axes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+        emit_csv(result)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t_ps,delta_p" and [line.count(",") for line in lines] == [1, 1, 1, 1]
+        # the record keeps views: the caller's arrays stay writable, and nothing is copied
+        header, values, grid = ["t_ps", "v"], np.array([[0.5], [0.25]]), np.array([0.0, 1.0])
+        kept = ScanResult(header, values, (grid,))
+        header.append("oops")
+        assert kept.header == ("t_ps", "v")
+        assert np.shares_memory(kept.values, values) and np.shares_memory(kept.axes[0], grid)
+        assert values.flags.writeable and grid.flags.writeable
+
+    def test_a_value_too_long_to_print_is_refused_by_its_key(self):
+        # repr(10**5000) raises "Exceeds the limit (4300 digits)", naming no key
+        big = 10**5000
+        size = f"an int of {big.bit_length()} bits"
+        fixed = {"gamma0": 1000.0, "half_width": 40.0}
+        refusals = [
+            (lambda: AxisSpec("t", big, 1.0, 3), f"axis t: min and max must be real numbers, got {size} and 1.0"),
+            (lambda: AxisSpec("t", 0.0, -big, 3), f"axis t: min and max must be real numbers, got 0.0 and {size}"),
+            (lambda: AxisSpec("t", 0.0, 1.0, -big), f"axis t: steps must be >= 2, got {size}"),
+            (lambda: AxisSpec(big, 0.0, 1.0, 3), f"axis {size}: unknown axis name; use one of {cli.AXIS_NAMES}"),
+            (lambda: ScanSpec("delta_p", fixed={**fixed, "t": big}), f"t: expected a real number, got {size}"),
+            (lambda: ScanSpec("delta_p", fixed={big: 1.0}), f"{size}: not a scan parameter; use one of {cli.AXIS_NAMES}"),
+            (lambda: ScanSpec(big), f"observable: unknown value {size}"),
+            (lambda: ScanSpec("delta_p", (big,), fixed), f"axes: expected AxisSpec items, got {size}"),
+        ]
+        for build, message in refusals:
+            with pytest.raises(ConfigError) as refused:
+                build()
+            assert str(refused.value) == message
+        # a long repr is cut, with its length
+        with pytest.raises(ConfigError) as refused:
+            ScanSpec("delta_p", fixed={**fixed, "t": "x" * 1000})
+        assert str(refused.value) == f"t: expected a real number, got '{'x' * 499}... (1002 characters)"
+
+    @pytest.mark.parametrize("steps, shown", [(1, "1"), (np.int64(1), "1"), (-3, "-3"), (True, "True")])
+    def test_too_few_steps_are_shown_as_given(self, steps, shown):
+        with pytest.raises(ConfigError, match=rf"^axis t: steps must be >= 2, got {shown}$"):
+            AxisSpec("t", 0.0, 1.0, steps)
 
     @pytest.mark.parametrize("axis", ["t:0:1:3", ("t", 0.0, 1.0, 3), None])
     def test_an_axis_that_is_not_an_axis_spec_is_refused(self, axis):

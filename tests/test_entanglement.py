@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from fmoent import dense
 from fmoent import entanglement as ent
 from fmoent import qlin
 from fmoent.reservoir import ReservoirParams, amplitude, damping, survival
 
+import dense
 from conftest import (
     decayed_pair_register,
     decayed_w_register,

@@ -11,10 +11,11 @@ import re
 import numpy as np
 import pytest
 
-from fmoent import dense
 from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent.reservoir import damping, population_difference, survival
+
+import dense
 
 # (caller of one count, the message head it refuses with)
 COUNT_CALLERS = [

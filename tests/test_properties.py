@@ -10,11 +10,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmoent import cli, dense
+from fmoent import cli
 from fmoent import entanglement as ent
 from fmoent import fidelity as fid
 from fmoent.reservoir import ReservoirParams, amplitude
 
+import dense
 from conftest import random_unit_disc
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)

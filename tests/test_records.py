@@ -70,7 +70,7 @@ class TestRepr:
             (ScanSpec("delta_p"), "ScanSpec(observable='delta_p', axes=(), fixed=mappingproxy({}))"),
             (
                 ScanResult(["t_ps", "v"], np.array([[0.5], [0.25]]), (np.array([0.0, 1.0]),)),
-                "ScanResult(header=['t_ps', 'v'], values=array([[0.5 ],\n       [0.25]]), axes=(array([0., 1.]),))",
+                "ScanResult(header=('t_ps', 'v'), values=array([[0.5 ],\n       [0.25]]), axes=(array([0., 1.]),))",
             ),
             (ReservoirParams(1000.0, half_width=40.0), "ReservoirParams(gamma0=1000.0, half_width=40.0, delta=0.0)"),
             (ReservoirParams(10, half_width=20, delta=100), "ReservoirParams(gamma0=10, half_width=20, delta=100)"),
@@ -138,6 +138,8 @@ class TestCopies:
         params = pickle.loads(pickle.dumps(_records()["ReservoirParams-array"]))
         assert not params.gamma0.flags.writeable
         assert not fmo.dataset("wend").site_energies.flags.writeable
+        result = pickle.loads(pickle.dumps(_records()["ScanResult"]))
+        assert isinstance(result.header, tuple) and not result.values.flags.writeable
 
 
 class TestEquality:

@@ -6,6 +6,7 @@ modules it ended up with.
 """
 
 import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,7 +16,10 @@ import pytest
 
 import fmoent
 
+import dense
+
 SRC = Path(fmoent.__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
 
 _RUN_MAIN = """
 import contextlib, io, sys
@@ -67,10 +71,10 @@ ENTRIES = pytest.mark.parametrize(
         # the scans evaluate closed forms: neither the dense route nor qlin
         (_RUN_MAIN, (*SCAN, "e_exciton"), {"fmoent", "cli", "reservoir", "entanglement"}),
         (_RUN_MAIN, (*SCAN, "q_numeric", "--b", "0.6"), {"fmoent", "cli", "reservoir", "entanglement"}),
-        # the dense route loads the closed forms' module for its tolerances and
-        # reservoir for what |u| means
-        ("from fmoent import dense; dense.x_state_register", (),
-         {"fmoent", "entanglement", "dense", "qlin", "reservoir"}),
+        # the dense oracle, a test module, loads the closed forms' module for its
+        # tolerances and reservoir for what |u| means
+        (f"import sys; sys.path.insert(0, {str(TESTS)!r}); import dense; dense.x_state_register", (),
+         {"fmoent", "entanglement", "qlin", "reservoir"}),
     ],
     ids=[
         "import-fmoent", "import-cli", "import-reservoir", "import-ode", "version", "check", "table",
@@ -111,7 +115,7 @@ def test_every_public_name_resolves_and_is_listed():
 def test_each_module_lists_what_the_package_maps_to_it():
     for module, names in fmoent._PUBLIC.items():
         assert set(getattr(fmoent, module).__all__) == set(names), module
-    assert fmoent.global_entanglement is fmoent.dense.global_entanglement
+    assert fmoent.w_mixture_entanglement is fmoent.entanglement.w_mixture_entanglement
     # the package's map is the only route to a name: entanglement forwards none
     with pytest.raises(AttributeError, match="no attribute 'global_entanglement'"):
         fmoent.entanglement.global_entanglement
@@ -135,8 +139,15 @@ def test_the_rk4_oracle_lives_only_in_ode():
 
 def test_the_dense_oracle_takes_the_closed_forms_arguments():
     # one w_mixture_rho(s, n) builds both sides of the W register; the oracle takes no parameter objects
-    assert fmoent.w_mixture_rho is fmoent.dense.w_mixture_rho
     for name in ("WStateParams", "XStateParams", "w_state_exciton_rho", "w_state_reservoir_rho", "_w_mixture"):
-        assert not hasattr(fmoent.dense, name), name
+        assert not hasattr(dense, name), name
         with pytest.raises(AttributeError):
+            getattr(fmoent, name)
+    # the oracle lives beside the tests: the package ships neither its module nor its names
+    assert len(dense.__all__) == 9
+    assert importlib.util.find_spec("fmoent.dense") is None
+    for name in dense.__all__:
+        assert callable(getattr(dense, name)), name
+        assert name not in fmoent.__all__ and name not in dir(fmoent), name
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(fmoent, name)
