@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import math
 import operator
@@ -10,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +538,28 @@ class TestRunScan:
         assert np.shares_memory(kept.values, values) and np.shares_memory(kept.axes[0], grid)
         assert values.flags.writeable and grid.flags.writeable
 
+    def test_a_result_cannot_be_made_writable_again(self):
+        # the arrays run_scan filled stayed writable, so its read-only views could be
+        # made writable again: setflags(write=True), then a write, printed 7
+        fixed = {"gamma0": 1000.0, "half_width": 40.0}
+        # a t grid is a view of linspace's own buffer, an n grid owns its rounded values
+        result = run_scan(ScanSpec("e_exciton", (AxisSpec("t", 0.0, 1.0, 3), AxisSpec("n", 2.0, 4.0, 3)), fixed))
+        for array in (result.values, *result.axes):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+        assert len(_csv(cli._write_csv, result).splitlines()) == 10
+
+    def test_a_fractional_n_grid_is_refused_by_its_first_fraction(self, capsys):
+        # the refusal once printed the whole grid: 58,519,953 bytes for 3,000,000 steps
+        scan = ["scan", "--observable", "e_exciton", "--gamma0", "1000", "--half-width", "40"]
+        assert cli.main([*scan, "--axis1", "n:2:3:3", "--axis2", "t:0:1:3"]) == 1
+        assert capsys.readouterr().err == "fmoent: axis n: values must be integers, got 2.5\n"
+        assert cli.main([*scan, "--axis1", "n:2:3:30001", "--t", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fmoent: axis n: values must be integers, got 2.0000333333333336\n"
+        assert len(captured.err) < 600
+
     def test_a_value_too_long_to_print_is_refused_by_its_key(self):
         # repr(10**5000) raises "Exceeds the limit (4300 digits)", naming no key
         big = 10**5000
@@ -878,6 +902,23 @@ class TestSweptAxisOfN:
         assert each_n == outer
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this tree's fmoent."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+# one invocation of each kind a process may end with: output (exit 0), a refusal (1), a usage error (2)
+PROCESS_ARGV = {
+    "scan": ["scan", "--observable", "f_ghz_tele", "--axis1", "n:2:7:6", "--axis2", "t:0:1:41",
+             "--gamma0", "900", "--half-width", "30"],
+    "table": ["table", "--dataset", "wend"],
+    "check": ["check", "--t-max", "0.05"],
+    "refused": ["scan", "--observable", "delta_p", "--t", "0.5", "--gamma0", "1000", "--half-width", "-5"],
+    "usage": ["scan", "--observable", "delta_p", "--gam", "1000"],
+}
+
+
 class TestMainEntrypoint:
     def test_one_parser_serves_every_call(self, capsys):
         argv = ["scan", "--observable", "f_ghz_tele", "--axis1", "n:2:5:4", "--axis2", "t:0:1:5",
@@ -908,6 +949,63 @@ class TestMainEntrypoint:
         _, err = proc.communicate(timeout=120)
         assert err == b""
         assert proc.returncode == 1
+
+    def test_main_freezes_nothing_in_its_callers_process(self, capsys):
+        # only the process entry freezes: a caller's objects stay in its collector
+        frozen = gc.get_freeze_count()
+        assert cli.main(PROCESS_ARGV["scan"]) == 0
+        assert cli.main(PROCESS_ARGV["refused"]) == 1
+        with pytest.raises(SystemExit) as usage:
+            cli.main(PROCESS_ARGV["usage"])
+        assert usage.value.code == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_process_entry_freezes_once_main_has_ended(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        assert cli.console() == 3
+        assert calls == ["main", "freeze"]
+
+        def usage():
+            calls.append("main")
+            raise SystemExit(2)
+
+        calls.clear()
+        monkeypatch.setattr(cli, "main", usage)
+        with pytest.raises(SystemExit) as exit:
+            cli.console()
+        assert exit.value.code == 2 and calls == ["main", "freeze"]
+
+    def test_the_installed_script_is_the_process_entry(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^fmoent = "fmoent\.cli:console"$', pyproject, re.M)
+
+    @pytest.mark.parametrize("kind", list(PROCESS_ARGV))
+    def test_a_process_prints_what_main_prints(self, kind, capsys):
+        argv = PROCESS_ARGV[kind]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmoent.cli", *argv], capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        assert (proc.stdout, proc.stderr, proc.returncode) == (captured.out, captured.err, code)
+        assert code == {"refused": 1, "usage": 2}.get(kind, 0)
+
+    def test_a_process_writes_the_whole_output_file(self, tmp_path, capsys):
+        argv = [*PROCESS_ARGV["scan"], "--output"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmoent.cli", *argv, str(tmp_path / "process.csv")],
+            capture_output=True, env=_src_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert cli.main([*argv, str(tmp_path / "main.csv")]) == 0
+        written = (tmp_path / "process.csv").read_bytes()
+        assert written == (tmp_path / "main.csv").read_bytes()
+        assert written.count(b"\n") == 1 + 6 * 41
 
     def test_version_reports_conversion_constant(self, capsys):
         with pytest.raises(SystemExit) as exc:
