@@ -5,13 +5,13 @@ RFC-4180-style CSV (header row first, 12 significant digits, '\\n' line
 endings).  Identical inputs produce byte-identical output.
 
 A scan's grid is outer x inner, evaluated in blocks of at most
-``_BLOCK_ROWS`` rows (``_blocks``).  ``run_scan`` forms the survival
-amplitude u once per distinct reservoir point of a block, and each
-observable is one array kernel of u and the parameters in
-``_OBSERVABLE_TABLE``.  A point's printed value does not depend on which
-parameters were swept or on the blocking, but an ``f_ghz_*`` row's last bit
-can depend on whether ``n`` is the inner axis (numpy's ``power`` rounds a
-contiguous exponent differently).
+``_BLOCK_ROWS`` rows (``_blocks``), each written before the next is evaluated
+when a scan streams.  ``run_scan`` forms the survival amplitude u once per
+distinct reservoir point of a block, and each observable is one array kernel
+of u and the parameters in ``_OBSERVABLE_TABLE``.  A point's printed value
+does not depend on which parameters were swept or on the blocking, but an
+``f_ghz_*`` row's last bit can depend on whether ``n`` is the inner axis
+(numpy's ``power`` rounds a contiguous exponent differently).
 
 Subcommands: ``scan`` (observable scans), ``table`` (the exciton
 energy/amplitude table) and ``check`` (closed-form amplitude against the
@@ -22,6 +22,7 @@ against ``_COMMANDS``, one table of each subcommand's flags; a usage error exits
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import importlib
 import math
@@ -124,14 +125,22 @@ class AxisSpec(_Record):
         object.__setattr__(self, "steps", steps)
 
     def values(self) -> np.ndarray:
-        grid = np.linspace(self.start, self.stop, self.steps)
-        if self.name == "n":
-            rounded = np.round(grid)
-            off = np.abs(grid - rounded) > 1e-9
-            if off.any():
-                raise ConfigError(f"axis n: values must be integers, got {_shown(grid[off.argmax()].item())}")
-            return rounded
-        return grid
+        if self.name != "n":
+            return np.linspace(self.start, self.stop, self.steps)
+        # linspace's first two points, as it computes them, refuse an n axis
+        # that starts off an integer or steps by less than 1 before the grid is built
+        first, last = np.linspace(self.start, self.stop, 2)
+        _integers(np.array([first, last if self.steps == 2 else first + (last - first) / (self.steps - 1)]))
+        return _integers(np.linspace(self.start, self.stop, self.steps))
+
+
+def _integers(grid: np.ndarray) -> np.ndarray:
+    """An n grid rounded, refused by its first value more than 1e-9 from an integer."""
+    rounded = np.round(grid)
+    off = np.abs(grid - rounded) > 1e-9
+    if off.any():
+        raise ConfigError(f"axis n: values must be integers, got {_shown(grid[off.argmax()].item())}")
+    return rounded
 
 
 class ScanSpec(_Record):
@@ -172,7 +181,7 @@ class ScanSpec(_Record):
             raise ConfigError(f"n: must be an integer, got {fixed['n']}")
         total = math.prod(axis.steps for axis in axes)
         if total > MAX_GRID_ROWS:
-            raise ConfigError(f"axes: the grid has {total} points, more than the limit of {MAX_GRID_ROWS}")
+            raise ConfigError(f"axes: the grid has {_shown(total)} points, more than the limit of {MAX_GRID_ROWS}")
         object.__setattr__(self, "observable", observable)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "fixed", fixed)
@@ -221,15 +230,15 @@ def _read_only(array) -> np.ndarray:
 def _parse_axis(key: str, text: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) != 4:
-        raise ConfigError(f"{key}: expected 'name:min:max:steps', got {text!r}")
+        raise ConfigError(f"{key}: expected 'name:min:max:steps', got {_shown(text)}")
     try:
         start, stop = float(parts[1]), float(parts[2])
     except ValueError:
-        raise ConfigError(f"{key}: min/max must be numbers in {text!r}") from None
+        raise ConfigError(f"{key}: min/max must be numbers in {_shown(text)}") from None
     try:
         steps = int(parts[3])
     except ValueError:
-        raise ConfigError(f"{key}: steps must be an integer in {text!r}") from None
+        raise ConfigError(f"{key}: steps must be an integer in {_shown(text)}") from None
     try:
         return AxisSpec(name=parts[0].strip(), start=start, stop=stop, steps=steps)
     except ConfigError as exc:
@@ -245,10 +254,10 @@ def parse_config_file(path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {_shown(raw_line)}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _SCAN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown key {_shown(key)}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
@@ -261,7 +270,7 @@ def _number(key: str, text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+        raise ConfigError(f"{key}: expected a number, got {_shown(text)}") from None
 
 
 def build_scan_spec(mapping: dict[str, str]) -> ScanSpec:
@@ -351,9 +360,9 @@ def _resolve_dataset(name_or_path: str):
     try:
         return dataset(name_or_path)
     except ValueError:
-        if Path(name_or_path).is_file():
+        if os.path.isfile(name_or_path):  # False, not OSError, for a name too long to be a file
             return load_site_energies(name_or_path)
-        raise ValueError(f"dataset: {name_or_path!r} is neither a builtin name nor a readable file") from None
+        raise ValueError(f"dataset: {_shown(name_or_path)} is neither a builtin name nor a readable file") from None
 
 
 def _blocks(outer: int, sweep: int):
@@ -368,8 +377,12 @@ def _blocks(outer: int, sweep: int):
             yield slice(o, o + k), slice(i, i + width)
 
 
-def run_scan(spec: ScanSpec) -> ScanResult:
-    """Evaluate the observable over the grid; the first axis varies slowest."""
+def run_scan(spec: ScanSpec, destination=None) -> ScanResult | None:
+    """Evaluate the observable over the grid; the first axis varies slowest.
+
+    With a destination (a path, or '-' for stdout) nothing is kept: each block goes
+    to ``emit_csv`` once evaluated, and a path is opened once the first block is in.
+    """
     observable = _OBSERVABLE_TABLE[spec.observable]
     _need(*observable.modules)
     axis_names = [axis.name for axis in spec.axes]
@@ -388,38 +401,48 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     outer = grids[0] if len(grids) == 2 else np.zeros(1)
     inner = grids[-1] if grids else np.zeros(1)
     header = [_AXIS_LABELS[name] for name in axis_names] + list(observable.columns)
-    values = np.empty((len(outer), len(inner), len(observable.columns)))
+    columns = len(observable.columns)
+    values = np.empty((len(outer), len(inner), columns)) if destination is None else None
     # u is evaluated again only when the block's inner slice changes or the
     # outer axis is a reservoir input
     varies = len(grids) == 2 and axis_names[0] in _RES
     u = last = None
-    for o, i in _blocks(len(outer), len(inner)):
-        # the outer axis as (k, 1), the inner axis as (1, m)
-        axes = (outer[o, None], inner[None, i])[2 - len(grids) :]
-        p = {**base, **dict(zip(axis_names, axes))}
-        if varies or i != last:
-            reservoir = ReservoirParams(p["gamma0"], half_width=p["half_width"], delta=p["delta"])
-            # t spans the block's distinct reservoir points, one per value of u
-            t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
-            t[...] = p["t"]
-            u, last = amplitude(reservoir, t), i
-        for j, column in enumerate(observable.kernel(u, p)):
-            values[o, i, j] = column
+    with contextlib.ExitStack() as stack:
+        for o, i in _blocks(len(outer), len(inner)):
+            # the outer axis as (k, 1), the inner axis as (1, m)
+            axes = (outer[o, None], inner[None, i])[2 - len(grids) :]
+            p = {**base, **dict(zip(axis_names, axes))}
+            if varies or i != last:
+                reservoir = ReservoirParams(p["gamma0"], half_width=p["half_width"], delta=p["delta"])
+                # t spans the block's distinct reservoir points, one per value of u
+                t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
+                t[...] = p["t"]
+                u, last = amplitude(reservoir, t), i
+            block = np.empty((len(outer[o]), len(inner[i]), columns)) if values is None else values[o, i]
+            for j, column in enumerate(observable.kernel(u, p)):
+                block[..., j] = column
+            if values is None:
+                if o.start == i.start == 0:
+                    out = sys.stdout if destination == "-" else stack.enter_context(open(destination, "w"))
+                    out.write(",".join(header) + "\n")
+                emit_csv(ScanResult(header, block.reshape(-1, columns), tuple(a.ravel() for a in axes)), out)
+    if values is None:
+        return None
     # a read-only view can be made writable again while the array it views is
     for array in (values, *grids):
         for owner in (array, array.base):
             if owner is not None:
                 owner.setflags(write=False)
-    return ScanResult(header, values.reshape(-1, len(observable.columns)), tuple(grids))
+    return ScanResult(header, values.reshape(-1, columns), tuple(grids))
 
 
 def emit_csv(result: ScanResult, destination=None) -> None:
-    """Write a scan result as CSV to a path, or stdout when destination is None or '-'."""
-    if destination is None or destination == "-":
-        _write_csv(result, sys.stdout)
-    else:
-        with open(destination, "w") as handle:
-            _write_csv(result, handle)
+    """Write a scan result as CSV to a path, or stdout for None or '-'; an open stream gets the rows alone."""
+    if hasattr(destination, "write"):
+        return _write_csv(result, destination)
+    with contextlib.nullcontext(sys.stdout) if destination in (None, "-") else open(destination, "w") as out:
+        out.write(",".join(result.header) + "\n")
+        _write_csv(result, out)
 
 
 def _write_csv(result: ScanResult, out) -> None:
@@ -429,7 +452,6 @@ def _write_csv(result: ScanResult, out) -> None:
     # down the rows, so it is formatted once into the block's template: one
     # lead per outer value, and the inner slice's strings, formatted once
     # per distinct slice.  The one "%" call per block formats the values.
-    out.write(",".join(result.header) + "\n")
     values, axes = result.values, result.axes
     outer = axes[0] if len(axes) == 2 else None
     inner = axes[-1] if axes else None
@@ -448,7 +470,7 @@ def _write_csv(result: ScanResult, out) -> None:
 def _run_scan_command(args: dict) -> int:
     raw = {} if args["config"] is None else parse_config_file(args["config"])
     raw.update((key, args[key]) for key in _SCAN_KEYS if args[key] is not None)
-    emit_csv(run_scan(build_scan_spec(raw)), raw.get("output"))
+    run_scan(build_scan_spec(raw), raw.get("output", "-"))
     return 0
 
 
@@ -563,7 +585,7 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
         raise SystemExit(0)
     if command not in _COMMANDS:
         _usage_error(None, "the following arguments are required: command" if command is None else
-                     f"argument command: invalid choice: {command!r} (choose from 'scan', 'table', 'check')")
+                     f"argument command: invalid choice: {_shown(command)} (choose from 'scan', 'table', 'check')")
     flags = _COMMANDS[command][1]
     args, unknown, tokens = {flag: default for flag, (default, _) in flags.items()}, [], iter(rest)
     for token in tokens:
@@ -580,10 +602,10 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
             try:
                 value = float(value)
             except ValueError:
-                _usage_error(command, f"argument {flag}: invalid float value: {value!r}")
+                _usage_error(command, f"argument {flag}: invalid float value: {_shown(value)}")
         elif flag == "--observable" and value not in OBSERVABLES:
             choices = ", ".join(map(repr, OBSERVABLES))
-            _usage_error(command, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+            _usage_error(command, f"argument {flag}: invalid choice: {_shown(value)} (choose from {choices})")
         args[flag] = value
     if unknown:
         _usage_error(None, f"unrecognized arguments: {' '.join(unknown)}")

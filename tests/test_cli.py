@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import io
@@ -547,7 +548,7 @@ class TestRunScan:
         for array in (result.values, *result.axes):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 array.setflags(write=True)
-        assert len(_csv(cli._write_csv, result).splitlines()) == 10
+        assert len(_csv(write_csv, result).splitlines()) == 10
 
     def test_a_fractional_n_grid_is_refused_by_its_first_fraction(self, capsys):
         # the refusal once printed the whole grid: 58,519,953 bytes for 3,000,000 steps
@@ -559,6 +560,27 @@ class TestRunScan:
         assert captured.out == ""
         assert captured.err == "fmoent: axis n: values must be integers, got 2.0000333333333336\n"
         assert len(captured.err) < 600
+
+    def test_a_fractional_n_grid_is_refused_before_it_is_built(self, capsys):
+        # n:2:3:10000000 once built the 80 MB grid and three temporaries before
+        # refusing it: 332.9 MB peak RSS, against 28.0 MB at n:2:3:3
+        scan = ["scan", "--observable", "e_exciton", "--gamma0", "1000", "--half-width", "40", "--t", "0.1"]
+
+        def peak(axis):
+            tracemalloc.start()
+            try:
+                assert cli.main([*scan, "--axis1", axis]) == 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("n:2:3:3")  # loads the library outside the comparison
+        small, large = peak("n:2:3:3"), peak("n:2:3:10000000")
+        assert capsys.readouterr().err == (
+            "fmoent: axis n: values must be integers, got 2.5\n" * 2
+            + "fmoent: axis n: values must be integers, got 2.00000010000001\n"
+        )
+        assert large < small + 2**16
 
     def test_a_value_too_long_to_print_is_refused_by_its_key(self):
         # repr(10**5000) raises "Exceeds the limit (4300 digits)", naming no key
@@ -668,6 +690,12 @@ class TestCsvEmission:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def write_csv(result, out) -> None:
+    """The product's CSV writer: ``emit_csv`` to stdout, sent to ``out``."""
+    with contextlib.redirect_stdout(out):
+        emit_csv(result)
+
+
 def _csv(writer, result) -> str:
     out = io.StringIO()
     writer(result, out)
@@ -675,7 +703,7 @@ def _csv(writer, result) -> str:
 
 
 def assert_reference_bytes(result):
-    assert _csv(cli._write_csv, result) == _csv(write_csv_reference, result)
+    assert _csv(write_csv, result) == _csv(write_csv_reference, result)
 
 
 def _observable_axes(observable):
@@ -736,7 +764,7 @@ class TestCsvWriterBytes:
         size = (len(outer) * len(inner), 3)
         values = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-320.0, 307.0, size=size)
         result = ScanResult(["x", "y", "a", "b", "c"], values, (outer, inner))
-        text = _csv(cli._write_csv, result)
+        text = _csv(write_csv, result)
         assert "e-324" in text and "e+300" in text and "-0," in text
         assert text == _csv(write_csv_reference, result)
         # huge and negative outer values, tiny inner ones
@@ -793,8 +821,8 @@ class TestCsvWriterBytes:
         values = np.array([[0.5, 1.0], [0.25, 2.0]])
         listed = ScanResult(["t_ps", "u", "v"], values, ([0.0, 1.0],))
         assert isinstance(listed.axes[0], np.ndarray)
-        assert _csv(cli._write_csv, listed) == _csv(
-            cli._write_csv, ScanResult(["t_ps", "u", "v"], values, (np.array([0.0, 1.0]),))
+        assert _csv(write_csv, listed) == _csv(
+            write_csv, ScanResult(["t_ps", "u", "v"], values, (np.array([0.0, 1.0]),))
         ) == "t_ps,u,v\n0,0.5,1\n1,0.25,2\n"
 
     def test_rows_are_the_grid_then_the_values(self):
@@ -822,14 +850,14 @@ class TestCsvWriterBytes:
         sink = Sink()
         tracemalloc.start()
         try:
-            cli._write_csv(result, sink)
+            write_csv(result, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sink.rows == 200_001 and sink.most <= cli._BLOCK_ROWS
         assert peak < 2**20
         sink = Sink()
-        cli._write_csv(_scan("u_amplitude", AxisSpec("delta", -30.0, 30.0, 2), AxisSpec("t", 0.0, 5.0, 3000)), sink)
+        write_csv(_scan("u_amplitude", AxisSpec("delta", -30.0, 30.0, 2), AxisSpec("t", 0.0, 5.0, 3000)), sink)
         assert sink.rows == 6001 and sink.most <= cli._BLOCK_ROWS
 
 
@@ -868,8 +896,195 @@ class TestBlockWalk:
             def write(self, text):
                 lines.append(text.count("\n"))
 
-        cli._write_csv(result, Sink())
+        write_csv(result, Sink())
         assert lines == [1, 1024, 1024, 952, 1024, 1024, 952]
+
+
+def _refusal(argv, capsys) -> tuple[int, str]:
+    """The exit code of ``main(argv)`` and the last line it printed on stderr; it prints nothing on stdout."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as usage:
+        code = usage.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()[-1]
+
+
+_LONG = "x" * 3000
+_NINES = "9" * 4000  # a steps count int() reads: 4,000 digits is below its limit of 4,300
+
+
+class TestLongValuesInRefusals:
+    """A refusal quotes a value as ``fmoent._shown`` gives it: its repr, cut after 500 characters.
+
+    A short value is quoted whole: its refusal reads as it always has, byte for byte.
+    """
+
+    # name: the argv for a value, the refusal of a shown value, the value
+    # shown for a flag's value, a long value, a short value and its refusal
+    CASES = {
+        "axis-parts": (lambda v: ["--axis1", v], "axis1: expected 'name:min:max:steps', got {}", lambda v: v,
+                       _LONG, "t:0:1", "axis1: expected 'name:min:max:steps', got 't:0:1'"),
+        "axis-bounds": (lambda v: ["--axis1", f"t:{v}:1:3"], "axis1: min/max must be numbers in {}", lambda v: f"t:{v}:1:3",
+                        _LONG, "a", "axis1: min/max must be numbers in 't:a:1:3'"),
+        "axis-steps": (lambda v: ["--axis1", f"t:0:1:{v}"], "axis1: steps must be an integer in {}", lambda v: f"t:0:1:{v}",
+                       "9" * 5000, "x", "axis1: steps must be an integer in 't:0:1:x'"),
+        "number": (lambda v: ["--gamma0", v], "gamma0: expected a number, got {}", lambda v: v,
+                   _LONG, "abc", "gamma0: expected a number, got 'abc'"),
+        "grid-size": (lambda v: ["--axis1", f"t:0:1:{v}"], "axes: the grid has {} points, more than the limit of 10000000",
+                      int, _NINES, "10000001", "axes: the grid has 10000001 points, more than the limit of 10000000"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_scan_flag(self, case, capsys):
+        argv, message, shown, long, short, refused = self.CASES[case]
+        scan = ["scan", "--observable", "delta_p", "--half-width", "40"]
+        code, err = _refusal([*scan, *argv(long)], capsys)
+        assert (code, err) == (1, "fmoent: " + message.format(fmoent._shown(shown(long))))
+        assert len(err) < 600
+        assert _refusal([*scan, *argv(short)], capsys) == (1, "fmoent: " + refused)
+
+    def test_a_config_line_without_a_key(self, tmp_path, capsys):
+        for line, shown in [(_LONG, fmoent._shown(_LONG)), ("observable delta_p", "'observable delta_p'")]:
+            config = write_config(tmp_path, f"{line}\n")
+            code, err = _refusal(["scan", "--config", str(config)], capsys)
+            assert (code, err) == (1, f"fmoent: {config}:1: expected 'key = value', got {shown}")
+            assert len(err) < 600 + len(str(config))
+
+    def test_an_unknown_config_key(self, tmp_path, capsys):
+        for key, shown in [(_LONG, fmoent._shown(_LONG)), ("foo", "'foo'")]:
+            config = write_config(tmp_path, f"{key} = 1\n")
+            assert _refusal(["scan", "--config", str(config)], capsys) == (1, f"fmoent: {config}:1: unknown key {shown}")
+
+    def test_a_grid_size_too_long_to_print(self):
+        # str(10**5000) raised Python's "Exceeds the limit (4300 digits)", naming no key
+        with pytest.raises(ConfigError) as refused:
+            ScanSpec("delta_p", (AxisSpec("t", 0.0, 1.0, 10**5000),), {"gamma0": 1000.0, "half_width": 40.0})
+        assert str(refused.value) == (
+            f"axes: the grid has {fmoent._shown(10**5000)} points, more than the limit of {cli.MAX_GRID_ROWS}"
+        )
+
+    def test_a_dataset(self, capsys):
+        # a name too long to be a file once raised OSError, whose message held the whole name
+        for name, shown in [(_LONG, fmoent._shown(_LONG)), ("a/" * 400, fmoent._shown("a/" * 400)), ("", "''")]:
+            code, err = _refusal(["table", "--dataset", name], capsys)
+            assert (code, err) == (1, f"fmoent: dataset: {shown} is neither a builtin name nor a readable file")
+
+    @pytest.mark.parametrize("argv, message", [
+        (lambda v: [v], "fmoent: error: argument command: invalid choice: {} (choose from 'scan', 'table', 'check')"),
+        (lambda v: ["check", "--t-max", v], "fmoent check: error: argument --t-max: invalid float value: {}"),
+        (lambda v: ["scan", "--observable", v], "fmoent scan: error: argument --observable: invalid choice: {} (choose from "
+         + ", ".join(map(repr, cli.OBSERVABLES)) + ")"),
+    ], ids=["command", "float", "observable"])
+    def test_a_usage_error(self, argv, message, capsys):
+        for value in (_LONG, "abc"):
+            assert _refusal(argv(value), capsys) == (2, message.format(fmoent._shown(value)))
+
+
+class Discard:
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedScan:
+    """``fmoent scan`` writes each block before it evaluates the next."""
+
+    SCAN = ["scan", "--observable", "u_amplitude", "--gamma0", "1000", "--axis2", "t:0:1:200"]
+    # b passes 1 at its ninth value, 1.5 * 8 / 11; a block is 1024 // 201 = 5 values of b
+    REFUSED = ["scan", "--observable", "q_closed", "--gamma0", "1000", "--half-width", "40", "--axis2", "t:0:1:201"]
+    B_ERROR = f"fmoent: b: must lie in [0, 1], got {np.linspace(0.0, 1.5, 12)[8]}\n"
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        # while the whole value table was held before a row was written, 250 x 200
+        # traced at 1.45 MB.  The outer values print as wide at both sizes,
+        # since the rows' text is part of a block's peak.
+        monkeypatch.setattr(sys, "stdout", Discard())
+
+        def peak(outer):
+            tracemalloc.start()
+            try:
+                assert cli.main([*self.SCAN, "--axis1", f"half_width:10:11:{outer}"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # loads the library outside the comparison
+        small, large = peak(10), peak(250)
+        assert large <= 1.1 * small
+
+    def test_a_refusal_in_a_later_block_leaves_the_rows_before_it(self, capsys):
+        assert cli.main([*self.REFUSED, "--axis1", "b:0:1.5:12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self.B_ERROR
+        # the header and the first block's 5 x 201 rows, as scans of each b print them
+        fixed = {"gamma0": 1000.0, "half_width": 40.0}
+        expected = ["b,t_ps,q"]
+        for b in np.linspace(0.0, 1.5, 12)[:5]:
+            result = run_scan(ScanSpec("q_closed", (AxisSpec("t", 0.0, 1.0, 201),), {**fixed, "b": b}))
+            expected += [",".join("%.12g" % v for v in (b, *row)) for row in result.rows]
+        assert captured.out.splitlines() == expected and captured.out.endswith("\n")
+
+    def test_a_refused_first_block_leaves_the_output_file_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        out.write_bytes(b"kept\n")
+        assert cli.main([*self.REFUSED, "--axis1", "b:0.9:1.5:12", "--output", str(out)]) == 1
+        assert out.read_bytes() == b"kept\n"
+        assert capsys.readouterr().err == f"fmoent: b: must lie in [0, 1], got {np.linspace(0.9, 1.5, 12)[2]}\n"
+        # a refusal in the second block leaves the file holding the first
+        assert cli.main([*self.REFUSED, "--axis1", "b:0:1.5:12", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == self.B_ERROR
+        assert len(out.read_text().splitlines()) == 1 + 5 * 201
+
+    def test_a_closed_reader_stops_the_evaluation(self, monkeypatch):
+        calls = []
+        cli._need("reservoir")
+        original = cli.amplitude
+
+        def counting(params, t):
+            calls.append(np.size(t))
+            return original(params, t)
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "amplitude", counting)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        # half width is a reservoir input: each of the 200 blocks calls amplitude
+        spec = build_scan_spec({"observable": "u_amplitude", "gamma0": "1000", "axis1": "half_width:10:100:1000",
+                                "axis2": "t:0:1:200"})
+        with pytest.raises(BrokenPipeError):
+            run_scan(spec, "-")
+        assert calls == [1000]
+
+    @pytest.mark.parametrize("axes", [
+        (AxisSpec("delta", -30.0, 30.0, 3), AxisSpec("t", 0.0, 5.0, 2500)),
+        (AxisSpec("half_width", 10.0, 100.0, 30), AxisSpec("t", 0.0, 1.0, 200)),
+        (AxisSpec("t", 0.0, 5.0, 3000),),
+        (),
+    ], ids=["long-sweep", "whole-sweeps", "one-axis", "no-axis"])
+    def test_a_streamed_scan_writes_the_bytes_of_its_result(self, axes, tmp_path):
+        fixed = {"gamma0": 1000.0, "half_width": 40.0, "t": 0.5}
+        spec = ScanSpec("u_amplitude", axes, {k: v for k, v in fixed.items() if k not in {a.name for a in axes}})
+        emit_csv(run_scan(spec), tmp_path / "kept.csv")
+        assert run_scan(spec, tmp_path / "streamed.csv") is None
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+
+    def test_a_scan_runs_under_run_scan_and_writes_through_emit_csv(self, monkeypatch, capsys):
+        # a profile of the module's public names sees the scan's evaluation and its writing
+        calls = []
+        for name in ("run_scan", "emit_csv"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        assert cli.main([*self.SCAN, "--axis1", "half_width:10:11:12"]) == 0
+        assert calls == ["run_scan"] + ["emit_csv"] * 3
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 12 * 200
 
 
 class TestSweptAxisOfN:
@@ -888,7 +1103,7 @@ class TestSweptAxisOfN:
         def printed(axes, **more):
             """(n, t) -> the printed value columns of one scan."""
             spec = ScanSpec(observable=observable, axes=axes, fixed={**fixed, **more})
-            rows = [line.split(",") for line in _csv(cli._write_csv, run_scan(spec)).splitlines()[1:]]
+            rows = [line.split(",") for line in _csv(write_csv, run_scan(spec)).splitlines()[1:]]
             if not more:
                 return {(row[0], row[1]) if axes[0].name == "n" else (row[1], row[0]): row[2:] for row in rows}
             return {("%.12g" % more["n"], row[0]): row[1:] for row in rows}
