@@ -102,7 +102,7 @@ def _real_number(value) -> float | None:
 
 
 class AxisSpec(_Record):
-    """One swept axis: ``steps`` evenly spaced values from start to stop."""
+    """One swept axis: ``steps`` values from start to stop as ``np.linspace`` makes them; ``ScanSpec`` checks n and b."""
 
     __slots__ = ("name", "start", "stop", "steps")
 
@@ -114,10 +114,10 @@ class AxisSpec(_Record):
             raise ConfigError(f"axis {name}: min and max must be real numbers, got {_shown(start)} and {_shown(stop)}")
         if not (math.isfinite(low) and math.isfinite(high)):
             raise ConfigError(f"axis {name}: min and max must be finite, got {start} and {stop}")
+        shown = _shown(steps.item() if isinstance(steps, np.generic) else steps)  # a numpy scalar prints as its value
         if not isinstance(steps, (int, np.integer)):
-            raise ConfigError(f"axis {name}: steps must be an integer, got {steps}")
+            raise ConfigError(f"axis {name}: steps must be an integer, got {shown}")
         if steps < 2:
-            shown = steps if isinstance(steps, np.integer) else _shown(steps)  # a numpy int prints as its value
             raise ConfigError(f"axis {name}: steps must be >= 2, got {shown}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
@@ -125,29 +125,28 @@ class AxisSpec(_Record):
         object.__setattr__(self, "steps", steps)
 
     def values(self) -> np.ndarray:
-        if self.name != "n":
-            return np.linspace(self.start, self.stop, self.steps)
-        # linspace's first two points, as it computes them, refuse an n axis
-        # that starts off an integer or steps by less than 1 before the grid is built
-        first, last = np.linspace(self.start, self.stop, 2)
-        _integers(np.array([first, last if self.steps == 2 else first + (last - first) / (self.steps - 1)]))
-        return _integers(np.linspace(self.start, self.stop, self.steps))
+        return np.linspace(self.start, self.stop, self.steps)
 
 
-def _integers(grid: np.ndarray) -> np.ndarray:
-    """An n grid rounded, refused by its first value more than 1e-9 from an integer."""
-    rounded = np.round(grid)
-    off = np.abs(grid - rounded) > 1e-9
-    if off.any():
-        raise ConfigError(f"axis n: values must be integers, got {_shown(grid[off.argmax()].item())}")
-    return rounded
+def _integer_axis(axis: AxisSpec) -> None:
+    """Refuse an n axis, without its grid, unless start, stop and linspace's step are exact integers.
+
+    Every point, ``arange * step + start`` and then stop, is one then.  A refusal quotes the first of start,
+    start + step and stop that is not, else the step (beyond 2**29 start + step can round to an integer).
+    """
+    first, last = np.linspace(axis.start, axis.stop, 2)
+    step = (last - first) / (axis.steps - 1)
+    if not (first.is_integer() and last.is_integer() and step.is_integer()):
+        off = [x.item() for x in (first, first + step, last) if not x.is_integer()]
+        raise ConfigError(f"axis n: values must be integers, got {off[0] if off else f'a step of {step.item()!r}'}")
 
 
 class ScanSpec(_Record):
     """Observable plus swept axes and fixed parameter values, checked when built.
 
-    ``axes`` is kept as a tuple and ``fixed`` as a read-only copy, so the
-    checked values are the ones a scan reads.
+    Every rule of the scan's own inputs is decided here, before a grid is built: each value
+    read is given, an ``n`` is an exact integer, a ``b`` read lies in [0, 1].  ``axes`` is kept
+    as a tuple and ``fixed`` as a read-only copy, so the checked values are the ones a scan reads.
     """
 
     __slots__ = ("observable", "axes", "fixed")
@@ -182,6 +181,16 @@ class ScanSpec(_Record):
         total = math.prod(axis.steps for axis in axes)
         if total > MAX_GRID_ROWS:
             raise ConfigError(f"axes: the grid has {_shown(total)} points, more than the limit of {MAX_GRID_ROWS}")
+        needs, swept = _OBSERVABLE_TABLE[observable].needs, dict(zip(names, axes))
+        missing = [name for name in needs if name not in {*swept, *fixed, *_DEFAULTS}]
+        if missing:
+            raise ConfigError(f"{missing[0]}: missing value for observable {observable!r}")
+        if "n" in swept:
+            _integer_axis(swept["n"])
+        if "b" in needs:  # an axis by its endpoints: linspace keeps every point between them
+            for end in map(float, (swept["b"].start, swept["b"].stop) if "b" in swept else (fixed["b"],)):
+                if not 0.0 <= end <= 1.0:
+                    raise ConfigError(f"b: must lie in [0, 1], got {end}")
         object.__setattr__(self, "observable", observable)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "fixed", fixed)
@@ -292,12 +301,8 @@ def load_config(path) -> ScanSpec:
 
 
 def _ab(p):
-    """(a, b) with a = sqrt(1 - b^2), for b in [0, 1]."""
-    b = p["b"]
-    inside = (b >= 0.0) & (b <= 1.0)
-    if not inside.all():
-        raise ValueError(f"b: must lie in [0, 1], got {b[~inside][0]}")
-    return np.sqrt(1.0 - b * b), b
+    """(a, b) with a = sqrt(1 - b^2); ``ScanSpec`` keeps b in [0, 1]."""
+    return np.sqrt(1.0 - p["b"] * p["b"]), p["b"]
 
 
 def _with_damping(u, fidelity):
@@ -387,14 +392,8 @@ def run_scan(spec: ScanSpec, destination=None) -> ScanResult | None:
     _need(*observable.modules)
     axis_names = [axis.name for axis in spec.axes]
     # each fixed value as a (1, 1) array, broadcasting over a block
-    base: dict[str, np.ndarray] = {}
-    for name in observable.needs:
-        if name in axis_names:
-            continue
-        value = spec.fixed.get(name, _DEFAULTS.get(name))
-        if value is None:
-            raise ValueError(f"{name}: missing value for observable {spec.observable!r}")
-        base[name] = np.full((1, 1), value)
+    base = {name: np.full((1, 1), spec.fixed.get(name, _DEFAULTS.get(name)))
+            for name in observable.needs if name not in axis_names}
 
     grids = [axis.values() for axis in spec.axes]
     # the grid is outer x inner; a scan of one axis or none has a single outer row

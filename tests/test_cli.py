@@ -140,9 +140,9 @@ class TestRunScan:
             run_scan(ScanSpec(observable="nope"))
 
     def test_missing_parameter_named(self):
-        spec = ScanSpec(observable="delta_p", axes=(AxisSpec("t", 0, 1, 5),))
-        with pytest.raises(ValueError, match="gamma0"):
-            run_scan(spec)
+        # refused when the spec is built, before a grid or a row
+        with pytest.raises(ConfigError, match="^gamma0: missing value for observable 'delta_p'$"):
+            ScanSpec(observable="delta_p", axes=(AxisSpec("t", 0, 1, 5),))
 
     def test_scalar_scan_has_single_row(self):
         spec = ScanSpec(
@@ -241,13 +241,13 @@ class TestRunScan:
             assert abs(row_c[1] - row_n[1]) < 1e-12
 
     def test_n_axis_requires_integers(self):
-        spec = ScanSpec(
-            observable="f_ghz_tele",
-            axes=(AxisSpec("n", 4.0, 5.0, 3),),
-            fixed={"gamma0": 10.0, "half_width": 40.0, "t": 0.1},
-        )
-        with pytest.raises(ConfigError, match="integers"):
-            run_scan(spec)
+        # refused when the spec is built, before a grid or a row
+        with pytest.raises(ConfigError, match=r"^axis n: values must be integers, got 4\.5$"):
+            ScanSpec(
+                observable="f_ghz_tele",
+                axes=(AxisSpec("n", 4.0, 5.0, 3),),
+                fixed={"gamma0": 10.0, "half_width": 40.0, "t": 0.1},
+            )
 
     def test_n_axis_sweep(self):
         spec = ScanSpec(
@@ -543,7 +543,7 @@ class TestRunScan:
         # the arrays run_scan filled stayed writable, so its read-only views could be
         # made writable again: setflags(write=True), then a write, printed 7
         fixed = {"gamma0": 1000.0, "half_width": 40.0}
-        # a t grid is a view of linspace's own buffer, an n grid owns its rounded values
+        # each grid is a view of linspace's own buffer
         result = run_scan(ScanSpec("e_exciton", (AxisSpec("t", 0.0, 1.0, 3), AxisSpec("n", 2.0, 4.0, 3)), fixed))
         for array in (result.values, *result.axes):
             with pytest.raises(ValueError, match="WRITEABLE"):
@@ -610,6 +610,79 @@ class TestRunScan:
     def test_too_few_steps_are_shown_as_given(self, steps, shown):
         with pytest.raises(ConfigError, match=rf"^axis t: steps must be >= 2, got {shown}$"):
             AxisSpec("t", 0.0, 1.0, steps)
+
+    def test_steps_not_an_integer_are_shown_cut(self):
+        # the value was once quoted whole: 3,038 characters for a 3,000-character string
+        with pytest.raises(ConfigError) as refused:
+            AxisSpec("t", 0.0, 1.0, _LONG)
+        assert str(refused.value) == f"axis t: steps must be an integer, got {fmoent._shown(_LONG)}"
+        assert len(str(refused.value)) < 600
+        # a numpy scalar shows as its value
+        for steps, shown in [(np.float64(2.5), "2.5"), (2.5, "2.5"), ("3", "'3'")]:
+            with pytest.raises(ConfigError, match=rf"^axis t: steps must be an integer, got {re.escape(shown)}$"):
+                AxisSpec("t", 0.0, 1.0, steps)
+
+    def test_an_n_axis_is_decided_without_its_grid(self):
+        # its first two points lie within 1e-9 of integers, so the rounding rule
+        # built the 10^7-point grid before refusing it: 305 MiB traced
+        fixed = {"gamma0": 1000.0, "half_width": 40.0, "t": 0.1}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^axis n: values must be integers, got 1\.0000000005$"):
+                ScanSpec("e_exciton", (AxisSpec("n", 0, 9999999.005, 10**7),), fixed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_an_n_axis_is_exact(self):
+        fixed = {"gamma0": 1000.0, "half_width": 40.0, "t": 0.1}
+        refusals = [
+            (AxisSpec("n", 2.0 + 1e-12, 6.0, 5), "got 2.000000000001"),  # the rounding rule read it as 2..6
+            (AxisSpec("n", 2.0, 6.0 - 1e-12, 5), "got 2.99999999999975"),
+            (AxisSpec("n", 2.0, 4.5, 2), "got 4.5"),
+            # beyond 2**29 a second point can round to an integer: the step is quoted
+            (AxisSpec("n", 2.0**33, 2.0**33 + 1.0, 10**7), f"got a step of {1.0 / (10**7 - 1)!r}"),
+        ]
+        for axis, shown in refusals:
+            with pytest.raises(ConfigError, match=rf"^axis n: values must be integers, {re.escape(shown)}$"):
+                ScanSpec("e_exciton", (axis,), fixed)
+        for axis, grid in [(AxisSpec("n", 2, 12, 6), [2, 4, 6, 8, 10, 12]), (AxisSpec("n", 12.0, 2.0, 3), [12, 7, 2]),
+                           (AxisSpec("n", 4, 4, 3), [4, 4, 4])]:
+            assert ScanSpec("e_exciton", (axis,), fixed).axes[0].values().tolist() == grid
+
+    def test_b_is_decided_by_its_endpoints_for_the_observables_that_read_it(self):
+        fixed = {"gamma0": 1000.0, "half_width": 40.0, "t": 0.1}
+        for observable in ("q_closed", "q_numeric"):
+            for axis, shown in [(AxisSpec("b", 0.0, 1.5, 12), "1.5"), (AxisSpec("b", -0.25, 1.0, 3), "-0.25"),
+                                (AxisSpec("b", 2, 0, 3), "2.0")]:
+                with pytest.raises(ConfigError, match=rf"^b: must lie in \[0, 1\], got {re.escape(shown)}$"):
+                    ScanSpec(observable, (axis,), fixed)
+            for b, shown in [(1.5, "1.5"), (-1, "-1.0"), (np.float32(1.25), "1.25")]:
+                with pytest.raises(ConfigError, match=rf"^b: must lie in \[0, 1\], got {re.escape(shown)}$"):
+                    ScanSpec(observable, fixed={**fixed, "b": b})
+            assert run_scan(ScanSpec(observable, (AxisSpec("b", 1.0, 0.0, 5),), fixed)).values.shape == (5, 1)
+        # an observable that does not read b takes any b, as it always has
+        assert run_scan(ScanSpec("delta_p", (AxisSpec("b", 0.0, 1.5, 3),), fixed)).values.shape == (3, 1)
+        assert run_scan(ScanSpec("delta_p", fixed={**fixed, "b": 7.0})).values.shape == (1, 1)
+
+    def test_the_scan_rules_are_decided_before_the_first_amplitude_call(self, monkeypatch, capsys):
+        calls = []
+        cli._need("reservoir")
+        original = cli.amplitude
+        monkeypatch.setattr(cli, "amplitude", lambda params, t: calls.append(t) or original(params, t))
+        q = ["scan", "--observable", "q_closed", "--gamma0", "1000", "--half-width", "40", "--axis2", "t:0:1:201"]
+        e = ["scan", "--observable", "e_exciton", "--gamma0", "1000", "--half-width", "40", "--t", "0.1"]
+        refusals = [
+            ([*q, "--axis1", "b:0:1.5:12"], "b: must lie in [0, 1], got 1.5"),
+            ([*q, "--b", "-0.5"], "b: must lie in [0, 1], got -0.5"),
+            (q, "b: missing value for observable 'q_closed'"),
+            (e[:-2], "t: missing value for observable 'e_exciton'"),
+            ([*e, "--axis1", "n:2:3:3"], "axis n: values must be integers, got 2.5"),
+        ]
+        for argv, message in refusals:
+            assert _refusal(argv, capsys) == (1, f"fmoent: {message}")
+        assert calls == []
 
     @pytest.mark.parametrize("axis", ["t:0:1:3", ("t", 0.0, 1.0, 3), None])
     def test_an_axis_that_is_not_an_axis_spec_is_refused(self, axis):
@@ -996,9 +1069,11 @@ class TestStreamedScan:
     """``fmoent scan`` writes each block before it evaluates the next."""
 
     SCAN = ["scan", "--observable", "u_amplitude", "--gamma0", "1000", "--axis2", "t:0:1:200"]
-    # b passes 1 at its ninth value, 1.5 * 8 / 11; a block is 1024 // 201 = 5 values of b
-    REFUSED = ["scan", "--observable", "q_closed", "--gamma0", "1000", "--half-width", "40", "--axis2", "t:0:1:201"]
-    B_ERROR = f"fmoent: b: must lie in [0, 1], got {np.linspace(0.0, 1.5, 12)[8]}\n"
+    # a count is refused as its block is evaluated: a block is 1024 // 200 = 5
+    # values of n, and n = 13 is in the third, n = 12 to 14
+    LATE = ["scan", "--observable", "e_exciton", "--gamma0", "1000", "--half-width", "40",
+            "--axis1", "n:2:14:13", "--axis2", "t:0:1:200"]
+    N_ERROR = "fmoent: n_qubits must be integers in 2..12, got 13\n"
 
     def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch):
         # while the whole value table was held before a row was written, 250 x 200
@@ -1019,27 +1094,31 @@ class TestStreamedScan:
         assert large <= 1.1 * small
 
     def test_a_refusal_in_a_later_block_leaves_the_rows_before_it(self, capsys):
-        assert cli.main([*self.REFUSED, "--axis1", "b:0:1.5:12"]) == 1
+        assert cli.main(self.LATE) == 1
         captured = capsys.readouterr()
-        assert captured.err == self.B_ERROR
-        # the header and the first block's 5 x 201 rows, as scans of each b print them
+        assert captured.err == self.N_ERROR
+        # the header and the first two blocks' 10 x 200 rows, as scans of each n print them
         fixed = {"gamma0": 1000.0, "half_width": 40.0}
-        expected = ["b,t_ps,q"]
-        for b in np.linspace(0.0, 1.5, 12)[:5]:
-            result = run_scan(ScanSpec("q_closed", (AxisSpec("t", 0.0, 1.0, 201),), {**fixed, "b": b}))
-            expected += [",".join("%.12g" % v for v in (b, *row)) for row in result.rows]
+        expected = ["n,t_ps,e_exciton"]
+        for n in range(2, 12):
+            result = run_scan(ScanSpec("e_exciton", (AxisSpec("t", 0.0, 1.0, 200),), {**fixed, "n": n}))
+            expected += [",".join("%.12g" % v for v in (n, *row)) for row in result.rows]
+        assert len(expected) == 2001
         assert captured.out.splitlines() == expected and captured.out.endswith("\n")
 
     def test_a_refused_first_block_leaves_the_output_file_as_it_was(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         out.write_bytes(b"kept\n")
-        assert cli.main([*self.REFUSED, "--axis1", "b:0.9:1.5:12", "--output", str(out)]) == 1
-        assert out.read_bytes() == b"kept\n"
-        assert capsys.readouterr().err == f"fmoent: b: must lie in [0, 1], got {np.linspace(0.9, 1.5, 12)[2]}\n"
-        # a refusal in the second block leaves the file holding the first
-        assert cli.main([*self.REFUSED, "--axis1", "b:0:1.5:12", "--output", str(out)]) == 1
-        assert capsys.readouterr().err == self.B_ERROR
-        assert len(out.read_text().splitlines()) == 1 + 5 * 201
+        refused = ["scan", "--observable", "q_closed", "--gamma0", "1000", "--half-width", "40", "--axis2", "t:0:1:201"]
+        # a b axis is refused by its endpoint when the spec is built
+        for axis in ("b:0.9:1.5:12", "b:0:1.5:12"):
+            assert cli.main([*refused, "--axis1", axis, "--output", str(out)]) == 1
+            assert out.read_bytes() == b"kept\n"
+            assert capsys.readouterr().err == "fmoent: b: must lie in [0, 1], got 1.5\n"
+        # a refusal in the third block leaves the file holding the first two
+        assert cli.main([*self.LATE, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == self.N_ERROR
+        assert len(out.read_text().splitlines()) == 1 + 10 * 200
 
     def test_a_closed_reader_stops_the_evaluation(self, monkeypatch):
         calls = []

@@ -120,3 +120,47 @@ def test_every_scan_observable_is_refused_or_in_range(gamma0, half_width, delta,
             assert -1.0 <= values["delta_p"] <= 1.0, values
         if "u_re" in values:
             assert max(abs(values["u_re"]), abs(values["u_im"])) <= 1.0 + 1e-9, values
+
+
+def _rounded_n_grid(axis):
+    """The n grid as a scan once read it: linspace rounded, or None where a point lies more than 1e-9 from an integer."""
+    grid = axis.values()
+    rounded = np.round(grid)
+    return None if (np.abs(grid - rounded) > 1e-9).any() else rounded
+
+
+# an n axis: integer endpoints, moved off them by nothing, by less than 1e-9 or by more
+_offsets = st.sampled_from([0.0] * 6 + [1e-12, -3e-10, 2.0**-40, 0.25, -0.5])
+
+
+# no grid is evaluated, so an example costs about 0.1 ms
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(start=st.integers(-20, 40), step=st.integers(-6, 6), steps=st.integers(2, 60),
+       loose=st.integers(-50, 50), off=st.tuples(_offsets, _offsets), whole=st.booleans())
+def test_an_exact_n_axis_is_the_rounded_grid_of_the_rule_it_replaced(start, step, steps, loose, off, whole):
+    stop = start + step * (steps - 1) if whole else loose
+    axis = cli.AxisSpec("n", start + off[0], stop + off[1], steps)
+    before = _rounded_n_grid(axis)
+    try:
+        cli.ScanSpec("e_exciton", (axis,), {"gamma0": 1000.0, "half_width": 40.0, "t": 0.1})
+    except cli.ConfigError:
+        # refused now, read before: only endpoints near an integer but not on it
+        if before is not None:
+            ends = (axis.start, axis.stop)
+            assert all(abs(x - round(x)) <= 1e-9 for x in ends) and not all(float(x).is_integer() for x in ends)
+    else:
+        # accepted now: the grid the rounding made, bit for bit
+        assert before is not None
+        assert np.array_equal(axis.values().view(np.int64), before.view(np.int64))
+
+
+@PROPERTY
+@given(start=weights, stop=weights, steps=st.integers(2, 100_000))
+@example(start=1.0 - 2.0**-53, stop=1.0, steps=99_991)
+@example(start=2.0**-1074, stop=0.0, steps=3)
+@example(start=0.1, stop=0.7, steps=7)
+def test_b_endpoints_in_the_unit_interval_keep_every_point_in_it(start, stop, steps):
+    axis = cli.AxisSpec("b", start, stop, steps)
+    cli.ScanSpec("q_closed", (axis,), {"gamma0": 1000.0, "half_width": 40.0, "t": 0.1})
+    grid = axis.values()
+    assert np.all((grid >= 0.0) & (grid <= 1.0))

@@ -63,11 +63,15 @@ class TestRepr:
         [
             (AxisSpec("t", 0.0, 1.0, 3), "AxisSpec(name='t', start=0.0, stop=1.0, steps=3)"),
             (
-                ScanSpec("delta_p", (AxisSpec("n", 2.0, 4.0, 3),), {"t": 0.5}),
+                ScanSpec("delta_p", (AxisSpec("n", 2.0, 4.0, 3),), {"t": 0.5, "gamma0": 10.0, "half_width": 40.0}),
                 "ScanSpec(observable='delta_p', axes=(AxisSpec(name='n', start=2.0, stop=4.0, steps=3),), "
-                "fixed=mappingproxy({'t': 0.5}))",
+                "fixed=mappingproxy({'t': 0.5, 'gamma0': 10.0, 'half_width': 40.0}))",
             ),
-            (ScanSpec("delta_p"), "ScanSpec(observable='delta_p', axes=(), fixed=mappingproxy({}))"),
+            (
+                ScanSpec("e_exciton", fixed={"gamma0": 10.0, "half_width": 40.0, "t": 0.5}),
+                "ScanSpec(observable='e_exciton', axes=(), "
+                "fixed=mappingproxy({'gamma0': 10.0, 'half_width': 40.0, 't': 0.5}))",
+            ),
             (
                 ScanResult(["t_ps", "v"], np.array([[0.5], [0.25]]), (np.array([0.0, 1.0]),)),
                 "ScanResult(header=('t_ps', 'v'), values=array([[0.5 ],\n       [0.25]]), axes=(array([0., 1.]),))",
