@@ -131,8 +131,8 @@ class AxisSpec(_Record):
 def _integer_axis(axis: AxisSpec) -> None:
     """Refuse an n axis, without its grid, unless start, stop and linspace's step are exact integers.
 
-    Every point, ``arange * step + start`` and then stop, is one then.  A refusal quotes the first of start,
-    start + step and stop that is not, else the step (beyond 2**29 start + step can round to an integer).
+    Then every point, ``arange * step + start`` and lastly stop, is an integer.  A refusal quotes the first of
+    start, start + step and stop that is not, else the step (beyond 2**29 start + step can round to an integer).
     """
     first, last = np.linspace(axis.start, axis.stop, 2)
     step = (last - first) / (axis.steps - 1)
@@ -161,16 +161,16 @@ class ScanSpec(_Record):
         for axis in axes:
             if not isinstance(axis, AxisSpec):
                 raise ConfigError(f"axes: expected AxisSpec items, got {_shown(axis)}")
-        names = [axis.name for axis in axes]
-        if len(names) > 2:
-            raise ConfigError(f"axes: at most two axes may be swept, got {len(names)}")
-        if len(set(names)) < len(names):
-            raise ConfigError(f"axis2: duplicates axis1 ({names[0]!r})")
+        swept = {axis.name: axis for axis in axes}
+        if len(axes) > 2:
+            raise ConfigError(f"axes: at most two axes may be swept, got {len(axes)}")
+        if len(swept) < len(axes):
+            raise ConfigError(f"axis2: duplicates axis1 ({axes[0].name!r})")
         for key, value in fixed.items():
             if key not in AXIS_NAMES:
                 shown = key if isinstance(key, str) else _shown(key)  # a config key prints bare
                 raise ConfigError(f"{shown}: not a scan parameter; use one of {AXIS_NAMES}")
-            if key in names:
+            if key in swept:
                 raise ConfigError(f"{key}: given both as an axis and a fixed value")
             if (number := _real_number(value)) is None:
                 raise ConfigError(f"{key}: expected a real number, got {_shown(value)}")
@@ -181,8 +181,8 @@ class ScanSpec(_Record):
         total = math.prod(axis.steps for axis in axes)
         if total > MAX_GRID_ROWS:
             raise ConfigError(f"axes: the grid has {_shown(total)} points, more than the limit of {MAX_GRID_ROWS}")
-        needs, swept = _OBSERVABLE_TABLE[observable].needs, dict(zip(names, axes))
-        missing = [name for name in needs if name not in {*swept, *fixed, *_DEFAULTS}]
+        needs, given = _OBSERVABLE_TABLE[observable].needs, {*swept, *fixed, *_DEFAULTS}
+        missing = [name for name in needs if name not in given]
         if missing:
             raise ConfigError(f"{missing[0]}: missing value for observable {observable!r}")
         if "n" in swept:
