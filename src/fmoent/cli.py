@@ -102,7 +102,7 @@ def _real_number(value) -> float | None:
 
 
 class AxisSpec(_Record):
-    """One swept axis: ``steps`` values from start to stop as ``np.linspace`` makes them; ``ScanSpec`` checks n and b."""
+    """One swept axis: ``steps`` doubles from start to stop as ``np.linspace`` makes them; ``ScanSpec`` checks n and b."""
 
     __slots__ = ("name", "start", "stop", "steps")
 
@@ -125,7 +125,7 @@ class AxisSpec(_Record):
         object.__setattr__(self, "steps", steps)
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+        return np.linspace(self.start, self.stop, self.steps, dtype=float)
 
 
 def _integer_axis(axis: AxisSpec) -> None:

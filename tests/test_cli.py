@@ -703,6 +703,15 @@ class TestRunScan:
         with pytest.raises(ConfigError, match=rf"^t: expected a real number, got {re.escape(repr(value))}$"):
             ScanSpec("delta_p", fixed={"gamma0": 1000.0, "half_width": 40.0, "t": value})
 
+    def test_a_float32_axis_scans_as_its_values_in_doubles(self):
+        # a float32 b grid made a float32 a = sqrt(1 - b^2): "a^2 + b^2 must equal 1"
+        fixed = {"gamma0": 1000.0, "half_width": 40.0, "t": 0.05}
+        result = run_scan(ScanSpec("q_closed", (AxisSpec("b", np.float32(0.1), np.float32(0.9), 5),), fixed))
+        grid = np.linspace(np.float32(0.1), np.float32(0.9), 5).tolist()
+        assert result.axes[0].dtype == np.float64 and result.axes[0].tolist() == grid
+        for b, value in zip(grid, result.values[:, 0].tolist()):
+            assert value == run_scan(ScanSpec("q_closed", fixed={**fixed, "b": b})).values[0, 0]
+
     @pytest.mark.parametrize("value", [1, 0.5, np.float32(0.5), np.int64(1), np.float64(0.25)])
     def test_real_numbers_of_any_type_are_read(self, value):
         fixed = {"gamma0": 1000.0, "half_width": 40.0, "t": value}

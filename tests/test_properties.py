@@ -123,7 +123,7 @@ def test_every_scan_observable_is_refused_or_in_range(gamma0, half_width, delta,
 
 
 def _rounded_n_grid(axis):
-    """The n grid as a scan once read it: linspace rounded, or None where a point lies more than 1e-9 from an integer."""
+    """The n grid as a scan once read it: linspace rounded, or None if a point lies over 1e-9 from an integer."""
     grid = axis.values()
     rounded = np.round(grid)
     return None if (np.abs(grid - rounded) > 1e-9).any() else rounded
