@@ -4,13 +4,13 @@ Scans evaluate one observable over a grid of up to two swept axes and write
 RFC-4180-style CSV (header row first, 12 significant digits, '\\n' line
 endings).  Identical inputs produce byte-identical output.
 
-A scan's grid is outer x inner, evaluated in blocks of at most
-``_BLOCK_ROWS`` rows (``_blocks``), each written before the next is evaluated
-when a scan streams.  ``run_scan`` forms the survival amplitude u once per
-distinct reservoir point of a block, and each observable is one array kernel
-of u and the parameters in ``_OBSERVABLE_TABLE``.  A point's printed value
-does not depend on which parameters were swept or on the blocking, but an
-``f_ghz_*`` row's last bit can depend on whether ``n`` is the inner axis
+A scan's grid is outer x inner, evaluated in blocks of at most ``_BLOCK_ROWS``
+rows (``_blocks``) by one loop, ``_evaluate``, which forms the survival
+amplitude u once per distinct reservoir point of a block; each observable is
+one array kernel of u and the parameters in ``_OBSERVABLE_TABLE``.  One writer,
+``_write``, writes each streamed block before the next is evaluated.  A point's
+printed value does not depend on the swept parameters or on the blocking, but
+an ``f_ghz_*`` row's last bit can depend on whether ``n`` is the inner axis
 (numpy's ``power`` rounds a contiguous exponent differently).
 
 Subcommands: ``scan`` (observable scans), ``table`` (the exciton
@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import importlib
+import itertools
 import math
 import os
 import sys
@@ -200,7 +201,8 @@ class ScanResult(_Record):
     """CSV header, the value columns of each grid point, and the grids.
 
     ``values`` is a 2-D array with one row per grid point, in C order, and
-    one column per value name: the header's names after the axis labels.
+    one column per value name: the header's names after the axis labels,
+    at least one.  The values are integers or floats, which the writer prints.
     ``axes`` holds the 1-D, non-empty grid of each swept axis once, outer
     first; a result with no axes (a scalar scan, the exciton table) has ``()``.
     The result keeps ``header`` as a tuple and read-only views of the arrays.
@@ -214,8 +216,12 @@ class ScanResult(_Record):
         if len(axes) > 2 or any(grid.ndim != 1 or grid.size == 0 for grid in axes):
             raise ValueError(f"axes: at most 2 grids, each 1-D and not empty, got shapes {[g.shape for g in axes]}")
         shape, width = values.shape, len(header) - len(axes)
+        if width < 1:
+            raise ValueError("header: no value name after the axis labels")
         if len(shape) != 2 or shape[1] != width:
             raise ValueError(f"values: expected a 2-D array, one column per value name ({width}), got shape {shape}")
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"values: expected integers or floats, got dtype {values.dtype}")
         if axes and math.prod(len(grid) for grid in axes) != shape[0]:
             raise ValueError("axes: the grids do not span the rows")
         object.__setattr__(self, "header", header)
@@ -382,88 +388,84 @@ def _blocks(outer: int, sweep: int):
             yield slice(o, o + k), slice(i, i + width)
 
 
-def run_scan(spec: ScanSpec, destination=None) -> ScanResult | None:
-    """Evaluate the observable over the grid; the first axis varies slowest.
-
-    With a destination (a path, or '-' for stdout) nothing is kept: each block goes
-    to ``emit_csv`` once evaluated, and a path is opened once the first block is in.
-    """
+def _evaluate(spec: ScanSpec, outer: np.ndarray, inner: np.ndarray):
+    """Each block of the outer x inner grid, in row order: (outer slice, inner slice, k x m x columns values)."""
     observable = _OBSERVABLE_TABLE[spec.observable]
-    _need(*observable.modules)
     axis_names = [axis.name for axis in spec.axes]
     # each fixed value as a (1, 1) array, broadcasting over a block
     base = {name: np.full((1, 1), spec.fixed.get(name, _DEFAULTS.get(name)))
             for name in observable.needs if name not in axis_names}
+    # u is evaluated again only when the block's inner slice changes or the
+    # outer axis is a reservoir input
+    varies = len(axis_names) == 2 and axis_names[0] in _RES
+    u = last = None
+    for o, i in _blocks(len(outer), len(inner)):
+        # the outer axis as (k, 1), the inner axis as (1, m)
+        axes = (outer[o, None], inner[None, i])[2 - len(axis_names) :]
+        p = {**base, **dict(zip(axis_names, axes))}
+        if varies or i != last:
+            reservoir = ReservoirParams(p["gamma0"], half_width=p["half_width"], delta=p["delta"])
+            # t spans the block's distinct reservoir points, one per value of u
+            t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
+            t[...] = p["t"]
+            u, last = amplitude(reservoir, t), i
+        block = np.empty((len(outer[o]), len(inner[i]), len(observable.columns)))
+        for j, column in enumerate(observable.kernel(u, p)):
+            block[..., j] = column
+        yield o, i, block
 
-    grids = [axis.values() for axis in spec.axes]
+
+def run_scan(spec: ScanSpec, destination=None) -> ScanResult | None:
+    """Evaluate the observable over the grid; the first axis varies slowest.
+
+    Without a destination the blocks fill a ``ScanResult``.  With one (a path, or '-' for stdout)
+    nothing is kept: the writer of ``emit_csv`` writes each block once it is evaluated.
+    """
+    observable = _OBSERVABLE_TABLE[spec.observable]
+    _need(*observable.modules)
+    grids = tuple(axis.values() for axis in spec.axes)
     # the grid is outer x inner; a scan of one axis or none has a single outer row
     outer = grids[0] if len(grids) == 2 else np.zeros(1)
     inner = grids[-1] if grids else np.zeros(1)
-    header = [_AXIS_LABELS[name] for name in axis_names] + list(observable.columns)
-    columns = len(observable.columns)
-    values = np.empty((len(outer), len(inner), columns)) if destination is None else None
-    # u is evaluated again only when the block's inner slice changes or the
-    # outer axis is a reservoir input
-    varies = len(grids) == 2 and axis_names[0] in _RES
-    u = last = None
-    with contextlib.ExitStack() as stack:
-        for o, i in _blocks(len(outer), len(inner)):
-            # the outer axis as (k, 1), the inner axis as (1, m)
-            axes = (outer[o, None], inner[None, i])[2 - len(grids) :]
-            p = {**base, **dict(zip(axis_names, axes))}
-            if varies or i != last:
-                reservoir = ReservoirParams(p["gamma0"], half_width=p["half_width"], delta=p["delta"])
-                # t spans the block's distinct reservoir points, one per value of u
-                t = np.empty(np.broadcast(*(p[name] for name in _RES)).shape)
-                t[...] = p["t"]
-                u, last = amplitude(reservoir, t), i
-            block = np.empty((len(outer[o]), len(inner[i]), columns)) if values is None else values[o, i]
-            for j, column in enumerate(observable.kernel(u, p)):
-                block[..., j] = column
-            if values is None:
-                if o.start == i.start == 0:
-                    out = sys.stdout if destination == "-" else stack.enter_context(open(destination, "w"))
-                    out.write(",".join(header) + "\n")
-                emit_csv(ScanResult(header, block.reshape(-1, columns), tuple(a.ravel() for a in axes)), out)
-    if values is None:
-        return None
+    header = [_AXIS_LABELS[axis.name] for axis in spec.axes] + list(observable.columns)
+    if destination is not None:
+        return _write(header, grids, _evaluate(spec, outer, inner), destination)
+    values = np.empty((len(outer), len(inner), len(observable.columns)))
+    for o, i, block in _evaluate(spec, outer, inner):
+        values[o, i] = block
     # a read-only view can be made writable again while the array it views is
     for array in (values, *grids):
         for owner in (array, array.base):
             if owner is not None:
                 owner.setflags(write=False)
-    return ScanResult(header, values.reshape(-1, columns), tuple(grids))
+    return ScanResult(header, values.reshape(-1, len(observable.columns)), grids)
 
 
 def emit_csv(result: ScanResult, destination=None) -> None:
-    """Write a scan result as CSV to a path, or stdout for None or '-'; an open stream gets the rows alone."""
-    if hasattr(destination, "write"):
-        return _write_csv(result, destination)
-    with contextlib.nullcontext(sys.stdout) if destination in (None, "-") else open(destination, "w") as out:
-        out.write(",".join(result.header) + "\n")
-        _write_csv(result, out)
+    """Write a result as CSV to a path, or stdout for None or '-'; an open stream raises TypeError before any write."""
+    # the stored rows as outer x inner, a result without axes as rows x 1
+    m = len(result.axes[-1]) if result.axes else 1
+    values = result.values.reshape(len(result.values) // m, m, result.values.shape[1])
+    _write(result.header, result.axes, ((o, i, values[o, i]) for o, i in _blocks(len(values), m)), destination)
 
 
-def _write_csv(result: ScanResult, out) -> None:
-    # "%.12g" % v gives the same bytes as format(v, ".12g").  The writer walks
-    # run_scan's blocks over the value columns, viewed as outer x inner (a
-    # result without axes as rows x 1, with no lead).  An axis value repeats
-    # down the rows, so it is formatted once into the block's template: one
-    # lead per outer value, and the inner slice's strings, formatted once
-    # per distinct slice.  The one "%" call per block formats the values.
-    values, axes = result.values, result.axes
+def _write(header, axes, blocks, destination) -> None:
+    """Write the header, then the rows of each (outer slice, inner slice, values) block over the grids ``axes``."""
+    # "%.12g" % v gives the bytes of format(v, ".12g").  An axis value repeats down the rows, so it is formatted
+    # once into a block's template: one lead per outer value, and the inner slice's strings, kept while the slice
+    # is unchanged.  The one "%" call per block formats the values.
     outer = axes[0] if len(axes) == 2 else None
     inner = axes[-1] if axes else None
-    shape = (len(values) // len(inner), len(inner)) if axes else (len(values), 1)
-    values = values.reshape(*shape, values.shape[1])
-    line = ",".join(["%.12g"] * values.shape[2]) + "\n"
+    line = ",".join(["%.12g"] * (len(header) - len(axes))) + "\n"
     body, last = [line], None
-    for o, i in _blocks(*shape):
-        if inner is not None and i != last:
-            body, last = ["%.12g," % v + line for v in inner[i].tolist()], i
-        leads = [""] * len(values[o]) if outer is None else ["%.12g," % v for v in outer[o].tolist()]
-        template = "".join(lead + lead.join(body) for lead in leads)
-        out.write(template % tuple(values[o, i].ravel().tolist()))
+    first = next(blocks, None)  # evaluated before the destination is opened: a refusal here leaves it as it was
+    with contextlib.nullcontext(sys.stdout) if destination in (None, "-") else open(destination, "w") as out:
+        out.write(",".join(header) + "\n")
+        for o, i, values in itertools.chain(() if first is None else (first,), blocks):
+            if inner is not None and i != last:
+                body, last = ["%.12g," % v + line for v in inner[i].tolist()], i
+            leads = [""] * len(values) if outer is None else ["%.12g," % v for v in outer[o].tolist()]
+            out.write("".join(lead + lead.join(body) for lead in leads) % tuple(values.ravel().tolist()))
 
 
 def _run_scan_command(args: dict) -> int:

@@ -898,6 +898,45 @@ class TestCsvWriterBytes:
             ScanResult(["t_ps", "delta_p"], np.zeros((4, 2)), (np.arange(4.0),))
         ScanResult(["t_ps", "delta_p"], np.zeros((4, 1)), (np.arange(4.0),))
 
+    @pytest.mark.parametrize("header, values, axes", [
+        (("t_ps",), np.empty((3, 0)), (np.array([1.0, 2.0, 3.0]),)),
+        (("x", "t_ps"), np.empty((4, 0)), (np.arange(2.0), np.arange(2.0))),
+        ((), np.empty((3, 0)), ()),
+    ], ids=["one-axis", "two-axes", "no-axes"])
+    def test_a_header_without_a_value_name_is_refused(self, header, values, axes):
+        # a one-axis result of no value columns printed the rows "1," "2," "3," under a one-name header
+        with pytest.raises(ValueError, match=r"^header: no value name after the axis labels$"):
+            ScanResult(header, values, axes)
+
+    @pytest.mark.parametrize("values, dtype", [
+        (np.array([[1 + 2j], [3.0]]), "complex128"),
+        (np.array([["a"], ["b"]]), "<U1"),
+        (np.array([[True], [False]]), "bool"),
+        (np.array([[1.0], [2.0]], dtype=object), "object"),
+    ], ids=["complex", "string", "bool", "object"])
+    def test_values_the_writer_cannot_print_are_refused(self, values, dtype):
+        # complex values were accepted, and emit_csv then raised TypeError after writing the header
+        with pytest.raises(ValueError, match=rf"^values: expected integers or floats, got dtype {re.escape(dtype)}$"):
+            ScanResult(["t_ps", "v"], values, (np.array([0.0, 1.0]),))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.int64, np.float32, np.float64])
+    def test_integer_and_float_values_are_printed(self, dtype):
+        result = ScanResult(["t_ps", "v"], np.array([[1], [2]], dtype=dtype), (np.array([0.0, 0.5]),))
+        assert _csv(write_csv, result) == "t_ps,v\n0,1\n0.5,2\n"
+
+    def test_a_result_of_no_rows_prints_its_header_alone(self, tmp_path):
+        result = ScanResult(["energy_cm1", "bchl1"], np.empty((0, 2)))
+        assert _csv(write_csv, result) == "energy_cm1,bchl1\n"
+        emit_csv(result, tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b"energy_cm1,bchl1\n"
+
+    def test_an_open_stream_is_not_a_destination(self):
+        # an open stream got the rows alone, without the header: "1\n1\n"
+        out = io.StringIO()
+        with pytest.raises(TypeError):
+            emit_csv(ScanResult(("v",), np.ones((2, 1))), out)
+        assert out.getvalue() == ""
+
     def test_a_list_grid_writes_the_bytes_of_an_array_grid(self):
         # a list grid was accepted, and the writer then raised AttributeError on its .tolist()
         values = np.array([[0.5, 1.0], [0.25, 2.0]])
@@ -1164,15 +1203,23 @@ class TestStreamedScan:
         assert run_scan(spec, tmp_path / "streamed.csv") is None
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
 
-    def test_a_scan_runs_under_run_scan_and_writes_through_emit_csv(self, monkeypatch, capsys):
-        # a profile of the module's public names sees the scan's evaluation and its writing
-        calls = []
-        for name in ("run_scan", "emit_csv"):
-            original = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    def test_a_streamed_scan_of_three_blocks_writes_each_block_before_it_evaluates_the_next(self, monkeypatch):
+        # half width is a reservoir input, so each block of 5 x 200 rows calls amplitude once
+        events = []
+        cli._need("reservoir")
+        original = cli.amplitude
+
+        class Sink:
+            def write(self, text):
+                events.append(text.count("\n"))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli, "amplitude", lambda params, t: events.append("amplitude") or original(params, t))
+        monkeypatch.setattr(sys, "stdout", Sink())
         assert cli.main([*self.SCAN, "--axis1", "half_width:10:11:12"]) == 0
-        assert calls == ["run_scan"] + ["emit_csv"] * 3
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 12 * 200
+        assert events == ["amplitude", 1, 1000, "amplitude", 1000, "amplitude", 400]
 
 
 class TestSweptAxisOfN:
